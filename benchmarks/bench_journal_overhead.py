@@ -38,6 +38,9 @@ OVERHEAD_BUDGET = 0.02
 
 def _run_once(runner: ExperimentRunner, journal_path: Optional[str]) -> float:
     runner._cache.clear()
+    # Replayed streams would shrink the cell under the journal's fixed
+    # cost; every round simulates the whole cell, as the seed did.
+    runner._replay.clear()
     runner.failures.clear()
     runner.journal = (
         RunJournal(journal_path) if journal_path is not None else None

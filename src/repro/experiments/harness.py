@@ -66,6 +66,7 @@ from ..graph.io import on_disk_bytes
 from ..graph.reorder import DBG_COST, ORDERINGS
 from ..machine.machine import Machine
 from ..machine.metrics import RunMetrics
+from ..machine.replay import ReplayMemo
 from ..obs.tracer import MetricsRegistry, Tracer
 from ..runstate.journal import RunJournal
 from ..runstate.serialize import spec_fingerprint
@@ -349,6 +350,7 @@ class ExperimentRunner:
             tuple[str, str, bool], tuple[CsrGraph, int]
         ] = {}
         self._perm_cache: dict[tuple[str, str], Any] = {}
+        self._replay = ReplayMemo()
 
     # ------------------------------------------------------------------
     # Compatibility views over the run config.  Readable and writable
@@ -897,6 +899,18 @@ class ExperimentRunner:
             manager=policy.make_manager(),
             access_budget=self.cell_budget,
             watchdog=watchdog,
+            # The inputs _prepared_graph and _make_workload turn into
+            # this workload's deterministic stream sequence.
+            replay=self._replay,
+            stream_key=(
+                (
+                    dataset_name,
+                    policy.plan.reorder,
+                    workload_needs_weights(workload_name),
+                ),
+                workload_name,
+                self.pagerank_iterations,
+            ),
         )
 
     def _capture(
@@ -1039,9 +1053,9 @@ class ExperimentRunner:
         return run.speedup_over(base)
 
     def clear_cache(self) -> None:
-        """Drop all cached cells *and* prepared graphs (frees memory
-        between figure batches); failure records and the trace log are
-        reset too.
+        """Drop all cached cells, prepared graphs and replayable
+        stream outcomes (frees memory between figure batches); failure
+        records and the trace log are reset too.
 
         Journal state is untouched: spec fingerprints derive from the
         cell *specification* (see :meth:`cell_spec`), not from object
@@ -1050,6 +1064,7 @@ class ExperimentRunner:
         self._cache.clear()
         self._graph_cache.clear()
         self._perm_cache.clear()
+        self._replay.clear()
         self.failures.clear()
         self.trace_log.clear()
         self.metrics.reset()

@@ -16,7 +16,7 @@ applied by the experiment harness through the setup helpers before
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Optional
 
 from ..analysis.sanitizer import make_sanitizer
 from ..config import MachineConfig, scaled
@@ -42,6 +42,7 @@ from ..workloads.base import ARRAY_NAMES, Workload
 from ..workloads.layout import MemoryLayout
 from .metrics import RunMetrics
 from .process import SimProcess
+from .replay import ReplayMemo, StreamOutcome
 
 INPUT_FILE = "graph-input"
 """Name under which the workload's input file is cached."""
@@ -171,6 +172,8 @@ class Machine:
         manager: Optional[HugePageManager] = None,
         access_budget: Optional[int] = None,
         watchdog: Optional[CellWatchdog] = None,
+        replay: Optional[ReplayMemo] = None,
+        stream_key: Optional[Hashable] = None,
     ) -> RunMetrics:
         """Execute one workload end to end and measure it.
 
@@ -205,6 +208,12 @@ class Machine:
         wall-clock deadline, checked at the same per-stream cadence
         (plus once after initialization, so an init-phase runaway is
         caught too).
+
+        ``replay`` (a :class:`~repro.machine.replay.ReplayMemo`) with a
+        ``stream_key`` that names ``workload``'s stream sequence lets
+        the compute phase reuse the outcome of any stream already
+        simulated under the same layout and TLB history, in this or an
+        earlier run; results are byte-identical either way.
 
         Raises:
             CellBudgetExceededError: if the compute phase passes
@@ -280,13 +289,39 @@ class Machine:
             for vma in process.vma_by_array.values():
                 profiler.track(vma)
             manager.attach(process, profiler, self.config)
+        cursor = None
+        if replay is not None and stream_key is not None:
+            cursor = replay.cursor(stream_key, hierarchy, process, check_swap)
         for stream in workload.run():
-            trace = process.translate(stream)
-            if check_swap:
-                ins, outs = process.service_swap(trace)
-                swap_ins += ins
-                swap_outs += outs
-            hierarchy.simulate(trace, stats)
+            outcome = cursor.lookup() if cursor is not None else None
+            if outcome is None:
+                trace = process.translate(stream)
+                ins = 0
+                if check_swap:
+                    ins, _ = process.service_swap(trace)
+                delta = TranslationStats()
+                hierarchy.simulate(trace, delta)
+                if cursor is not None:
+                    cursor.store(
+                        StreamOutcome(delta, ins, hierarchy.snapshot())
+                    )
+            else:
+                # Same charges, counts, state and event as simulating.
+                if profiler is not None:
+                    trace = process.translate(stream)
+                ins = outcome.swap_ins
+                if check_swap:
+                    process._charge_swap(ins)
+                delta = outcome.stats
+                hierarchy.restore(outcome.state)
+                hierarchy.emit_stream(
+                    delta.total_accesses,
+                    delta.total_l1_misses,
+                    delta.total_walks,
+                )
+            stats.merge(delta)
+            swap_ins += ins
+            swap_outs += ins  # service_swap exchanges frame for frame
             if (
                 access_budget is not None
                 and stats.total_accesses > access_budget
@@ -312,6 +347,8 @@ class Machine:
                 if manager.on_iteration():
                     # Promotions rewrite page tables: full shootdown.
                     hierarchy.flush()
+                    if cursor is not None:
+                        cursor.flush()
         kernel_stall_cycles = ledger.total_cycles - compute_start_cycles
 
         compute_cycles = int(

@@ -122,6 +122,27 @@ class SimProcess:
             keys[mask] = np.where(vma.is_huge[page], huge_keys, base_keys)
         return compress_trace(keys, aids)
 
+    def translation_layout(self, with_residency: bool) -> tuple:
+        """Everything :meth:`translate` reads besides the stream, and
+        with ``with_residency`` everything :meth:`service_swap` reads
+        too, per array in mapping order: start VPN and huge VPN,
+        element size, the per-page size map and, when asked, the
+        per-page residency.  Equal layouts translate (and swap) an
+        equal stream identically."""
+        parts: list = [with_residency]
+        for array_id, vma in self.vma_by_array.items():
+            parts.append(
+                (
+                    array_id,
+                    self._start_vpn[array_id],
+                    self._start_hvpn[array_id],
+                    self._elem_bytes[array_id],
+                    vma.is_huge.tobytes(),
+                    (vma.frame >= 0).tobytes() if with_residency else b"",
+                )
+            )
+        return tuple(parts)
+
     # ------------------------------------------------------------------
     # Swap servicing (oversubscribed memory)
     # ------------------------------------------------------------------
@@ -174,6 +195,14 @@ class SimProcess:
             flags[page] = True
             fifo.append((array_id, page))
             swap_ins += 1
+        self._charge_swap(swap_ins)
+        return swap_ins, swap_ins
+
+    def _charge_swap(self, swap_ins: int) -> None:
+        """Charge ``swap_ins`` page exchanges to the kernel ledger and
+        the swap device.  The one charging path, so a replayed stream
+        (:mod:`repro.machine.replay`) reaches the device's fault sites
+        exactly as a simulated one does."""
         if swap_ins:
             ledger = self.vmm.node.ledger
             ledger.swap_in(swap_ins)
@@ -182,7 +211,6 @@ class SimProcess:
             if self.vmm.swap_device is not None:
                 self.vmm.swap_device.page_in(swap_ins)
                 self.vmm.swap_device.page_out(swap_ins)
-        return swap_ins, swap_ins
 
     # ------------------------------------------------------------------
     # Huge-page census

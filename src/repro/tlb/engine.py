@@ -122,11 +122,10 @@ class _BatchLru:
         self.set_mask = self.num_sets - 1
         # Per-set resident keys carried between batches as one flat
         # array: set-major ascending, LRU-first within each set — the
-        # exact layout the warm-up prepend needs.
+        # exact layout the warm-up prepend needs.  This is the whole
+        # state, and it is only ever rebound, never written in place,
+        # so a snapshot can share it.
         self.state_keys = np.empty(0, dtype=np.int64)
-        # Aggregate counters, mirroring SetAssociativeTlb bookkeeping.
-        self.hits = 0
-        self.misses = 0
         # Window-count buckets: smallest matrix width, and the widest
         # before queries fall back to per-query counting.  The first
         # bucket also serves as the long-window miss-certificate width.
@@ -223,11 +222,7 @@ class _BatchLru:
 
         miss = np.empty(total, dtype=bool)
         miss[set_order] = miss_ss
-        out = miss[m0:]
-        nm = int(np.count_nonzero(out))
-        self.misses += nm
-        self.hits += out.size - nm
-        return out
+        return miss[m0:]
 
     def _resolve_windows(
         self,
@@ -417,6 +412,27 @@ class BatchTranslationHierarchy:
             structure.flush()
         self.l2.flush()
 
+    def snapshot(self) -> tuple[np.ndarray, ...]:
+        """The LRU contents of every level.  The carried arrays are
+        rebound, never written in place, so the snapshot shares them;
+        marking them read-only turns a violation into an error."""
+        state = tuple(
+            structure.state_keys
+            for structure in (*self._l1_structures, self.l2)
+        )
+        for keys in state:
+            keys.flags.writeable = False
+        return state
+
+    def restore(self, state: tuple[np.ndarray, ...]) -> None:
+        """Reinstate a :meth:`snapshot` (stream counters untouched)."""
+        for structure, keys in zip(
+            (*self._l1_structures, self.l2), state, strict=True
+        ):
+            structure.state_keys = keys
+
+    emit_stream = TranslationHierarchy.emit_stream
+
     def _l1_groups(
         self, dk: np.ndarray
     ) -> tuple[tuple[_BatchLru, np.ndarray], ...]:
@@ -533,17 +549,6 @@ class BatchTranslationHierarchy:
             order = np.argsort(lp, kind="stable")
             order = order[np.argsort(sets[order], kind="stable")]
             structure.state_keys = keys[order].astype(np.int64)
-        nm = fp.size
-        if self.l1_fused is not None:
-            self.l1_fused.misses += nm
-            self.l1_fused.hits += n - nm
-        else:
-            n_huge = int(np.count_nonzero(lk & 1))
-            nm_huge = int(np.count_nonzero(lk[fp] & 1))
-            self.l1_huge.misses += nm_huge
-            self.l1_huge.hits += n_huge - nm_huge
-            self.l1_base.misses += nm - nm_huge
-            self.l1_base.hits += (n - n_huge) - (nm - nm_huge)
         return fp
 
     def simulate(self, trace: TlbTrace, stats: TranslationStats) -> None:
@@ -615,19 +620,11 @@ class BatchTranslationHierarchy:
         stats.l1_misses += l1m
         stats.walks += wlk
 
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "tlb.stream",
-                stream=self._stream,
-                engine=self.engine,
-                accesses=(
-                    int(trace.counts.sum()) if trace.counts.size else 0
-                ),
-                l1_misses=int(l1m.sum()),
-                walks=int(wlk.sum()),
-            )
-            self._stream += 1
+        self.emit_stream(
+            int(trace.counts.sum()) if trace.counts.size else 0,
+            int(l1m.sum()),
+            int(wlk.sum()),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -128,6 +128,39 @@ class TranslationHierarchy:
         self.l1_huge.flush()
         self.l2.flush()
 
+    def snapshot(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """A copy of every level's sets (MRU-first), in the order
+        L1 base, L1 huge, L2."""
+        return tuple(
+            tuple(tuple(entries) for entries in tlb.sets)
+            for tlb in (self.l1_base, self.l1_huge, self.l2)
+        )
+
+    def restore(
+        self, state: tuple[tuple[tuple[int, ...], ...], ...]
+    ) -> None:
+        """Reinstate a :meth:`snapshot` (stream counters untouched)."""
+        for tlb, sets in zip(
+            (self.l1_base, self.l1_huge, self.l2), state, strict=True
+        ):
+            tlb.sets = [list(entries) for entries in sets]
+            tlb.resident = {key for entries in sets for key in entries}
+
+    def emit_stream(self, accesses: int, l1_misses: int, walks: int) -> None:
+        """Emit one simulated stream's ``tlb.stream`` event; a no-op
+        when untraced."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(
+                "tlb.stream",
+                stream=self._stream,
+                engine=self.engine,
+                accesses=accesses,
+                l1_misses=l1_misses,
+                walks=walks,
+            )
+            self._stream += 1
+
     def access_one(self, key: int) -> str:
         """Reference single-access path for tests.
 
@@ -219,14 +252,8 @@ class TranslationHierarchy:
 
         stats.l1_misses += np.asarray(l1m_l, dtype=np.int64)
         stats.walks += np.asarray(wlk_l, dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "tlb.stream",
-                stream=self._stream,
-                engine=self.engine,
-                accesses=int(trace.counts.sum()) if trace.counts.size else 0,
-                l1_misses=sum(l1m_l),
-                walks=sum(wlk_l),
-            )
-            self._stream += 1
+        self.emit_stream(
+            int(trace.counts.sum()) if trace.counts.size else 0,
+            sum(l1m_l),
+            sum(wlk_l),
+        )

@@ -12,6 +12,8 @@ procedure actually ran, so the fast-path tests cannot silently pass via
 the chunked fallback.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,62 @@ def test_make_hierarchy_engine_selection():
     with pytest.raises(ValueError):
         make_hierarchy("per-lookup", config)
     assert set(TLB_ENGINES) == {"exact", "batch", "auto"}
+
+
+
+def _same_state(a, b):
+    """Snapshots compare by content (batch snapshots hold arrays)."""
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b, strict=True)
+    )
+
+
+@pytest.mark.parametrize("engine", ["exact", "batch"])
+@pytest.mark.parametrize("name", ["fused", "split-12way"])
+@pytest.mark.parametrize("case", ["plain", "flushed", "multi-chunk"])
+def test_snapshot_restore_continues_exactly(engine, name, case):
+    """Simulating A then B on one engine gives the same counts and end
+    state as simulating A, snapshotting, restoring the snapshot into a
+    fresh engine and simulating B there."""
+    from repro.tlb.engine import _CHUNK
+
+    config = GEOMETRIES[name]
+    rng = np.random.default_rng(29)
+    # Multi-chunk streams make the snapshot carry state that was
+    # itself carried between chunks.
+    n = 2 * _CHUNK + 777 if case == "multi-chunk" else 900
+    traces = []
+    for _ in range(2):
+        pages = rng.integers(0, 96, size=n)
+        keys = ((pages << 1) | (rng.random(n) < 0.3)).astype(np.int64)
+        aids = rng.integers(0, 5, size=n).astype(np.uint8)
+        traces.append(compress_trace(keys, aids))
+    trace_a, trace_b = traces
+
+    straight = make_hierarchy(engine, config)
+    straight_stats = TranslationStats()
+    straight.simulate(trace_a, straight_stats)
+    if case == "flushed":
+        straight.flush()
+    straight.simulate(trace_b, straight_stats)
+
+    first = make_hierarchy(engine, config)
+    split_stats = TranslationStats()
+    first.simulate(trace_a, split_stats)
+    if case == "flushed":
+        first.flush()
+    snap = first.snapshot()
+    kept = copy.deepcopy(snap)
+    resumed = make_hierarchy(engine, config)
+    resumed.restore(snap)
+    resumed.simulate(trace_b, split_stats)
+
+    np.testing.assert_array_equal(straight_stats.accesses, split_stats.accesses)
+    np.testing.assert_array_equal(
+        straight_stats.l1_misses, split_stats.l1_misses
+    )
+    np.testing.assert_array_equal(straight_stats.walks, split_stats.walks)
+    assert _same_state(resumed.snapshot(), straight.snapshot())
+    # Simulating from a restored snapshot leaves the snapshot intact.
+    assert _same_state(snap, kept)

@@ -255,6 +255,21 @@ class MemSanitizer:
         state = node.state
         owner = node.owner_id
         free = state == int(FrameState.FREE)
+        region_free = np.add.reduceat(free.astype(np.int64), node._region_starts)
+        drifted = region_free != node._region_free
+        if drifted.any():
+            bad = np.flatnonzero(drifted)[:8]
+            self._fail(
+                f"node {node.node_id}: free counters drifted from the "
+                f"frame map in regions {bad.tolist()} (counted "
+                f"{node._region_free[bad].tolist()}, frame map has "
+                f"{region_free[bad].tolist()})"
+            )
+        if int(region_free.sum()) != node._free_total:
+            self._fail(
+                f"node {node.node_id}: free total {node._free_total} "
+                f"drifted from the frame map's {int(region_free.sum())}"
+            )
         if (owner[free] != -1).any():
             bad = np.flatnonzero(free & (owner != -1))[:8]
             self._fail(

@@ -16,7 +16,7 @@ from ..config import MachineConfig
 from ..core.plan import PlacementPlan
 from ..mem.thp import ThpMode
 from ..mem.vmm import VirtualMemoryManager, Vma
-from ..tlb.trace import AccessStream, TlbTrace, compress_trace
+from ..tlb.trace import MAX_ARRAY_IDS, AccessStream, TlbTrace, compress_trace
 from ..workloads.base import Workload
 from ..workloads.layout import MemoryLayout
 
@@ -109,7 +109,10 @@ class SimProcess:
         huge_shift = pages.huge_shift
         aids = stream.array_ids
         keys = np.empty(aids.size, dtype=np.int64)
-        for array_id in np.unique(aids):
+        # Per-array access counts: they name the arrays present and,
+        # since runs never span array ids, are the trace's totals too.
+        totals = np.bincount(aids, minlength=MAX_ARRAY_IDS)
+        for array_id in np.flatnonzero(totals):
             array_id = int(array_id)
             mask = aids == array_id
             vma = self.vma_by_array[array_id]
@@ -120,7 +123,7 @@ class SimProcess:
                 (self._start_hvpn[array_id] + (offsets >> huge_shift)) << 1
             ) | 1
             keys[mask] = np.where(vma.is_huge[page], huge_keys, base_keys)
-        return compress_trace(keys, aids)
+        return compress_trace(keys, aids, totals)
 
     def translation_layout(self, with_residency: bool) -> tuple:
         """Everything :meth:`translate` reads besides the stream, and

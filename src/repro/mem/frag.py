@@ -62,7 +62,7 @@ class Fragmenter:
             first = frames.start
             # Claim the whole region, then free all but the first page,
             # leaving a non-movable sentinel (the paper's mechanism).
-            node.state[frames] = int(FrameState.NONMOVABLE)
+            node._set_state(frames, FrameState.NONMOVABLE)
             node.owner_id[frames] = self.owner_id
             rest = np.arange(first + 1, frames.stop, dtype=np.int64)
             node.free_frames(rest)

@@ -85,7 +85,7 @@ class BackgroundNoise:
         ]
         offsets = rng.integers(0, fpr, size=take)
         frames = chosen * fpr + offsets
-        node.state[frames] = int(state)
+        node._set_state(frames, state)
         node.owner_id[frames] = self.owner_id
         node.reclaimable[frames] = False
         if state is FrameState.MOVABLE:

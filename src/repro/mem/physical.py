@@ -97,7 +97,7 @@ class NodeMemory:
         self.frames_per_region = config.pages.frames_per_huge
         self.num_frames = config.frames_per_node
         self.num_regions = config.huge_regions_per_node
-        self.state = np.zeros(self.num_frames, dtype=np.uint8)
+        self._state = np.zeros(self.num_frames, dtype=np.uint8)
         self.owner_id = np.full(self.num_frames, -1, dtype=np.int32)
         self.reclaimable = np.zeros(self.num_frames, dtype=bool)
         self._owners: dict[int, FrameOwner] = {}
@@ -105,6 +105,46 @@ class NodeMemory:
         self._region_starts = np.arange(
             0, self.num_frames, self.frames_per_region
         )
+        # Free counters, kept in step with the frame map by _set_state
+        # (the buddy allocator's nr_free): free frames per region and in
+        # total.  Node memory is a whole number of regions.
+        self._region_free = np.full(
+            self.num_regions, self.frames_per_region, dtype=np.int64
+        )
+        self._free_total = self.num_frames
+
+    @property
+    def state(self) -> np.ndarray:
+        """The frame map (one :class:`FrameState` per frame), read-only:
+        every write goes through :meth:`_set_state` so the free counters
+        never drift."""
+        view = self._state.view()
+        view.flags.writeable = False
+        return view
+
+    def _set_state(self, frames, state: int) -> None:
+        """Write ``state`` to ``frames`` — the frame map's only writer.
+
+        ``frames`` is one frame index, a slice, or an array of distinct
+        frame indices.  The free counters move by exactly the FREE <->
+        non-FREE transitions the write makes.
+        """
+        now_free = int(state) == FrameState.FREE
+        was_free = self._state[frames] == FrameState.FREE
+        self._state[frames] = state
+        sign = 1 if now_free else -1
+        if isinstance(frames, (int, np.integer)):
+            if was_free != now_free:
+                self._region_free[frames // self.frames_per_region] += sign
+                self._free_total += sign
+            return
+        changed = np.flatnonzero(was_free != now_free)
+        if isinstance(frames, slice):
+            moved = changed + frames.start
+        else:
+            moved = np.asarray(frames)[changed]
+        np.add.at(self._region_free, moved // self.frames_per_region, sign)
+        self._free_total += sign * int(moved.size)
 
     # ------------------------------------------------------------------
     # Owner registry
@@ -124,7 +164,7 @@ class NodeMemory:
     @property
     def free_frame_count(self) -> int:
         """Number of free frames on this node."""
-        return int(np.count_nonzero(self.state == FrameState.FREE))
+        return self._free_total
 
     @property
     def free_bytes(self) -> int:
@@ -133,15 +173,12 @@ class NodeMemory:
 
     def region_free_counts(self) -> np.ndarray:
         """Free-frame count per huge region (length ``num_regions``)."""
-        free = (self.state == FrameState.FREE).astype(np.int64)
-        return np.add.reduceat(free, self._region_starts)
+        return self._region_free.copy()
 
     def pristine_region_count(self) -> int:
         """Number of fully free huge regions."""
         return int(
-            np.count_nonzero(
-                self.region_free_counts() == self.frames_per_region
-            )
+            np.count_nonzero(self._region_free == self.frames_per_region)
         )
 
     def region_of(self, frame: int) -> int:
@@ -161,13 +198,10 @@ class NodeMemory:
         region exists.  0.0 means all free memory is in pristine regions;
         1.0 means none of it is.
         """
-        counts = self.region_free_counts()
-        free_total = int(counts.sum())
+        free_total = self._free_total
         if free_total == 0:
             return 0.0
-        pristine_free = int(
-            counts[counts == self.frames_per_region].sum()
-        )
+        pristine_free = self.pristine_region_count() * self.frames_per_region
         return 1.0 - pristine_free / free_total
 
     # ------------------------------------------------------------------
@@ -180,14 +214,12 @@ class NodeMemory:
         owner_id: int,
         state: FrameState = FrameState.MOVABLE,
         reclaimable: bool = False,
-        prefer_broken: bool = True,
     ) -> np.ndarray:
         """Allocate ``count`` base frames; returns their indices.
 
-        With ``prefer_broken`` (the default, mirroring the buddy
-        allocator's preference for splitting already-broken blocks) frames
-        are taken from partially used regions before pristine regions are
-        broken up.
+        Frames come from partially used regions before pristine regions
+        are broken up, mirroring the buddy allocator's preference for
+        splitting already-broken blocks.
 
         Raises:
             OutOfMemoryError: if fewer than ``count`` frames are free.
@@ -196,53 +228,44 @@ class NodeMemory:
             return np.empty(0, dtype=np.int64)
         if self.injector is not None:
             self.injector.check(FaultSite.ALLOC)
-        free_mask = self.state == FrameState.FREE
-        total_free = int(np.count_nonzero(free_mask))
-        if total_free < count:
+        if self._free_total < count:
             raise OutOfMemoryError(
                 f"node {self.node_id}: need {count} frames, "
-                f"only {total_free} free"
+                f"only {self._free_total} free"
             )
-        if prefer_broken:
-            chosen = self._pick_broken_first(free_mask, count)
-        else:
-            chosen = np.flatnonzero(free_mask)[:count]
+        chosen = self._pick_broken_first(count, self._region_free)
         if self.sanitizer is not None:
             self.sanitizer.on_alloc_frames(self, chosen, state)
-        self.state[chosen] = int(state)
+        self._set_state(chosen, state)
         self.owner_id[chosen] = owner_id
         self.reclaimable[chosen] = reclaimable
         return chosen
 
-    def _pick_broken_first(
-        self, free_mask: np.ndarray, count: int
-    ) -> np.ndarray:
-        """Pick free frames from the most-used regions first."""
-        counts = self.region_free_counts()
-        # Regions with some free frames, ordered: partially-used regions
-        # (fewest free frames first) before pristine regions.
-        has_free = counts > 0
-        pristine = counts == self.frames_per_region
-        partial = has_free & ~pristine
-        order = np.concatenate(
-            [
-                np.flatnonzero(partial)[np.argsort(counts[partial], kind="stable")],
-                np.flatnonzero(pristine),
-            ]
-        )
-        chosen_parts: list[np.ndarray] = []
-        remaining = count
+    def _pick_broken_first(self, count: int, counts: np.ndarray) -> np.ndarray:
+        """Pick ``count`` free frames from the most-used regions first.
+
+        ``counts`` holds the free frames per region; regions with a zero
+        count are skipped.  Partially used regions (fewest free frames
+        first) come before pristine ones, frames in ascending order
+        within a region.  Only the taken regions' frames are read.
+        """
         fpr = self.frames_per_region
-        for region in order:
-            start = region * fpr
-            local = np.flatnonzero(free_mask[start : start + fpr]) + start
-            if local.size > remaining:
-                local = local[:remaining]
-            chosen_parts.append(local)
-            remaining -= local.size
-            if remaining == 0:
-                break
-        return np.concatenate(chosen_parts)
+        partial = np.flatnonzero((counts > 0) & (counts < fpr))
+        partial_counts = counts[partial]
+        order = partial[np.argsort(partial_counts, kind="stable")]
+        short = count - int(partial_counts.sum())
+        if short > 0:
+            pristine = np.flatnonzero(counts == fpr)[: -(-short // fpr)]
+            if pristine.size * fpr < short:
+                raise OutOfMemoryError(
+                    f"node {self.node_id}: cannot find {count} free frames"
+                )
+            order = np.concatenate([order, pristine])
+        last = int(np.searchsorted(np.cumsum(counts[order]), count))
+        frames = (
+            order[: last + 1, None] * fpr + np.arange(fpr, dtype=np.int64)
+        ).ravel()
+        return frames[self._state[frames] == FrameState.FREE][:count]
 
     # ------------------------------------------------------------------
     # Huge-page allocation
@@ -264,10 +287,9 @@ class NodeMemory:
         the caller decides whether that means "fall back to base pages"
         (THP policy) or "out of memory".
         """
-        counts = self.region_free_counts()
-        pristine = np.flatnonzero(counts == self.frames_per_region)
-        if pristine.size:
-            region = int(pristine[0])
+        pristine = self._region_free == self.frames_per_region
+        region = int(np.argmax(pristine))
+        if pristine[region]:
             return self._claim_region(region, owner_id, state)
         if not (allow_compaction or allow_reclaim):
             return None
@@ -286,7 +308,7 @@ class NodeMemory:
         if self.sanitizer is not None:
             self.sanitizer.on_claim_region(self, region, state)
         frames = self.region_frames(region)
-        self.state[frames] = int(state)
+        self._set_state(frames, state)
         self.owner_id[frames] = owner_id
         self.reclaimable[frames] = False
         return region
@@ -301,9 +323,8 @@ class NodeMemory:
         allowed).  The candidate needing the least work is chosen, and its
         movable frames must fit in free frames *outside* the region.
         """
-        fpr = self.frames_per_region
-        state = self.state
-        free_counts = self.region_free_counts()
+        state = self._state
+        free_counts = self._region_free
         movable = (state == FrameState.MOVABLE).astype(np.int64)
         reclaim = (
             (state == FrameState.MOVABLE) & self.reclaimable
@@ -330,7 +351,7 @@ class NodeMemory:
         # Least total work first: prefer dropping over migrating.
         work = migrate_counts[candidates] * 2 + reclaim_counts[candidates]
         order = candidates[np.argsort(work, kind="stable")]
-        total_free = int(free_counts.sum())
+        total_free = self._free_total
         for region in order:
             region = int(region)
             need_migrate = int(migrate_counts[region])
@@ -345,7 +366,7 @@ class NodeMemory:
         """Drop reclaimable frames and migrate movable frames out."""
         frames = self.region_frames(region)
         start = frames.start
-        local_states = self.state[frames]
+        local_states = self._state[frames]
         used = np.flatnonzero(local_states == FrameState.MOVABLE) + start
         reclaimed = 0
         migrated: list[int] = []
@@ -363,7 +384,7 @@ class NodeMemory:
                 self.sanitizer.on_migrate_frames(self, migrated, targets)
             for old, new in zip(migrated, targets):
                 new = int(new)
-                self.state[new] = self.state[old]
+                self._set_state(new, self._state[old])
                 self.owner_id[new] = self.owner_id[old]
                 self.reclaimable[new] = self.reclaimable[old]
                 self._owners[int(self.owner_id[old])].relocate_frame(old, new)
@@ -385,43 +406,9 @@ class NodeMemory:
 
     def _migration_targets(self, count: int, exclude_region: int) -> np.ndarray:
         """Free frames outside ``exclude_region``, broken regions first."""
-        free_mask = self.state == FrameState.FREE
-        frames = self.region_frames(exclude_region)
-        free_mask[frames] = False
-        return self._pick_broken_first_masked(free_mask, count)
-
-    def _pick_broken_first_masked(
-        self, free_mask: np.ndarray, count: int
-    ) -> np.ndarray:
-        """Like :meth:`_pick_broken_first` but for a caller-supplied mask."""
-        free = free_mask.astype(np.int64)
-        counts = np.add.reduceat(free, self._region_starts)
-        has_free = counts > 0
-        pristine = counts == self.frames_per_region
-        partial = has_free & ~pristine
-        order = np.concatenate(
-            [
-                np.flatnonzero(partial)[np.argsort(counts[partial], kind="stable")],
-                np.flatnonzero(pristine),
-            ]
-        )
-        chosen_parts: list[np.ndarray] = []
-        remaining = count
-        fpr = self.frames_per_region
-        for region in order:
-            start = region * fpr
-            local = np.flatnonzero(free_mask[start : start + fpr]) + start
-            if local.size > remaining:
-                local = local[:remaining]
-            chosen_parts.append(local)
-            remaining -= local.size
-            if remaining == 0:
-                break
-        if remaining:
-            raise OutOfMemoryError(
-                f"node {self.node_id}: cannot find {count} migration targets"
-            )
-        return np.concatenate(chosen_parts)
+        counts = self._region_free.copy()
+        counts[exclude_region] = 0
+        return self._pick_broken_first(count, counts)
 
     # ------------------------------------------------------------------
     # Freeing / pinning
@@ -430,7 +417,7 @@ class NodeMemory:
     def _release(self, frame: int) -> None:
         if self.sanitizer is not None:
             self.sanitizer.on_release_frame(self, frame)
-        self.state[frame] = int(FrameState.FREE)
+        self._set_state(frame, FrameState.FREE)
         self.owner_id[frame] = -1
         self.reclaimable[frame] = False
 
@@ -440,7 +427,7 @@ class NodeMemory:
         the number of frames actually freed and charges their reclaim
         cost."""
         candidates = np.flatnonzero(
-            (self.state == FrameState.MOVABLE) & self.reclaimable
+            (self._state == FrameState.MOVABLE) & self.reclaimable
         )[:count]
         if candidates.size == 0:
             return 0
@@ -458,7 +445,7 @@ class NodeMemory:
         """Return the given frames to the free pool."""
         if self.sanitizer is not None:
             self.sanitizer.on_free_frames(self, frames)
-        self.state[frames] = int(FrameState.FREE)
+        self._set_state(frames, FrameState.FREE)
         self.owner_id[frames] = -1
         self.reclaimable[frames] = False
 
@@ -467,7 +454,7 @@ class NodeMemory:
         if self.sanitizer is not None:
             self.sanitizer.on_free_huge_region(self, region)
         frames = self.region_frames(region)
-        self.state[frames] = int(FrameState.FREE)
+        self._set_state(frames, FrameState.FREE)
         self.owner_id[frames] = -1
         self.reclaimable[frames] = False
 
@@ -478,17 +465,17 @@ class NodeMemory:
             self.sanitizer.on_demote_region(self, region)
         frames = self.region_frames(region)
         idx = (
-            np.flatnonzero(self.state[frames] == FrameState.HUGE)
+            np.flatnonzero(self._state[frames] == FrameState.HUGE)
             + frames.start
         )
-        self.state[idx] = int(FrameState.MOVABLE)
+        self._set_state(idx, FrameState.MOVABLE)
 
     def pin_frames(self, frames: np.ndarray) -> None:
         """Mark frames as pinned (``mlock``): not migratable, not
         reclaimable."""
         if self.sanitizer is not None:
             self.sanitizer.on_pin_frames(self, frames)
-        self.state[frames] = int(FrameState.PINNED)
+        self._set_state(frames, FrameState.PINNED)
         self.reclaimable[frames] = False
 
 

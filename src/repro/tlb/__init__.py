@@ -12,7 +12,7 @@
   (docs/performance.md).
 """
 
-from .trace import AccessStream, TlbTrace, merge_streams
+from .trace import AccessStream, TlbTrace
 from .tlb import SetAssociativeTlb
 from .hierarchy import TranslationHierarchy, TranslationStats
 from .engine import (
@@ -32,5 +32,4 @@ __all__ = [
     "TranslationStats",
     "batch_engine_matches",
     "make_hierarchy",
-    "merge_streams",
 ]

@@ -60,23 +60,6 @@ class AccessStream:
         )
 
 
-def merge_streams(
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> AccessStream:
-    """Merge sub-streams by program position into one stream.
-
-    Each part is ``(positions, array_ids, indices)`` where ``positions``
-    are fractional program-order coordinates.  A stable argsort interleaves
-    them — used by kernels to weave per-vertex accesses (vertex array
-    reads) between the per-edge access pairs at the correct points.
-    """
-    positions = np.concatenate([p[0] for p in parts])
-    array_ids = np.concatenate([p[1] for p in parts])
-    indices = np.concatenate([p[2] for p in parts])
-    order = np.argsort(positions, kind="stable")
-    return AccessStream(array_ids[order].astype(np.uint8), indices[order])
-
-
 @dataclass
 class TlbTrace:
     """A page-granular, run-length-compressed translation trace.
@@ -145,10 +128,11 @@ class TlbTrace:
 
 
 def _access_totals(array_ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-array access totals (build-time helper).
+    """Per-array access totals of a trace assembled from runs directly
+    (:func:`compress_trace` counts the raw ids instead).
 
-    bincount is a single C pass; run lengths are integers, so the
-    float64 accumulation is exact (totals are far below 2**53).
+    Run lengths are integers, so the float64 accumulation is exact
+    (totals are far below 2**53).
     """
     if counts.size == 0:
         return np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
@@ -173,7 +157,9 @@ def _coalesce_lookups(
 
 
 def compress_trace(
-    keys: np.ndarray, array_ids: np.ndarray
+    keys: np.ndarray,
+    array_ids: np.ndarray,
+    access_totals: Optional[np.ndarray] = None,
 ) -> TlbTrace:
     """Run-length encode a raw key sequence.
 
@@ -181,13 +167,22 @@ def compress_trace(
     collapsed into one run.  Sequential scans of an array compress by up
     to the page size over the element size; pointer-indirect traffic stays
     nearly uncompressed — which is exactly why it dominates TLB pressure.
+
+    ``access_totals`` is ``np.bincount(array_ids, minlength=MAX_ARRAY_IDS)``
+    when the caller already has it; it is computed otherwise.  Counting
+    raw ids equals weighting runs by their lengths, because runs never
+    span array ids.
     """
+    if access_totals is None:
+        access_totals = np.bincount(array_ids, minlength=MAX_ARRAY_IDS)
+    access_totals = access_totals.astype(np.int64, copy=False)
     n = keys.size
     if n == 0:
         return TlbTrace(
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.uint8),
+            _access_totals=access_totals,
         )
     change = np.empty(n, dtype=bool)
     change[0] = True
@@ -205,5 +200,5 @@ def compress_trace(
         run_array_ids,
         lookup_keys,
         lookup_array_ids,
-        _access_totals(run_array_ids, run_counts),
+        access_totals,
     )

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..graph.csr import CsrGraph, concat_ranges
-from ..tlb.trace import AccessStream, merge_streams
+from ..tlb.trace import AccessStream
 
 ARRAY_VERTEX = 0
 """CSR vertex array (``indptr``): sequential, small."""
@@ -107,6 +107,18 @@ class Workload(ABC):
     ) -> AccessStream:
         """Build one frontier pass's interleaved access stream.
 
+        Every access is written straight to its program-order slot.
+        Edge ``e`` contributes ``per_edge`` consecutive slots (edge,
+        [value,] property).  Vertex ``i``'s ``kv`` reads land just
+        before edge ``min(off_i, E)``, where ``off_i`` is the degree
+        prefix sum of the frontier up to ``i`` (from ``self.graph``, even
+        when ``edge_positions`` come from another graph) and ``E`` the
+        edge count.  So edge ``e``, slot ``t`` lands at ``e * per_edge +
+        t + kv * #{i : off_i <= e}``.  Vertices sharing one offset (runs
+        of zero-degree vertices) emit their reads kind by kind: every
+        ``indptr[u]`` read, then every ``indptr[u+1]`` read, then the
+        source-property and the rank reads, each in frontier order.
+
         Args:
             frontier: worklist vertex ids, in processing order.
             edge_positions: edge-array indices of every processed edge,
@@ -120,77 +132,57 @@ class Workload(ABC):
                 (PageRank's contribution fetch).
 
         Returns:
-            The merged, program-ordered access stream.
+            The program-ordered access stream.
         """
-        graph = self.graph
-        degrees = np.diff(graph.indptr)[frontier]
         num_edges = int(edge_positions.size)
         per_edge = 3 if with_values else 2
-
-        # Per-edge accesses occupy integer positions; accesses belonging
-        # to vertex u are woven in just before u's first edge using
-        # fractional positions.
-        edge_pos = (
-            np.arange(num_edges, dtype=np.float64) * per_edge
-        )
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (
-                edge_pos,
-                np.full(num_edges, ARRAY_EDGE, dtype=np.uint8),
-                edge_positions,
-            ),
-            (
-                edge_pos + (per_edge - 1),
-                np.full(num_edges, ARRAY_PROPERTY, dtype=np.uint8),
-                property_targets,
-            ),
-        ]
-        if with_values:
-            parts.append(
-                (
-                    edge_pos + 1,
-                    np.full(num_edges, ARRAY_VALUES, dtype=np.uint8),
-                    edge_positions,
-                )
-            )
-
-        # Vertex-array reads: indptr[u] and indptr[u+1] per worklist
-        # vertex, placed before that vertex's edge burst.
-        edge_offsets = np.zeros(frontier.size, dtype=np.float64)
-        np.cumsum(degrees[:-1], out=edge_offsets[1:])
-        base = edge_offsets * per_edge
         vertex_ids = frontier.astype(np.int64)
-        parts.append(
-            (
-                base - 0.9,
-                np.full(frontier.size, ARRAY_VERTEX, dtype=np.uint8),
-                vertex_ids,
-            )
-        )
-        parts.append(
-            (
-                base - 0.8,
-                np.full(frontier.size, ARRAY_VERTEX, dtype=np.uint8),
-                vertex_ids + 1,
-            )
-        )
+        vertex_reads = [
+            (ARRAY_VERTEX, vertex_ids),
+            (ARRAY_VERTEX, vertex_ids + 1),
+        ]
         if with_source_property:
-            parts.append(
-                (
-                    base - 0.5,
-                    np.full(frontier.size, ARRAY_PROPERTY, dtype=np.uint8),
-                    vertex_ids,
-                )
-            )
+            vertex_reads.append((ARRAY_PROPERTY, vertex_ids))
         if source_rank_reads:
-            parts.append(
-                (
-                    base - 0.5,
-                    np.full(frontier.size, ARRAY_RANK, dtype=np.uint8),
-                    vertex_ids,
-                )
-            )
-        return merge_streams(parts)
+            vertex_reads.append((ARRAY_RANK, vertex_ids))
+        kv = len(vertex_reads)
+        n = vertex_ids.size
+        total = num_edges * per_edge + n * kv
+        array_ids = np.empty(total, dtype=np.uint8)
+        indices = np.empty(total, dtype=np.int64)
+
+        offsets = np.zeros(n, dtype=np.int64)
+        np.cumsum(np.diff(self.graph.indptr)[frontier[:-1]], out=offsets[1:])
+        clamped = np.minimum(offsets, num_edges)
+
+        # Edge slots: shifted by the vertex reads placed before them.
+        dest = np.bincount(clamped, minlength=num_edges + 1)[:num_edges]
+        np.cumsum(dest, out=dest)
+        dest *= kv
+        dest += np.arange(0, num_edges * per_edge, per_edge)
+        array_ids[dest] = ARRAY_EDGE
+        indices[dest] = edge_positions
+        if with_values:
+            array_ids[dest + 1] = ARRAY_VALUES
+            indices[dest + 1] = edge_positions
+        dest += per_edge - 1
+        array_ids[dest] = ARRAY_PROPERTY
+        indices[dest] = property_targets
+
+        # Vertex slots: a group of vertices sharing one offset fills a
+        # block of ``kv * size`` slots, kind-major.
+        starts = np.ones(n, dtype=bool)
+        np.not_equal(offsets[1:], offsets[:-1], out=starts[1:])
+        firsts = np.flatnonzero(starts)
+        group = np.cumsum(starts) - 1
+        first = firsts[group]
+        size = np.diff(np.append(firsts, n))[group]
+        vdest = clamped * per_edge + (kv - 1) * first + np.arange(n)
+        for array_id, ids in vertex_reads:
+            array_ids[vdest] = array_id
+            indices[vdest] = ids
+            vdest += size
+        return AccessStream(array_ids, indices)
 
     def gather_frontier_edges(
         self, frontier: np.ndarray

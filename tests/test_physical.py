@@ -94,7 +94,7 @@ class TestHugeAllocation:
         fpr = node.frames_per_region
         # One movable page at the start of every region.
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.MOVABLE)
+        node._set_state(firsts, FrameState.MOVABLE)
         node.owner_id[firsts] = owner
         assert node.pristine_region_count() == 0
         region = node.alloc_huge_region(owner)
@@ -107,7 +107,7 @@ class TestHugeAllocation:
         owner = node.register_owner(recorder)
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.MOVABLE)
+        node._set_state(firsts, FrameState.MOVABLE)
         node.owner_id[firsts] = owner
         assert (
             node.alloc_huge_region(owner, allow_compaction=False,
@@ -120,7 +120,7 @@ class TestHugeAllocation:
         owner = node.register_owner(recorder)
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.NONMOVABLE)
+        node._set_state(firsts, FrameState.NONMOVABLE)
         node.owner_id[firsts] = owner
         assert node.alloc_huge_region(owner) is None
 
@@ -142,7 +142,7 @@ class TestHugeAllocation:
         owner = node.register_owner(recorder)
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.MOVABLE)
+        node._set_state(firsts, FrameState.MOVABLE)
         node.owner_id[firsts] = owner
         node.reclaimable[firsts] = True
         region = node.alloc_huge_region(
@@ -160,14 +160,14 @@ class TestFragmentationMetric:
     def test_every_region_broken_is_one(self, node, owner):
         fpr = node.frames_per_region
         firsts = np.arange(0, node.num_frames, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.NONMOVABLE)
+        node._set_state(firsts, FrameState.NONMOVABLE)
         assert node.fragmentation_level() == 1.0
 
     def test_partial(self, node, owner):
         fpr = node.frames_per_region
         half = node.num_regions // 2
         firsts = np.arange(0, half * fpr, fpr, dtype=np.int64)
-        node.state[firsts] = int(FrameState.NONMOVABLE)
+        node._set_state(firsts, FrameState.NONMOVABLE)
         level = node.fragmentation_level()
         # Half the regions have 1 page used: free memory in them is
         # (fpr-1)/fpr of half the total.

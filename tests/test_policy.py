@@ -18,6 +18,7 @@ from repro.experiments.harness import ExperimentRunner
 from repro.experiments.parse import parse_policy
 from repro.experiments.policies import POLICIES, Policy
 from repro.experiments.scenarios import fresh
+from repro.mem.frag import Fragmenter
 from repro.mem.thp import ThpMode, ThpPolicy
 from repro.mem.vmm import VirtualMemoryManager
 from repro.policy import (
@@ -74,6 +75,17 @@ class TestPolicyView:
         snapshot = view.ledger_snapshot()
         snapshot.clear()  # a copy: clearing must not touch the ledger
         assert view.ledger_snapshot() != {} or snapshot == {}
+
+    def test_node_metrics_on_fragmented_node(self, node, tiny_cfg):
+        Fragmenter(node).fragment(0.5)
+        vmm = make_vmm(node, tiny_cfg)
+        vmm.touch(vmm.mmap("prop", 3 * tiny_cfg.pages.base_page_size))
+        view = vmm.policy_view
+        assert 0 < view.pristine_regions < node.num_regions
+        assert view.pristine_regions == node.pristine_region_count()
+        assert 0.0 < view.fragmentation_level < 1.0
+        assert view.fragmentation_level == node.fragmentation_level()
+        assert view.free_bytes == node.free_bytes
 
 
 # ----------------------------------------------------------------------

@@ -232,7 +232,7 @@ class TestNodeSweep:
             san.verify_node(san_node)
 
     def test_allocated_frame_without_owner_detected(self, san_node, san):
-        san_node.state[5] = int(FrameState.MOVABLE)  # residency, no owner
+        san_node._set_state(5, FrameState.MOVABLE)  # residency, no owner
         with pytest.raises(MemSanError, match="no owner"):
             san.verify_node(san_node)
 
@@ -251,9 +251,25 @@ class TestNodeSweep:
 
     def test_partially_huge_region_detected(self, san_node, san):
         frames = frames_of(san_node, 1)
-        san_node.state[frames] = int(FrameState.HUGE)  # lone HUGE frame
+        san_node._set_state(frames, FrameState.HUGE)  # lone HUGE frame
         with pytest.raises(MemSanError, match="partially HUGE"):
             san.verify_node(san_node)
+
+    def test_desynced_region_counter_detected(self, san_node, san):
+        frames_of(san_node, 4)
+        san_node._region_free[0] += 1  # a counter the frame map disagrees with
+        with pytest.raises(MemSanError, match="free counters drifted"):
+            san.verify_node(san_node)
+
+    def test_desynced_free_total_detected(self, san_node, san):
+        frames_of(san_node, 4)
+        san_node._free_total -= 1
+        with pytest.raises(MemSanError, match="free total"):
+            san.verify_node(san_node)
+
+    def test_frame_map_is_read_only(self, san_node):
+        with pytest.raises(ValueError, match="read-only"):
+            san_node.state[0] = int(FrameState.MOVABLE)
 
 
 # ----------------------------------------------------------------------

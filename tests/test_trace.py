@@ -6,8 +6,8 @@ import pytest
 from repro.tlb.trace import (
     AccessStream,
     compress_trace,
-    merge_streams,
 )
+from test_pipeline_equivalence import merge_streams
 
 
 class TestAccessStream:

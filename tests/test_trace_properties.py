@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tlb.trace import AccessStream, compress_trace, merge_streams
+from repro.tlb.trace import AccessStream, compress_trace
+from test_pipeline_equivalence import merge_streams
 
 raw_traces = st.lists(
     st.tuples(

@@ -1114,8 +1114,11 @@ def check_rep012(ctx: ModuleContext) -> list[Finding]:
 # REP013 — policy hook sandbox
 # ----------------------------------------------------------------------
 
-HOOK_METHODS = frozenset({"on_fault", "on_khugepaged_scan", "on_demote_scan"})
-"""The :class:`repro.policy.hooks.PagePolicy` decision points."""
+HOOK_METHODS = frozenset(
+    {"on_fault", "on_khugepaged_scan", "on_demote_scan", "on_iteration"}
+)
+"""The :class:`repro.policy.hooks.PagePolicy` decision points, plus the
+epoch step of :class:`repro.mem.heuristics.HugePageManager`."""
 
 POLICY_IMPORT_ALLOWLIST = frozenset(
     {
@@ -1276,7 +1279,7 @@ def check_rep013(ctx: ModuleContext) -> list[Finding]:
     """Flag sandbox violations inside PagePolicy hook bodies.
 
     Policy callbacks (``on_fault`` / ``on_khugepaged_scan`` /
-    ``on_demote_scan``) must be deterministic, side-effect-free
+    ``on_demote_scan`` / ``on_iteration``) must be deterministic, side-effect-free
     functions of their inputs (docs/policies.md): no wall clocks, no
     ambient RNG, no writes through the read-only PolicyView, no
     filesystem/process/network escape hatches, and no imports beyond a

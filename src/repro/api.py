@@ -28,7 +28,8 @@ The surface groups into:
   exporters and the event schema.
 - **Core contribution**: the page-size advisor and placement plans.
 - **Policy API** (docs/policies.md): the :class:`PagePolicy` hook
-  protocol, the read-only :class:`PolicyView`, the zoo registry
+  protocol and its run-time base :class:`HugePageManager`, the
+  read-only :class:`PolicyView`, the zoo registry
   (:func:`register_policy` / :func:`get_policy`) and the
   :func:`run_tournament` leaderboard harness.
 """
@@ -84,12 +85,7 @@ from .experiments.figures import (
     recommended_reorder,
     table2_datasets,
 )
-from .experiments.policies import (
-    autotuner_policy,
-    hugetlb_policy,
-    hotness_manager_policy,
-    utilization_manager_policy,
-)
+from .experiments.policies import hugetlb_policy
 from .experiments.scenarios import constrained, fragmented, fresh
 from .faults import FaultPlan
 from .graph import (
@@ -104,7 +100,7 @@ from .graph import (
 from .graph.io import load_edge_list, save_edge_list
 from .graph.reorder import ORDERINGS
 from .machine import Machine, RunMetrics
-from .mem import ThpMode, ThpPolicy
+from .mem import HugePageManager, ThpMode, ThpPolicy
 from .policy import (
     BasePagePolicy,
     DemoteCandidate,
@@ -120,7 +116,7 @@ from .policy.registry import (
     registered_policies,
 )
 from .policy.tournament import run_tournament
-from .policy.zoo import AdvisorHook, AutotunerHook
+from .policy.zoo import AdvisorHook
 from .obs import (
     EVENT_NAMES,
     EVENT_SCHEMA,
@@ -155,7 +151,6 @@ from .workloads import Bfs, PageRank, Sssp, create_workload
 __all__ = [
     "AdvisorHook",
     "AdvisorReport",
-    "AutotunerHook",
     "BasePagePolicy",
     "BatchTranslationHierarchy",
     "Bfs",
@@ -172,6 +167,7 @@ __all__ = [
     "FaultContext",
     "FaultPlan",
     "FigureResult",
+    "HugePageManager",
     "Machine",
     "MachineConfig",
     "MergeConflictError",
@@ -205,7 +201,6 @@ __all__ = [
     "ablation_promotion_path",
     "ablation_reorder",
     "apply_order",
-    "autotuner_policy",
     "batch_engine_matches",
     "constrained",
     "create_workload",
@@ -230,7 +225,6 @@ __all__ = [
     "get_policy",
     "get_profile",
     "headline_summary",
-    "hotness_manager_policy",
     "huge_page_budget",
     "hugetlb_policy",
     "load_dataset",
@@ -257,7 +251,6 @@ __all__ = [
     "table2_datasets",
     "tiny",
     "to_chrome_trace",
-    "utilization_manager_policy",
     "validate_trace_records",
     "work_loop",
     "write_chrome_trace",

@@ -9,8 +9,9 @@ this library already has:
 - application knowledge: push-based graph kernels concentrate their
   irregular traffic in the property array, so only the per-vertex
   arrays are promotion targets;
-- runtime tracking: a :class:`~repro.mem.profiler.PageProfiler` watches
-  the first ``warmup_iterations`` access streams;
+- runtime tracking: the machine's access profile, read through the
+  :class:`~repro.policy.view.PolicyView`, covers the first
+  ``warmup_iterations`` access streams;
 - action: after warmup, the advisor ranks the target arrays' chunks by
   observed hotness and promotes the smallest set covering
   ``coverage_target`` of the observed property traffic (bounded by
@@ -27,17 +28,22 @@ allocation being preferable when the programmer already knows.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from ..mem.heuristics import HugePageManager
-from ..mem.vmm import Vma
-from ..workloads.base import ARRAY_PROPERTY, ARRAY_RANK
+from ..policy.hooks import PromotionCandidate
+from ..workloads.base import ARRAY_NAMES, ARRAY_PROPERTY, ARRAY_RANK
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..policy.view import PolicyView
 
 
 class OnlineAdvisor(HugePageManager):
     """Profile-then-promote runtime for the per-vertex arrays."""
+
+    name = "autotuner"
 
     def __init__(
         self,
@@ -53,67 +59,73 @@ class OnlineAdvisor(HugePageManager):
                 knowledge: the pointer-indirect per-vertex arrays).
             warmup_iterations: access streams observed before acting.
             coverage_target: fraction of observed target-array accesses
-                the promoted chunks must cover.
+                the promoted chunks must cover, in (0, 1].
             max_chunks: hard cap on promoted chunks (huge-page budget);
                 ``None`` = bounded only by coverage.
             promotions_per_pass: promotion rate limit per iteration
                 (khugepaged-style batching).
+
+        Raises:
+            ValueError: on a coverage outside (0, 1], a negative
+                ``max_chunks`` or a rate limit below 1.
         """
         super().__init__(promotions_per_pass)
+        if not 0 < coverage_target <= 1:
+            raise ValueError(
+                f"coverage must be in (0, 1], got {coverage_target}"
+            )
+        if max_chunks is not None and max_chunks < 0:
+            raise ValueError(f"max_chunks must be >= 0, got {max_chunks}")
         self.target_array_ids = target_array_ids
         self.warmup_iterations = warmup_iterations
         self.coverage_target = coverage_target
         self.max_chunks = max_chunks
-        self._iterations_seen = 0
 
-    def candidate_chunks(self, vma: Vma) -> np.ndarray:  # pragma: no cover
-        raise AssertionError("OnlineAdvisor overrides on_iteration")
-
-    # ------------------------------------------------------------------
-
-    def on_iteration(self) -> int:
+    def on_iteration(
+        self,
+        candidates: Sequence[PromotionCandidate],
+        view: "PolicyView",
+    ) -> Sequence[PromotionCandidate]:
         """Adaptive re-planning: the hot set is recomputed from the
         *cumulative* profile every pass, so early iterations' sparse
         samples (a BFS run's first frontiers touch only a sliver of the
         graph) are corrected as observations accumulate."""
-        self._iterations_seen += 1
-        if self._iterations_seen < self.warmup_iterations:
-            return 0
-        promoted = 0
-        for vma, chunk in self._hot_set():
-            if promoted >= self.promotions_per_pass:
+        if view.epoch < self.warmup_iterations:
+            return ()
+        budget = self.promotions_per_pass
+        if self.max_chunks is not None:
+            budget = min(budget, self.max_chunks - view.epoch_promotions)
+        eligible = {(c.vma_name, c.chunk): c for c in candidates}
+        picked: list[PromotionCandidate] = []
+        for key in self._hot_set(view):
+            if len(picked) >= budget:
                 break
-            if self.max_chunks is not None and (
-                self.total_promotions >= self.max_chunks
-            ):
-                break
-            if not self._promotable(vma, chunk):
-                continue  # already huge (still counts toward coverage)
-            if not self.vmm.promote_chunk(vma, chunk):
-                break  # out of huge regions; retry next pass
-            promoted += 1
-            self.total_promotions += 1
-        return promoted
+            # Already-huge chunks are not candidates but still count
+            # toward coverage.
+            if key in eligible:
+                picked.append(eligible[key])
+        return tuple(picked)
 
-    def _hot_set(self) -> list[tuple[Vma, int]]:
+    def _hot_set(self, view: "PolicyView") -> list[tuple[str, int]]:
         """The smallest hottest-first chunk set covering the coverage
         target of all observed target-array accesses (huge or not)."""
-        entries: list[tuple[int, Vma, int]] = []
+        mapped = view.vma_names()
+        entries: list[tuple[int, str, int]] = []
         total = 0
         for array_id in self.target_array_ids:
-            vma = self.process.vma_by_array.get(array_id)
-            if vma is None:
+            name = ARRAY_NAMES[array_id]
+            if name not in mapped:
                 continue
-            counts = self.profiler.chunk_counts(vma)
+            counts = view.chunk_counts(name)
             total += int(counts.sum())
             for chunk in np.flatnonzero(counts > 0):
-                entries.append((int(counts[chunk]), vma, int(chunk)))
+                entries.append((int(counts[chunk]), name, int(chunk)))
         entries.sort(key=lambda item: -item[0])
-        hot: list[tuple[Vma, int]] = []
+        hot: list[tuple[str, int]] = []
         covered = 0
-        for count, vma, chunk in entries:
+        for count, name, chunk in entries:
             if total and covered / total >= self.coverage_target:
                 break
-            hot.append((vma, chunk))
+            hot.append((name, chunk))
             covered += count
         return hot

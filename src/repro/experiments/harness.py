@@ -896,7 +896,6 @@ class ExperimentRunner:
             tmpfs_remote=scenario.tmpfs_remote,
             preprocess_accesses=preprocess_accesses,
             dataset=dataset_name,
-            manager=policy.make_manager(),
             access_budget=self.cell_budget,
             watchdog=watchdog,
             # The inputs _prepared_graph and _make_workload turn into

@@ -19,13 +19,11 @@ every policy the paper evaluates:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..core.plan import PlacementPlan
 from ..core.selective import selective_property_plan
-from ..mem.heuristics import HugePageManager
 from ..mem.thp import ThpPolicy
 from ..workloads.base import (
     ARRAY_EDGE,
@@ -40,26 +38,19 @@ from ..workloads.layout import AllocationOrder
 class Policy:
     """One page-management configuration.
 
-    Optionally carries a run-time huge-page manager factory (heuristic
-    kernel policies and the online autotuner run *during* execution,
-    unlike the static plans).
+    Run-time policies (the heuristic kernel managers and the online
+    autotuner) are the THP policy's hook, like every other decision
+    maker; see :mod:`repro.mem.heuristics`.
     """
 
     name: str
     thp_factory: Callable[[], ThpPolicy]
     plan: PlacementPlan
-    manager_factory: Optional[Callable[[], HugePageManager]] = None
 
     def make_thp(self) -> ThpPolicy:
         """Fresh THP policy object (policies are stateless; machines are
         not)."""
         return self.thp_factory()
-
-    def make_manager(self) -> Optional[HugePageManager]:
-        """Fresh run-time manager, if this policy uses one."""
-        if self.manager_factory is None:
-            return None
-        return self.manager_factory()
 
 
 def _madvise_one(array_id: int, array_name: str) -> Policy:
@@ -135,73 +126,6 @@ def hugetlb_policy(fraction: float = 1.0, reorder: str = "dbg") -> Policy:
             reorder=reorder,
             label=f"hugetlb(s={fraction:.0%},{reorder})",
         ),
-    )
-
-
-def _zoo_builder(name: str):
-    """The registered zoo builder for ``name`` (shims delegate here so
-    the registry is the single construction path)."""
-    from ..policy.registry import registered_policies
-
-    return registered_policies()[name].builder
-
-
-def utilization_manager_policy(
-    threshold: float = 0.9, promotions_per_pass: int = 8
-) -> Policy:
-    """Deprecated shim: build the Ingens-style policy via the registry.
-
-    .. deprecated::
-        Use ``repro.policy.registry.get_policy("ingens[:threshold=...,
-        per_pass=...]")``.  Kept so historical call sites keep working;
-        materializes the identical policy (same name, same journal
-        fingerprint)."""
-    warnings.warn(
-        "utilization_manager_policy() is deprecated; use "
-        "repro.policy.registry.get_policy('ingens:threshold=...,"
-        "per_pass=...') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _zoo_builder("ingens")(
-        threshold=threshold, per_pass=promotions_per_pass
-    )
-
-
-def hotness_manager_policy(promotions_per_pass: int = 8) -> Policy:
-    """Deprecated shim: build the HawkEye-style policy via the registry.
-
-    .. deprecated::
-        Use ``repro.policy.registry.get_policy("hawkeye[:per_pass=...]"
-        )``.  Materializes the identical policy."""
-    warnings.warn(
-        "hotness_manager_policy() is deprecated; use "
-        "repro.policy.registry.get_policy('hawkeye:per_pass=...') "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _zoo_builder("hawkeye")(per_pass=promotions_per_pass)
-
-
-def autotuner_policy(
-    coverage_target: float = 0.85, max_chunks: Optional[int] = None
-) -> Policy:
-    """Deprecated shim: build the online-autotuner policy via the
-    registry.
-
-    .. deprecated::
-        Use ``repro.policy.registry.get_policy("autotuner[:coverage=...,
-        max_chunks=...]")``.  Materializes the identical policy."""
-    warnings.warn(
-        "autotuner_policy() is deprecated; use "
-        "repro.policy.registry.get_policy('autotuner:coverage=...,"
-        "max_chunks=...') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _zoo_builder("autotuner")(
-        coverage=coverage_target, max_chunks=max_chunks
     )
 
 

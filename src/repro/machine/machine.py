@@ -169,7 +169,6 @@ class Machine:
         drop_cache_after_load: bool = False,
         preprocess_accesses: int = 0,
         dataset: str = "",
-        manager: Optional[HugePageManager] = None,
         access_budget: Optional[int] = None,
         watchdog: Optional[CellWatchdog] = None,
         replay: Optional[ReplayMemo] = None,
@@ -189,10 +188,10 @@ class Machine:
            khugepaged pass promotes what the fault path missed.
         3. *Compute*: run the kernel, translating its access streams
            through the TLB hierarchy and servicing swap faults if memory
-           was oversubscribed.  When a :class:`HugePageManager` is
-           supplied, it observes each iteration's trace through a
-           :class:`PageProfiler` and may promote/demote between
-           iterations (khugepaged-style asynchrony); its work is charged
+           was oversubscribed.  When the THP hook is an epoch policy (a
+           :class:`HugePageManager`), a :class:`PageProfiler` observes
+           each iteration's trace and the policy may promote between
+           iterations (khugepaged-style asynchrony); the work is charged
            to kernel time and promotions shoot down the TLB.
 
         The returned metrics charge phases separately; kernel-time
@@ -284,11 +283,11 @@ class Machine:
         swap_outs = 0
         check_swap = process.has_swapped_pages()
         profiler: Optional[PageProfiler] = None
-        if manager is not None:
+        if isinstance(self.thp.hooks, HugePageManager):
             profiler = PageProfiler(self.config)
             for vma in process.vma_by_array.values():
                 profiler.track(vma)
-            manager.attach(process, profiler, self.config)
+            vmm.profiler = profiler
         cursor = None
         if replay is not None and stream_key is not None:
             cursor = replay.cursor(stream_key, hierarchy, process, check_swap)
@@ -342,9 +341,9 @@ class Machine:
                         + (ledger.total_cycles - compute_start_cycles)
                     )
                 )
-            if manager is not None and profiler is not None:
+            if profiler is not None:
                 profiler.observe(trace, process.vma_by_array)
-                if manager.on_iteration():
+                if vmm.epoch_pass():
                     # Promotions rewrite page tables: full shootdown.
                     hierarchy.flush()
                     if cursor is not None:
@@ -392,12 +391,7 @@ class Machine:
             footprint_bytes=process.footprint_bytes(),
             huge_bytes=process.total_huge_bytes(),
             huge_fraction_per_array=process.huge_fraction_per_array(),
-            manager_promotions=(
-                manager.total_promotions if manager is not None else 0
-            ),
-            manager_demotions=(
-                manager.total_demotions if manager is not None else 0
-            ),
+            manager_promotions=vmm.epoch_promotions,
         )
 
         # Restore machine state so further runs see the same scenario.

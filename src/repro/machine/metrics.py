@@ -47,7 +47,9 @@ class RunMetrics:
     huge_bytes: int = 0
     huge_fraction_per_array: dict[str, float] = field(default_factory=dict)
 
-    # Run-time huge-page management (heuristic managers / autotuner).
+    # Run-time huge-page management: promotions made by an epoch
+    # policy's on_iteration steps.  No shipped policy demotes at run
+    # time; the demotion count stays a (zero) journal field.
     manager_promotions: int = 0
     manager_demotions: int = 0
 

@@ -22,7 +22,6 @@ from .thp import ThpMode, ThpPolicy
 from .vmm import VirtualMemoryManager, Vma
 from .frag import Fragmenter
 from .heuristics import (
-    BloatControlManager,
     HotnessManager,
     HugePageManager,
     UtilizationManager,
@@ -36,7 +35,6 @@ from .swap import SwapDevice
 
 __all__ = [
     "BackgroundNoise",
-    "BloatControlManager",
     "FrameState",
     "Fragmenter",
     "HotnessManager",

@@ -17,89 +17,107 @@ approach with kernel-side heuristic managers:
   whereas the programmer-guided plan had the huge pages in place at
   initialization.
 
-Managers run between workload iterations (the paper's khugepaged-like
-asynchrony): the machine calls :meth:`HugePageManager.on_iteration`
-after each simulated access stream, and promotions invalidate the TLB.
+Managers are :class:`~repro.policy.hooks.PagePolicy` hooks with one
+more decision point, :meth:`HugePageManager.on_iteration`, which runs
+between workload iterations (the paper's khugepaged-like asynchrony).
+The machine profiles every access stream, offers the collapse-eligible
+chunks, and promotes the selection in order; promotions invalidate the
+TLB.  Like every hook, a manager only selects: it observes the machine
+through the read-only :class:`~repro.policy.view.PolicyView` and never
+touches the VMM itself.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Protocol
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..config import MachineConfig
-from .profiler import PageProfiler
-from .vmm import Vma, VirtualMemoryManager
+from ..policy.hooks import (
+    BASE_PAGES,
+    DemoteCandidate,
+    FaultContext,
+    PageDecision,
+    PromotionCandidate,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..policy.view import PolicyView
 
 
-class ManagedProcess(Protocol):
-    """What a manager needs to see of the running process (duck-typed to
-    avoid a dependency cycle with :mod:`repro.machine.process`)."""
-
-    vmm: VirtualMemoryManager
-    vma_by_array: dict[int, Vma]
+def _scored(
+    candidates: Sequence[PromotionCandidate],
+    score: Callable[[str], np.ndarray],
+) -> list[tuple[float, PromotionCandidate]]:
+    """Pair each candidate with its mapping's per-chunk score, calling
+    ``score(vma_name)`` once per mapping; keeps the candidates' order."""
+    per_vma: dict[str, np.ndarray] = {}
+    pairs = []
+    for candidate in candidates:
+        scores = per_vma.get(candidate.vma_name)
+        if scores is None:
+            scores = per_vma[candidate.vma_name] = score(candidate.vma_name)
+        pairs.append((scores[candidate.chunk], candidate))
+    return pairs
 
 
 class HugePageManager(ABC):
-    """Interface for run-time huge-page management policies."""
+    """Base of the run-time (epoch) policies.
+
+    The kernel stays passive — base pages at fault time, nothing
+    volunteered to khugepaged, threshold splitting in demote scans — and
+    :meth:`on_iteration` makes every promotion decision.
+    """
+
+    name = "epoch"
 
     def __init__(self, promotions_per_pass: int = 8) -> None:
+        if promotions_per_pass < 1:
+            raise ValueError(
+                f"promotions per pass must be >= 1, got {promotions_per_pass}"
+            )
         self.promotions_per_pass = promotions_per_pass
-        self.total_promotions = 0
-        self.total_demotions = 0
 
-    def attach(
+    def on_fault(
+        self, ctx: FaultContext, view: "PolicyView"
+    ) -> PageDecision:
+        return BASE_PAGES
+
+    def on_khugepaged_scan(
         self,
-        process: ManagedProcess,
-        profiler: PageProfiler,
-        config: MachineConfig,
-    ) -> None:
-        """Bind to a process at the start of its run."""
-        self.process = process
-        self.vmm = process.vmm
-        self.profiler = profiler
-        self.config = config
+        candidates: Sequence[PromotionCandidate],
+        view: "PolicyView",
+    ) -> Sequence[PromotionCandidate]:
+        return ()
+
+    def on_demote_scan(
+        self,
+        candidates: Sequence[DemoteCandidate],
+        view: "PolicyView",
+    ) -> Sequence[DemoteCandidate]:
+        return tuple(
+            c for c in candidates if c.utilization < c.threshold
+        )
 
     @abstractmethod
-    def candidate_chunks(self, vma: Vma) -> np.ndarray:
-        """Chunk indices to consider for promotion, in policy order."""
+    def on_iteration(
+        self,
+        candidates: Sequence[PromotionCandidate],
+        view: "PolicyView",
+    ) -> Sequence[PromotionCandidate]:
+        """Pick the chunks to promote after one workload iteration.
 
-    def on_iteration(self) -> int:
-        """One management pass; returns the number of promotions.
-
-        Promotes up to ``promotions_per_pass`` eligible chunks across
-        all tracked VMAs, in the policy's preference order, stopping
-        early when huge regions run out.
+        ``candidates`` are the collapse-eligible chunks in address
+        order (as for khugepaged); the machine promotes the selection in
+        order and stops at the first one that finds no huge region.
         """
-        promoted = 0
-        for vma in list(self.vmm.iter_vmas()):
-            if promoted >= self.promotions_per_pass:
-                break
-            for chunk in self.candidate_chunks(vma):
-                if promoted >= self.promotions_per_pass:
-                    break
-                chunk = int(chunk)
-                if not self._promotable(vma, chunk):
-                    continue
-                if not self.vmm.promote_chunk(vma, chunk):
-                    return promoted  # no regions left anywhere
-                promoted += 1
-                self.total_promotions += 1
-        return promoted
-
-    def _promotable(self, vma: Vma, chunk: int) -> bool:
-        if vma.huge_region[chunk] >= 0:
-            return False
-        if not vma.chunk_is_full(chunk):
-            return False
-        pages = vma.chunk_pages(chunk)
-        return bool((vma.frame[pages] >= 0).all())
 
 
 class UtilizationManager(HugePageManager):
     """Ingens-style: promote well-utilized regions in address order."""
+
+    name = "ingens"
 
     def __init__(
         self,
@@ -109,13 +127,23 @@ class UtilizationManager(HugePageManager):
         super().__init__(promotions_per_pass)
         self.utilization_threshold = utilization_threshold
 
-    def candidate_chunks(self, vma: Vma) -> np.ndarray:
-        util = self.profiler.chunk_utilization(vma)
-        return np.flatnonzero(util >= self.utilization_threshold)
+    def on_iteration(
+        self,
+        candidates: Sequence[PromotionCandidate],
+        view: "PolicyView",
+    ) -> Sequence[PromotionCandidate]:
+        picked = [
+            candidate
+            for util, candidate in _scored(candidates, view.chunk_utilization)
+            if util >= self.utilization_threshold
+        ]
+        return tuple(picked[: self.promotions_per_pass])
 
 
 class HotnessManager(HugePageManager):
     """HawkEye-style: promote the most-accessed regions first."""
+
+    name = "hawkeye"
 
     def __init__(
         self,
@@ -123,52 +151,25 @@ class HotnessManager(HugePageManager):
         promotions_per_pass: int = 8,
     ) -> None:
         super().__init__(promotions_per_pass)
-        self.min_accesses = min_accesses
+        self.min_hotness = min_accesses
 
-    def candidate_chunks(self, vma: Vma) -> np.ndarray:
-        counts = self.profiler.chunk_counts(vma)
-        order = self.profiler.hottest_chunks(vma)
-        return order[counts[order] >= self.min_accesses]
+    def chunk_hotness(self, vma_name: str, view: "PolicyView") -> np.ndarray:
+        """Per-chunk hotness of one mapping: its access count."""
+        return view.chunk_counts(vma_name)
 
-    def on_iteration(self) -> int:
-        """Rank across *all* VMAs jointly (HawkEye's global hotness
-        list), then promote the global hottest."""
-        entries: list[tuple[int, Vma, int]] = []
-        for vma in self.vmm.iter_vmas():
-            counts = self.profiler.chunk_counts(vma)
-            for chunk in np.flatnonzero(counts >= self.min_accesses):
-                chunk = int(chunk)
-                if self._promotable(vma, chunk):
-                    entries.append((int(counts[chunk]), vma, chunk))
-        entries.sort(key=lambda item: -item[0])
-        promoted = 0
-        for _, vma, chunk in entries[: self.promotions_per_pass]:
-            if not self.vmm.promote_chunk(vma, chunk):
-                break
-            promoted += 1
-            self.total_promotions += 1
-        return promoted
-
-
-class BloatControlManager(HotnessManager):
-    """HawkEye-style promotion plus bloat control: demote huge pages
-    whose utilization fell below a threshold so their frames can be
-    reclaimed — the memory-bloat mitigation of §6's related work."""
-
-    def __init__(
+    def on_iteration(
         self,
-        min_accesses: int = 1,
-        promotions_per_pass: int = 8,
-        demote_utilization: float = 0.25,
-    ) -> None:
-        super().__init__(min_accesses, promotions_per_pass)
-        self.demote_utilization = demote_utilization
-
-    def on_iteration(self) -> int:
-        for vma in list(self.vmm.iter_vmas()):
-            util = self.profiler.chunk_utilization(vma)
-            demoted = self.vmm.demote_underutilized(
-                vma, util, self.demote_utilization
+        candidates: Sequence[PromotionCandidate],
+        view: "PolicyView",
+    ) -> Sequence[PromotionCandidate]:
+        """Rank across *all* VMAs jointly (HawkEye's global hotness
+        list, ties in address order) and pick the global hottest."""
+        ranked = [
+            (hotness, candidate)
+            for hotness, candidate in _scored(
+                candidates, lambda name: self.chunk_hotness(name, view)
             )
-            self.total_demotions += demoted
-        return super().on_iteration()
+            if hotness >= self.min_hotness
+        ]
+        ranked.sort(key=lambda item: -item[0])
+        return tuple(c for _, c in ranked[: self.promotions_per_pass])

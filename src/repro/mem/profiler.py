@@ -4,9 +4,11 @@ The paper's related work (Ingens, HawkEye) manages huge pages from
 *observed access behaviour*: utilization bits and access frequencies
 tracked by the kernel.  :class:`PageProfiler` provides that signal in
 the simulator — per-base-page and per-huge-chunk access counts per VMA,
-accumulated from the same compressed TLB traces the hierarchy consumes —
-and feeds both the heuristic managers (:mod:`repro.mem.heuristics`) and
-the online autotuner (:mod:`repro.core.autotuner`).
+accumulated from the same compressed TLB traces the hierarchy consumes.
+The machine profiles a run whose hook is an epoch policy (the heuristic
+managers of :mod:`repro.mem.heuristics` and the online autotuner of
+:mod:`repro.core.autotuner`), which read the counts as copies through
+the :class:`~repro.policy.view.PolicyView`.
 
 Counts are exact (every access is simulated), which makes the heuristic
 baselines *stronger* than their real implementations: if exact-signal

@@ -74,8 +74,6 @@ class ThpPolicy:
         khugepaged_enabled: background promotion passes run between
             workload phases.
         khugepaged_compact: khugepaged may compact/reclaim to find regions.
-        max_fault_retries: huge-region allocation attempts per chunk at
-            fault time before falling back to base pages.
         injector: fault injector attached by the machine; ``None`` (the
             default) keeps every THP path fault-free.  Excluded from
             equality so configured policies still compare by settings.
@@ -102,7 +100,6 @@ class ThpPolicy:
     fault_reclaim: bool = True
     khugepaged_enabled: bool = True
     khugepaged_compact: bool = True
-    max_fault_retries: int = 1
     injector: Optional[FaultInjector] = field(
         default=None, repr=False, compare=False
     )

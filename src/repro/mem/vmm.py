@@ -16,7 +16,7 @@ oversubscription cliff (§4.3.1).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from ..policy.hooks import DemoteCandidate, FaultContext, PromotionCandidate
 from ..policy.view import PolicyView
 from .physical import NodeMemory
 from .thp import ThpPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids a cycle)
+    from .profiler import PageProfiler
 
 FRAME_UNMAPPED = -1
 """Sentinel in ``Vma.frame``: page never touched."""
@@ -167,6 +170,11 @@ class VirtualMemoryManager:
         self._touch_order: list[tuple[Vma, int]] = []
         self._swap_hand = 0
         self.swap_device = None  # attached by the machine when enabled
+        # Access profile and epoch counters of an epoch policy's run
+        # (the machine attaches the profiler; the view reads all three).
+        self.profiler: Optional["PageProfiler"] = None
+        self.epoch = 0
+        self.epoch_promotions = 0
 
     # ------------------------------------------------------------------
     # Mapping lifecycle
@@ -438,48 +446,64 @@ class VirtualMemoryManager:
     # Promotion / demotion
     # ------------------------------------------------------------------
 
+    def promotion_candidates(self) -> tuple[PromotionCandidate, ...]:
+        """Every collapse-eligible chunk — base-mapped, full size, fully
+        resident — in the daemon's address-order walk (VMA creation
+        order, then chunk index).
+
+        Promotions cannot change a *different* chunk's eligibility
+        (compaction only renumbers frames, residency is preserved), so
+        acting on this up-front list in order promotes exactly what an
+        interleaved walk would.
+        """
+        fph = self.config.pages.frames_per_huge
+        candidates: list[PromotionCandidate] = []
+        raw_base = 0
+        for vma_index, vma in enumerate(self.vmas):
+            full = vma.npages // fph
+            resident = (vma.frame[: full * fph] >= 0).reshape(full, fph)
+            eligible = resident.all(axis=1) & (vma.huge_region[:full] < 0)
+            for chunk in np.flatnonzero(eligible).tolist():
+                candidates.append(
+                    PromotionCandidate(
+                        vma_index=vma_index,
+                        vma_name=vma.name,
+                        chunk=chunk,
+                        advised=bool(vma.advised[chunk]),
+                        raw_index=raw_base + chunk,
+                    )
+                )
+            raw_base += vma.nchunks
+        return tuple(candidates)
+
+    def _collapsible(self, candidate: PromotionCandidate) -> Optional[Vma]:
+        """The candidate's VMA if the chunk is still collapse-eligible.
+
+        A no-op for candidates fresh from :meth:`promotion_candidates`,
+        a guard against hooks returning stale or fabricated picks.
+        """
+        vma = self.vmas[candidate.vma_index]
+        chunk = candidate.chunk
+        if vma.huge_region[chunk] >= 0 or not vma.chunk_is_full(chunk):
+            return None
+        if not (vma.frame[vma.chunk_pages(chunk)] >= 0).all():
+            return None
+        return vma
+
     def khugepaged_pass(self, max_promotions: Optional[int] = None) -> int:
         """Background promotion scan over all VMAs.
 
         Upgrades fully resident, base-mapped, THP-eligible chunks to huge
         pages by allocating a region and copying (the kernel's
-        ``collapse_huge_page``).  Returns the number of promotions.
+        ``collapse_huge_page``).  A chunk that finds no region is
+        skipped and the scan goes on.  Returns the number of promotions.
         """
         policy = self.policy
         if not policy.khugepaged_enabled:
             return 0
         policy.check_khugepaged()
-        # Collect every collapse-eligible chunk in the daemon's address-
-        # order walk, then let the policy hook pick.  Promotions cannot
-        # change a *different* chunk's eligibility (compaction only
-        # renumbers frames, residency is preserved), so the up-front
-        # collection selects exactly the chunks the historical
-        # interleaved walk promoted.
-        vmas = list(self.vmas)
-        candidates: list[PromotionCandidate] = []
-        raw_index = 0
-        for vma_index, vma in enumerate(vmas):
-            for chunk in range(vma.nchunks):
-                eligible = (
-                    vma.huge_region[chunk] < 0
-                    and vma.chunk_is_full(chunk)
-                    and bool((vma.frame[vma.chunk_pages(chunk)] >= 0).all())
-                )
-                if eligible:
-                    candidates.append(
-                        PromotionCandidate(
-                            vma_index=vma_index,
-                            vma_name=vma.name,
-                            chunk=chunk,
-                            advised=bool(vma.advised[chunk]),
-                            raw_index=raw_index,
-                        )
-                    )
-                raw_index += 1
-        total_raw = raw_index
-        selected = policy.khugepaged_selection(
-            tuple(candidates), self.policy_view
-        )
+        candidates = self.promotion_candidates()
+        selected = policy.khugepaged_selection(candidates, self.policy_view)
         if policy.hooks is not None:
             tracer = self.tracer
             if tracer is not None:
@@ -494,22 +518,14 @@ class VirtualMemoryManager:
         for candidate in selected:
             if max_promotions is not None and promoted >= max_promotions:
                 break
-            vma = vmas[candidate.vma_index]
-            chunk = candidate.chunk
-            # Re-validate: a no-op for the built-in hook (candidates are
-            # eligible by construction and stay so), a guard against
-            # custom hooks returning stale or fabricated picks.
-            if vma.huge_region[chunk] >= 0 or not vma.chunk_is_full(chunk):
-                continue
-            if not (vma.frame[vma.chunk_pages(chunk)] >= 0).all():
-                continue
-            if self.promote_chunk(vma, chunk):
+            vma = self._collapsible(candidate)
+            if vma is not None and self.promote_chunk(vma, candidate.chunk):
                 promoted += 1
                 last_raw = candidate.raw_index
         if (
             max_promotions is not None
             and promoted >= max_promotions
-            and last_raw < total_raw - 1
+            and last_raw < sum(vma.nchunks for vma in self.vmas) - 1
         ):
             # Historical cap semantics: the interleaved walk returned
             # mid-scan once the cap was reached (skipping the trailing
@@ -521,6 +537,30 @@ class VirtualMemoryManager:
         tracer = self.tracer
         if tracer is not None:
             tracer.emit("thp.khugepaged", promoted=promoted)
+        return promoted
+
+    def epoch_pass(self) -> int:
+        """One between-iteration step of an epoch policy.
+
+        Offers the collapse-eligible chunks to the hook's
+        ``on_iteration`` and promotes its selection in order, stopping
+        at the first chunk that finds no huge region (the rest of the
+        selection waits for the next epoch).  Returns the number of
+        promotions.
+        """
+        self.epoch += 1
+        selected = self.policy.hooks.on_iteration(
+            self.promotion_candidates(), self.policy_view
+        )
+        promoted = 0
+        for candidate in selected:
+            vma = self._collapsible(candidate)
+            if vma is None:
+                continue
+            if not self.promote_chunk(vma, candidate.chunk):
+                break
+            promoted += 1
+        self.epoch_promotions += promoted
         return promoted
 
     def promote_chunk(self, vma: Vma, chunk: int) -> bool:

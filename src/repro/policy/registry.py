@@ -198,7 +198,7 @@ def get_policy(
         kwargs["config"] = config
     try:
         policy = entry.builder(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ReproError(
             f"bad parameters for policy {name!r}: {exc}"
         ) from exc

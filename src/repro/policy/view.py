@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids cycles)
     from ..mem.vmm import VirtualMemoryManager
 
@@ -92,6 +94,66 @@ class PolicyView:
             AddressError: if no VMA has that name.
         """
         return int(self._vmm.find_vma(vma_name).resident_pages)
+
+    # -- access profile (epoch policies) --------------------------------
+    #
+    # The machine profiles a run only when its hook is an epoch policy
+    # (a :class:`~repro.mem.heuristics.HugePageManager`); elsewhere, and
+    # before the first epoch, every count reads zero.
+
+    @property
+    def epoch(self) -> int:
+        """Epoch steps so far, this one included (1 at the first
+        ``on_iteration``)."""
+        return int(self._vmm.epoch)
+
+    @property
+    def epoch_promotions(self) -> int:
+        """Promotions landed by earlier epoch steps of this run."""
+        return int(self._vmm.epoch_promotions)
+
+    @property
+    def frames_per_huge(self) -> int:
+        """Base pages per huge page."""
+        return int(self._vmm.config.pages.frames_per_huge)
+
+    def page_counts(self, vma_name: str) -> np.ndarray:
+        """Copy of one mapping's access count per base page (a huge
+        page's accesses land on its first base page).
+
+        Raises:
+            AddressError: if no VMA has that name.
+        """
+        vma = self._vmm.find_vma(vma_name)
+        profiler = self._vmm.profiler
+        if profiler is None:
+            return np.zeros(vma.npages, dtype=np.int64)
+        return profiler.page_counts(vma).copy()
+
+    def chunk_counts(self, vma_name: str) -> np.ndarray:
+        """Copy of one mapping's access count per huge chunk.
+
+        Raises:
+            AddressError: if no VMA has that name.
+        """
+        vma = self._vmm.find_vma(vma_name)
+        profiler = self._vmm.profiler
+        if profiler is None:
+            return np.zeros(vma.nchunks, dtype=np.int64)
+        return profiler.chunk_counts(vma)
+
+    def chunk_utilization(self, vma_name: str) -> np.ndarray:
+        """Copy of the fraction of each chunk's base pages accessed at
+        all (1.0 for a touched huge chunk) — the Ingens signal.
+
+        Raises:
+            AddressError: if no VMA has that name.
+        """
+        vma = self._vmm.find_vma(vma_name)
+        profiler = self._vmm.profiler
+        if profiler is None:
+            return np.zeros(vma.nchunks, dtype=np.float64)
+        return profiler.chunk_utilization(vma)
 
     # -- kernel ledger -------------------------------------------------
 

@@ -1,8 +1,8 @@
 """The policy zoo: named page-management strategies for the tournament.
 
 Each entry is a builder that materializes an
-:class:`~repro.experiments.policies.Policy` (THP configuration +
-placement plan + optional run-time manager), registered with the
+:class:`~repro.experiments.policies.Policy` (THP configuration with its
+hook + placement plan), registered with the
 :mod:`~repro.policy.registry` under a stable name so ``--policy
 NAME[:k=v,...]`` works anywhere a fixed policy name does.
 
@@ -36,10 +36,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..mem.heuristics import HotnessManager
-from ..mem.vmm import Vma
+from ..mem.heuristics import HotnessManager, UtilizationManager
 from .hooks import (
-    BASE_PAGES,
     DemoteCandidate,
     FaultContext,
     PageDecision,
@@ -91,40 +89,6 @@ class AdvisorHook:
         )
 
 
-class AutotunerHook:
-    """:class:`~repro.policy.hooks.PagePolicy` of the online autotuner.
-
-    The :class:`~repro.core.autotuner.OnlineAdvisor` makes every
-    promotion decision itself at iteration boundaries (profile one
-    iteration, promote the hot prefix), so its hook keeps the kernel
-    passive: base pages at fault time, nothing volunteered to
-    khugepaged, kernel-default splitting of underutilized huge pages.
-    """
-
-    name = "autotuner"
-
-    def on_fault(
-        self, ctx: FaultContext, view: "PolicyView"
-    ) -> PageDecision:
-        return BASE_PAGES
-
-    def on_khugepaged_scan(
-        self,
-        candidates: Sequence[PromotionCandidate],
-        view: "PolicyView",
-    ) -> Sequence[PromotionCandidate]:
-        return ()
-
-    def on_demote_scan(
-        self,
-        candidates: Sequence[DemoteCandidate],
-        view: "PolicyView",
-    ) -> Sequence[DemoteCandidate]:
-        return tuple(
-            c for c in candidates if c.utilization < c.threshold
-        )
-
-
 class SampledHotnessManager(HotnessManager):
     """HawkEye-style promotion from *sampled access bits*.
 
@@ -134,10 +98,13 @@ class SampledHotnessManager(HotnessManager):
     last scan, at a sampling granularity.  This manager quantizes the
     profiler's counts down to that signal: a chunk's hotness is the
     number of its sampled base pages with the access bit set (every
-    ``sample_stride``-th page is scanned), not its access count.
-    Deterministic by construction — the "sampling" is a fixed stride,
-    never an RNG (rule REP013).
+    ``sample_stride``-th page is scanned), not its access count; ties
+    rank in address order, like the kernel's scan.  Deterministic by
+    construction — the "sampling" is a fixed stride, never an RNG (rule
+    REP013).
     """
+
+    name = "hawkeye-bits"
 
     def __init__(
         self,
@@ -146,44 +113,25 @@ class SampledHotnessManager(HotnessManager):
         promotions_per_pass: int = 8,
     ) -> None:
         super().__init__(
-            min_accesses=1, promotions_per_pass=promotions_per_pass
+            min_accesses=min_hot_pages,
+            promotions_per_pass=promotions_per_pass,
         )
         if sample_stride < 1:
             raise ValueError(
                 f"sample_stride must be >= 1, got {sample_stride}"
             )
         self.sample_stride = sample_stride
-        self.min_hot_pages = min_hot_pages
 
-    def _chunk_hot_bits(self, vma: Vma) -> np.ndarray:
+    def chunk_hotness(self, vma_name: str, view: "PolicyView") -> np.ndarray:
         """Per-chunk count of sampled pages with their access bit set."""
-        touched = self.profiler.page_counts(vma) > 0
+        touched = view.page_counts(vma_name) > 0
         sampled = np.zeros_like(touched)
         sampled[:: self.sample_stride] = touched[:: self.sample_stride]
-        frames_per_huge = self.config.pages.frames_per_huge
-        nchunks = vma.nchunks
+        frames_per_huge = view.frames_per_huge
+        nchunks = -(-sampled.size // frames_per_huge)
         padded = np.zeros(nchunks * frames_per_huge, dtype=np.int64)
         padded[: sampled.size] = sampled
         return padded.reshape(nchunks, frames_per_huge).sum(axis=1)
-
-    def on_iteration(self) -> int:
-        """Rank across all VMAs by sampled hot-bit count (ties broken
-        by address order, like the kernel's scan)."""
-        entries: list[tuple[int, Vma, int]] = []
-        for vma in self.vmm.iter_vmas():
-            bits = self._chunk_hot_bits(vma)
-            for chunk in np.flatnonzero(bits >= self.min_hot_pages):
-                chunk = int(chunk)
-                if self._promotable(vma, chunk):
-                    entries.append((int(bits[chunk]), vma, chunk))
-        entries.sort(key=lambda item: -item[0])
-        promoted = 0
-        for _, vma, chunk in entries[: self.promotions_per_pass]:
-            if not self.vmm.promote_chunk(vma, chunk):
-                break
-            promoted += 1
-            self.total_promotions += 1
-        return promoted
 
 
 # ----------------------------------------------------------------------
@@ -264,57 +212,47 @@ def _advisor_builder(
     )
 
 
-def _manager_thp():
-    """THP configuration under a run-time manager: the kernel stays
-    passive (no fault-time allocation, no khugepaged) and the manager
-    owns promotion."""
+def _epoch_policy(name: str, hook):
+    """A run-time (epoch) policy: the kernel stays passive (no
+    fault-time allocation, no khugepaged) and ``hook``'s
+    ``on_iteration`` owns promotion."""
+    from ..core.plan import PlacementPlan
+    from ..experiments.policies import Policy
     from ..mem.thp import ThpMode, ThpPolicy
 
-    return ThpPolicy(
-        mode=ThpMode.ALWAYS, fault_alloc=False, khugepaged_enabled=False
+    return Policy(
+        name=name,
+        thp_factory=lambda: ThpPolicy(
+            mode=ThpMode.ALWAYS, fault_alloc=False,
+            khugepaged_enabled=False, hooks=hook,
+        ),
+        plan=PlacementPlan(label=name),
     )
 
 
 def _hawkeye_builder(per_pass: int = 8):
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-
-    return Policy(
-        name="hawkeye",
-        thp_factory=_manager_thp,
-        plan=PlacementPlan(label="hawkeye"),
-        manager_factory=lambda: HotnessManager(
-            promotions_per_pass=int(per_pass)
-        ),
+    return _epoch_policy(
+        "hawkeye", HotnessManager(promotions_per_pass=int(per_pass))
     )
 
 
 def _hawkeye_bits_builder(stride: int = 8, per_pass: int = 8):
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-
     stride = int(stride)
-    return Policy(
-        name=f"hawkeye-bits(k={stride})",
-        thp_factory=_manager_thp,
-        plan=PlacementPlan(label=f"hawkeye-bits(k={stride})"),
-        manager_factory=lambda: SampledHotnessManager(
+    return _epoch_policy(
+        f"hawkeye-bits(k={stride})",
+        SampledHotnessManager(
             sample_stride=stride, promotions_per_pass=int(per_pass)
         ),
     )
 
 
 def _ingens_builder(threshold: float = 0.9, per_pass: int = 8):
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-    from ..mem.heuristics import UtilizationManager
-
     threshold = float(threshold)
-    return Policy(
-        name=f"ingens(u={threshold:.0%})",
-        thp_factory=_manager_thp,
-        plan=PlacementPlan(label=f"ingens(u={threshold:.0%})"),
-        manager_factory=lambda: UtilizationManager(
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    return _epoch_policy(
+        f"ingens(u={threshold:.0%})",
+        UtilizationManager(
             utilization_threshold=threshold,
             promotions_per_pass=int(per_pass),
         ),
@@ -325,21 +263,13 @@ def _autotuner_builder(
     coverage: float = 0.85, max_chunks: Optional[int] = None
 ):
     from ..core.autotuner import OnlineAdvisor
-    from ..core.plan import PlacementPlan
-    from ..experiments.policies import Policy
-    from ..mem.thp import ThpMode, ThpPolicy
 
     coverage = float(coverage)
-    max_chunks = None if max_chunks is None else int(max_chunks)
-    return Policy(
-        name=f"autotuner(c={coverage:.0%})",
-        thp_factory=lambda: ThpPolicy(
-            mode=ThpMode.ALWAYS, fault_alloc=False,
-            khugepaged_enabled=False, hooks=AutotunerHook(),
-        ),
-        plan=PlacementPlan(label=f"autotuner(c={coverage:.0%})"),
-        manager_factory=lambda: OnlineAdvisor(
-            coverage_target=coverage, max_chunks=max_chunks
+    return _epoch_policy(
+        f"autotuner(c={coverage:.0%})",
+        OnlineAdvisor(
+            coverage_target=coverage,
+            max_chunks=None if max_chunks is None else int(max_chunks),
         ),
     )
 

@@ -592,6 +592,16 @@ class TestRep013:
         )
         assert rep013_of(src) == ["REP013", "REP013"]
 
+    def test_epoch_hook_is_covered(self):
+        src = (
+            "import time\n"
+            "class Manager:\n"
+            "    def on_iteration(self, candidates, view):\n"
+            "        time.time()\n"
+            "        return ()\n"
+        )
+        assert rep013_of(src) == ["REP013"]
+
     def test_banned_calls_outside_hooks_stay_rep013_silent(self):
         # Wall clocks elsewhere are REP001's business, not REP013's.
         src = "import time\ndef helper():\n    return time.time()\n"

@@ -74,6 +74,14 @@ class TestRun:
         assert code == 2
         assert "unknown policy" in capsys.readouterr().err
 
+    def test_bad_zoo_parameter_value_exits_2(self, capsys):
+        code = main(
+            ["run", "--dataset", "test-small", "--policy",
+             "hawkeye-bits:stride=0", "--profile", "tiny"]
+        )
+        assert code == 2
+        assert "error: bad parameters" in capsys.readouterr().err
+
     def test_unknown_scenario_errors(self, capsys):
         code = main(
             ["run", "--dataset", "test-small", "--scenario", "bogus",

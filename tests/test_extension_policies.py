@@ -2,9 +2,8 @@
 the experiment harness, plus the advisor-driven reorder helper.
 
 Policy construction goes through the zoo registry
-(:mod:`repro.policy.registry`); the historical helper functions in
-:mod:`repro.experiments.policies` are deprecation shims pinned by
-``TestDeprecatedHelpers``.
+(:mod:`repro.policy.registry`); the run-time managers are the THP
+policy's hook.
 """
 
 import pytest
@@ -14,13 +13,11 @@ from repro.experiments.figures import recommended_reorder
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.policies import (
     POLICIES,
-    autotuner_policy,
-    hotness_manager_policy,
     hugetlb_policy,
     selective_policy,
-    utilization_manager_policy,
 )
 from repro.experiments.scenarios import fresh
+from repro.mem.heuristics import HugePageManager
 from repro.mem.thp import ThpMode
 from repro.policy.registry import get_policy
 
@@ -40,17 +37,18 @@ class TestPolicyFactories:
             get_policy("hawkeye-bits"),
             get_policy("autotuner"),
         ):
-            assert policy.manager_factory is not None
-            a = policy.make_manager()
-            b = policy.make_manager()
-            assert a is not b  # fresh per run
-            # Managers run on top of promotion-only THP.
+            # The manager is the THP policy's hook, on top of
+            # promotion-only THP.
             thp = policy.make_thp()
+            assert isinstance(thp.hooks, HugePageManager)
+            assert policy.make_thp() is not thp  # fresh per run
             assert thp.mode is ThpMode.ALWAYS
             assert thp.fault_alloc is False
 
     def test_plain_policies_have_no_manager(self):
-        assert POLICIES["thp"].make_manager() is None
+        assert not isinstance(
+            POLICIES["thp"].make_thp().hooks, HugePageManager
+        )
 
     def test_hugetlb_policy_plan(self):
         policy = get_policy("hugetlb:fraction=0.5,reorder=original")
@@ -58,37 +56,9 @@ class TestPolicyFactories:
         assert not policy.plan.advise_fractions
         assert policy.make_thp().mode is ThpMode.NEVER
 
-
-class TestDeprecatedHelpers:
-    """The pre-registry helper functions keep working, warn, and
-    materialize the identical policy (same name, hence the same journal
-    spec fingerprint)."""
-
-    @pytest.mark.parametrize(
-        "shim, kwargs, spec",
-        [
-            (utilization_manager_policy, {}, "ingens"),
-            (hotness_manager_policy, {}, "hawkeye"),
-            (autotuner_policy, {}, "autotuner"),
-            (
-                utilization_manager_policy,
-                {"threshold": 0.8, "promotions_per_pass": 4},
-                None,
-            ),
-        ],
-    )
-    def test_shims_warn_and_match_registry(self, shim, kwargs, spec):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            policy = shim(**kwargs)
-        assert policy.manager_factory is not None
-        if spec is not None:
-            via_registry = get_policy(spec)
-            assert policy.name == via_registry.name
-            assert policy.plan == via_registry.plan
-
     def test_hugetlb_helper_still_plain(self):
-        # Not a boolean-knob shim: constructs the same policy the
-        # registry's `hugetlb` entry delegates to, without warning.
+        # Constructs the same policy the registry's `hugetlb` entry
+        # delegates to.
         policy = hugetlb_policy(0.5, reorder="original")
         assert policy.plan.hugetlb_fractions
 

@@ -5,13 +5,9 @@ import pytest
 
 from repro.config import tiny
 from repro.core.autotuner import OnlineAdvisor
-from repro.graph.generators import power_law_graph, uniform_graph
+from repro.graph.generators import power_law_graph
 from repro.machine.machine import Machine
-from repro.mem.heuristics import (
-    BloatControlManager,
-    HotnessManager,
-    UtilizationManager,
-)
+from repro.mem.heuristics import HotnessManager, UtilizationManager
 from repro.mem.thp import ThpMode, ThpPolicy
 from repro.workloads.bfs import Bfs
 
@@ -23,17 +19,18 @@ def graph():
     )
 
 
-def promotion_thp():
+def promotion_thp(manager):
     """THP config for manager runs: no fault-time allocation, promotion
-    only through the manager under test."""
+    only through the manager under test (the policy's hook)."""
     return ThpPolicy(
-        mode=ThpMode.ALWAYS, fault_alloc=False, khugepaged_enabled=False
+        mode=ThpMode.ALWAYS, fault_alloc=False, khugepaged_enabled=False,
+        hooks=manager,
     )
 
 
 def run_with_manager(graph, manager):
-    machine = Machine(tiny(), promotion_thp())
-    return machine.run(Bfs(graph), manager=manager)
+    machine = Machine(tiny(), promotion_thp(manager))
+    return machine.run(Bfs(graph))
 
 
 class TestUtilizationManager:
@@ -61,8 +58,8 @@ class TestHotnessManager:
         """With a budget of few promotions, the property array (the
         pointer-indirect hot structure) must win them."""
         manager = HotnessManager(promotions_per_pass=1)
-        machine = Machine(tiny(), promotion_thp())
-        metrics = machine.run(Bfs(graph), manager=manager)
+        machine = Machine(tiny(), promotion_thp(manager))
+        metrics = machine.run(Bfs(graph))
         fractions = metrics.huge_fraction_per_array
         assert fractions["property_array"] > 0.0
         # Property got at least its share before the huge edge array.
@@ -77,23 +74,11 @@ class TestHotnessManager:
         assert managed.walk_rate < base.walk_rate
 
 
-class TestBloatControl:
-    def test_demotes_underutilized(self):
-        """Huge pages whose pages go cold get demoted."""
-        graph = uniform_graph(16384, 65536, seed=3)
-        machine = Machine(tiny(), ThpPolicy.always())
-        manager = BloatControlManager(demote_utilization=1.01)
-        # With an impossible utilization bar, every observed huge chunk
-        # is "underutilized" and gets demoted.
-        metrics = machine.run(Bfs(graph), manager=manager)
-        assert metrics.manager_demotions > 0
-
-
 class TestOnlineAdvisor:
     def test_targets_property_array_only(self, graph):
         advisor = OnlineAdvisor(warmup_iterations=1)
-        machine = Machine(tiny(), promotion_thp())
-        metrics = machine.run(Bfs(graph), manager=advisor)
+        machine = Machine(tiny(), promotion_thp(advisor))
+        metrics = machine.run(Bfs(graph))
         fractions = metrics.huge_fraction_per_array
         assert fractions["property_array"] > 0.0
         assert fractions["edge_array"] == 0.0
@@ -101,20 +86,20 @@ class TestOnlineAdvisor:
 
     def test_budget_cap(self, graph):
         advisor = OnlineAdvisor(max_chunks=1)
-        machine = Machine(tiny(), promotion_thp())
-        metrics = machine.run(Bfs(graph), manager=advisor)
+        machine = Machine(tiny(), promotion_thp(advisor))
+        metrics = machine.run(Bfs(graph))
         assert metrics.manager_promotions <= 1
 
     def test_speedup_without_preprocessing(self, graph):
         base = Machine(tiny(), ThpPolicy.never()).run(Bfs(graph))
         advisor = OnlineAdvisor()
-        machine = Machine(tiny(), promotion_thp())
-        metrics = machine.run(Bfs(graph), manager=advisor)
+        machine = Machine(tiny(), promotion_thp(advisor))
+        metrics = machine.run(Bfs(graph))
         assert metrics.preprocess_cycles == 0
         assert metrics.speedup_over(base) > 1.05
 
     def test_warmup_defers_promotion(self, graph):
         advisor = OnlineAdvisor(warmup_iterations=10_000)
-        machine = Machine(tiny(), promotion_thp())
-        metrics = machine.run(Bfs(graph), manager=advisor)
+        machine = Machine(tiny(), promotion_thp(advisor))
+        metrics = machine.run(Bfs(graph))
         assert metrics.manager_promotions == 0

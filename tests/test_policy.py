@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 
 from repro.config import tiny
+from repro.core.autotuner import OnlineAdvisor
 from repro.errors import ReproError
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.parse import parse_policy
 from repro.experiments.policies import POLICIES, Policy
 from repro.experiments.scenarios import fresh
+from repro.graph.generators import power_law_graph
+from repro.machine.machine import Machine
 from repro.mem.frag import Fragmenter
+from repro.mem.heuristics import HotnessManager, HugePageManager
 from repro.mem.thp import ThpMode, ThpPolicy
 from repro.mem.vmm import VirtualMemoryManager
 from repro.policy import (
@@ -37,8 +41,9 @@ from repro.policy.registry import (
     register_policy,
     registered_policies,
 )
-from repro.policy.zoo import AdvisorHook, AutotunerHook, SampledHotnessManager
+from repro.policy.zoo import AdvisorHook, SampledHotnessManager
 from repro.runstate.serialize import spec_fingerprint
+from repro.workloads.bfs import Bfs
 
 
 def make_vmm(node, cfg, policy=None):
@@ -179,12 +184,12 @@ class TestCustomHooks:
 
     def test_zoo_hooks_satisfy_the_protocol(self):
         assert isinstance(AdvisorHook(), PagePolicy)
-        assert isinstance(AutotunerHook(), PagePolicy)
+        assert isinstance(OnlineAdvisor(), PagePolicy)
         assert isinstance(BuiltinThpHook(ThpPolicy.always()), PagePolicy)
         assert isinstance(BasePagePolicy(), PagePolicy)
 
     def test_autotuner_hook_keeps_kernel_passive(self):
-        hook = AutotunerHook()
+        hook = OnlineAdvisor()
         candidate = PromotionCandidate(
             vma_index=0, vma_name="a", chunk=0, advised=True
         )
@@ -252,6 +257,25 @@ class TestRegistry:
         with pytest.raises(ReproError, match="param"):
             get_policy("ingens:bogus_knob=1")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "hawkeye:per_pass=0",
+            "hawkeye-bits:stride=0",
+            "hawkeye-bits:per_pass=0",
+            "ingens:per_pass=-1",
+            "ingens:threshold=0",
+            "ingens:threshold=1.5",
+            "autotuner:coverage=abc",
+            "autotuner:coverage=0",
+            "autotuner:coverage=1.01",
+            "autotuner:max_chunks=-1",
+        ],
+    )
+    def test_bad_values_are_rejected_at_lookup(self, spec):
+        with pytest.raises(ReproError, match="bad parameters"):
+            get_policy(spec)
+
     def test_dataset_aware_entry_requires_dataset(self):
         with pytest.raises(ReproError, match="dataset"):
             get_policy("advisor")
@@ -318,24 +342,103 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
+# Epoch hooks — the view's profile accessors hand out copies
+# ----------------------------------------------------------------------
+
+
+class _RecordingHotness(HotnessManager):
+    """HawkEye that records its picks and optionally scribbles over
+    every profile array the view hands it."""
+
+    def __init__(self, vandal: bool) -> None:
+        super().__init__(promotions_per_pass=1)
+        self.vandal = vandal
+        self.picks: list[list[tuple[str, int]]] = []
+
+    def on_iteration(self, candidates, view):
+        picked = super().on_iteration(candidates, view)
+        self.picks.append([(c.vma_name, c.chunk) for c in picked])
+        if self.vandal:
+            for name in view.vma_names():
+                view.page_counts(name)[:] = 0
+                view.chunk_counts(name)[:] = 10**9
+                view.chunk_utilization(name)[:] = 0.0
+        return picked
+
+
+class _PromoteAll(HugePageManager):
+    name = "promote-all"
+
+    def on_iteration(self, candidates, view):
+        return candidates
+
+
+class TestEpochView:
+    def test_no_region_stops_an_epoch_but_not_khugepaged(
+        self, node, tiny_cfg, monkeypatch
+    ):
+        attempts = []
+        monkeypatch.setattr(
+            node, "alloc_huge_region", lambda *a, **k: attempts.append(1)
+        )
+        thp = ThpPolicy(
+            mode=ThpMode.ALWAYS, fault_alloc=False, hooks=_PromoteAll()
+        )
+        vmm = make_vmm(node, tiny_cfg, thp)
+        vma = vmm.mmap("prop", 3 * tiny_cfg.pages.huge_page_size)
+        vmm.touch(vma)
+        assert vmm.epoch_pass() == 0
+        assert len(attempts) == 1  # the rest waits for the next epoch
+        thp.hooks = None  # built-in ALWAYS: khugepaged takes every chunk
+        assert vmm.khugepaged_pass() == 0
+        assert len(attempts) == 1 + 3
+
+    def test_profile_accessors_return_copies(self):
+        graph = power_law_graph(
+            16384, 131072, alpha=1.0, hub_shuffle=1.0, seed=5
+        )
+        runs = []
+        for vandal in (False, True):
+            hook = _RecordingHotness(vandal)
+            thp = ThpPolicy(
+                mode=ThpMode.ALWAYS, fault_alloc=False,
+                khugepaged_enabled=False, hooks=hook,
+            )
+            metrics = Machine(tiny(), thp).run(Bfs(graph))
+            runs.append((hook.picks, metrics.manager_promotions))
+        assert runs[0][1] > 1
+        assert runs[0] == runs[1]
+
+    def test_unprofiled_view_reads_zeros(self, node, tiny_cfg):
+        vmm = make_vmm(node, tiny_cfg)
+        vmm.mmap("prop", 2 * tiny_cfg.pages.huge_page_size)
+        view = vmm.policy_view
+        assert view.epoch == 0 and view.epoch_promotions == 0
+        assert not view.page_counts("prop").any()
+        assert view.chunk_counts("prop").shape == (2,)
+        assert view.frames_per_huge == tiny_cfg.pages.frames_per_huge
+
+
+# ----------------------------------------------------------------------
 # SampledHotnessManager — determinism of the sampled-bit signal
 # ----------------------------------------------------------------------
 
 
-class _FakeProfiler:
-    def __init__(self, counts: np.ndarray) -> None:
-        self._counts = counts
+class _FakeView:
+    """The two PolicyView accessors the sampled-bit score reads."""
 
-    def page_counts(self, vma) -> np.ndarray:
-        return self._counts
+    def __init__(self, cfg, counts: np.ndarray) -> None:
+        self._counts = counts
+        self.frames_per_huge = cfg.pages.frames_per_huge
+
+    def page_counts(self, vma_name: str) -> np.ndarray:
+        return self._counts.copy()
 
 
 class TestSampledHotnessManager:
-    def _manager(self, cfg, counts, stride=2):
+    def _hot_bits(self, cfg, counts, stride=2):
         manager = SampledHotnessManager(sample_stride=stride)
-        manager.profiler = _FakeProfiler(counts)
-        manager.config = cfg
-        return manager
+        return manager.chunk_hotness("prop", _FakeView(cfg, counts))
 
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError):
@@ -347,10 +450,9 @@ class TestSampledHotnessManager:
         pages = vma.frame.size
         counts = np.zeros(pages, dtype=np.int64)
         counts[1] = 100  # touched, but off the sampling stride
-        manager = self._manager(tiny_cfg, counts, stride=2)
-        assert manager._chunk_hot_bits(vma).sum() == 0
+        assert self._hot_bits(tiny_cfg, counts, stride=2).sum() == 0
         counts[2] = 1  # touched on the stride
-        assert manager._chunk_hot_bits(vma).sum() == 1
+        assert self._hot_bits(tiny_cfg, counts, stride=2).sum() == 1
 
     def test_signal_is_bit_level_not_count_level(self, node, tiny_cfg):
         vmm = make_vmm(node, tiny_cfg)
@@ -360,18 +462,16 @@ class TestSampledHotnessManager:
         hot[0] = 10_000  # one scorching page
         spread = np.zeros(pages, dtype=np.int64)
         spread[: pages // 2 : 2] = 1  # many barely-touched pages
-        one_bit = self._manager(tiny_cfg, hot, stride=2)
-        many_bits = self._manager(tiny_cfg, spread, stride=2)
-        assert one_bit._chunk_hot_bits(vma).max() == 1
-        assert many_bits._chunk_hot_bits(vma).max() > 1
+        assert self._hot_bits(tiny_cfg, hot, stride=2).max() == 1
+        assert self._hot_bits(tiny_cfg, spread, stride=2).max() > 1
 
     def test_deterministic_across_instances(self, node, tiny_cfg):
         vmm = make_vmm(node, tiny_cfg)
         vma = vmm.mmap("prop", 4 * tiny_cfg.pages.huge_page_size)
         rng = np.random.default_rng(7)
         counts = rng.integers(0, 5, size=vma.frame.size)
-        a = self._manager(tiny_cfg, counts)._chunk_hot_bits(vma)
-        b = self._manager(tiny_cfg, counts)._chunk_hot_bits(vma)
+        a = self._hot_bits(tiny_cfg, counts)
+        b = self._hot_bits(tiny_cfg, counts)
         assert np.array_equal(a, b)
 
     def test_end_to_end_runs_are_identical(self):

@@ -42,6 +42,21 @@ class TestTopLevelExports:
         summary = metrics.summary()
         assert summary["dataset"] == "test-small"
 
+    def test_policy_surface_is_the_hook_api(self):
+        """Run-time managers are policy hooks: their base class is
+        public, and the helper shims that built them beside the hook
+        API are gone."""
+        import repro.api as api
+
+        assert "HugePageManager" in api.__all__
+        for removed in (
+            "AutotunerHook",
+            "autotuner_policy",
+            "hotness_manager_policy",
+            "utilization_manager_policy",
+        ):
+            assert not hasattr(api, removed), removed
+
     def test_version(self):
         assert repro.__version__
 

@@ -19,6 +19,22 @@ from typing import Optional
 import numpy as np
 
 from ..errors import GraphError
+from ..radix import stable_order
+
+
+def _integer_ids(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as an array, rejecting non-integer dtypes.
+
+    Casting float ids to an integer type would truncate them silently
+    (``0.7`` becomes vertex 0), so they are an error instead.
+
+    Raises:
+        GraphError: if the dtype is not an integer type.
+    """
+    ids = np.asarray(values)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise GraphError(f"{what} must be integers, got dtype {ids.dtype}")
+    return ids
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -84,17 +100,25 @@ class CsrGraph:
 
         Edges are grouped by source (stable, preserving input order within
         a source's neighbor list).  Duplicate edges and self-loops are
-        kept — real web/social crawls contain both.
+        kept — real web/social crawls contain both.  Ids may be any
+        integer dtype; the grouping is a linear-time LSD radix sort
+        (:func:`repro.radix.stable_order`).
+
+        Raises:
+            GraphError: on non-integer ids, mismatched lengths or ids
+                outside ``0..num_vertices-1``.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = _integer_ids(src, "source ids")
+        dst = _integer_ids(dst, "destination ids")
         if src.shape != dst.shape:
             raise GraphError("src and dst must have the same length")
         if src.size and (src.min() < 0 or src.max() >= num_vertices):
             raise GraphError("source id out of range")
         if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
             raise GraphError("destination id out of range")
-        order = np.argsort(src, kind="stable")
+        if not np.can_cast(src.dtype, np.intp):
+            src = src.astype(np.intp)  # uint64: bincount needs intp
+        order = stable_order(src)
         counts = np.bincount(src, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -183,13 +207,16 @@ class CsrGraph:
         Raises:
             GraphError: if ``perm`` is not a permutation of ``0..V-1``.
         """
-        perm = np.asarray(perm, dtype=np.int64)
+        perm = _integer_ids(perm, "perm").astype(np.int64, copy=False)
         v = self.num_vertices
-        if perm.shape != (v,) or not np.array_equal(
-            np.sort(perm), np.arange(v, dtype=np.int64)
+        if (
+            perm.shape != (v,)
+            or (v and (perm.min() < 0 or perm.max() >= v))
+            or not np.all(np.bincount(perm, minlength=v) == 1)
         ):
             raise GraphError("perm must be a permutation of 0..V-1")
-        old_in_new_order = np.argsort(perm, kind="stable")
+        old_in_new_order = np.empty(v, dtype=np.int64)
+        old_in_new_order[perm] = np.arange(v, dtype=np.int64)
         degrees = self.out_degrees()
         new_counts = degrees[old_in_new_order]
         indptr = np.zeros(v + 1, dtype=np.int64)

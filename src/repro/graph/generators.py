@@ -27,6 +27,19 @@ from ..errors import GraphError
 from .csr import CsrGraph
 
 
+_RMAT_CHUNK = 1 << 16
+"""Edges per R-MAT draw chunk: a chunk's doubles, compare masks and id
+words stay cache-resident while a level is folded into the ids."""
+
+
+def _check_sizes(num_vertices: int, num_edges: int) -> None:
+    """Reject counts no graph can have (before numpy fails obscurely)."""
+    if num_vertices < 0 or num_edges < 0:
+        raise GraphError("vertex and edge counts must be non-negative")
+    if num_edges and not num_vertices:
+        raise GraphError("edges need at least one vertex")
+
+
 def _weights(rng: np.random.Generator, count: int) -> np.ndarray:
     """Positive integer edge weights for SSSP (1..63)."""
     return rng.integers(1, 64, size=count, dtype=np.int64)
@@ -61,23 +74,64 @@ def rmat_graph(
     d = 1.0 - a - b - c
     if min(a, b, c, d) < 0:
         raise GraphError("R-MAT probabilities must be non-negative")
-    rng = np.random.default_rng(seed)
+    if not 0 <= scale <= 31:
+        raise GraphError("R-MAT scale must be in 0..31 (uint32 ids)")
     num_vertices = 1 << scale
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    for bit in range(scale):
-        r = rng.random(num_edges)
-        # Quadrants in CDF order: a (0,0), b (0,1), c (1,0), d (1,1).
-        src_bit = r >= a + b
-        dst_bit = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        src |= src_bit.astype(np.int64) << bit
-        dst |= dst_bit.astype(np.int64) << bit
+    _check_sizes(num_vertices, num_edges)
+    rng = np.random.default_rng(seed)
+    src, dst = _rmat_ids(rng, scale, num_edges, a, a + b, a + b + c)
     if shuffle_labels:
-        perm = rng.permutation(num_vertices).astype(np.int64)
+        perm = rng.permutation(num_vertices).astype(np.uint32)
         src = perm[src]
         dst = perm[dst]
     weights = _weights(rng, num_edges) if weighted else None
     return CsrGraph.from_edges(src, dst, num_vertices, weights=weights)
+
+
+def _rmat_ids(
+    rng: np.random.Generator,
+    scale: int,
+    num_edges: int,
+    a: float,
+    ab: float,
+    abc: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``uint32`` source and destination ids of every R-MAT edge.
+
+    Level ``bit`` draws one double per edge, in edge order, a chunk at a
+    time into one reused buffer — the same doubles a single
+    ``rng.random(num_edges)`` returns, so the stream is unchanged.
+    Quadrants in CDF order are a (0,0), b (0,1), c (1,0), d (1,1), and
+    the thresholds ``a <= ab <= abc`` are cleared in order: with ``k``
+    of them cleared, the source bit is ``k >= 2`` (``r >= ab``) and the
+    destination bit is the parity of ``k``.
+    """
+    src = np.zeros(num_edges, dtype=np.uint32)
+    dst = np.zeros(num_edges, dtype=np.uint32)
+    size = min(_RMAT_CHUNK, num_edges)
+    buffers = (
+        np.empty(size),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=np.uint32),
+    )
+    for bit in range(scale):
+        one = np.uint32(1 << bit)
+        for lo in range(0, num_edges, _RMAT_CHUNK):
+            hi = min(lo + _RMAT_CHUNK, num_edges)
+            r, ge_a, ge_ab, ge_abc, word = (buf[: hi - lo] for buf in buffers)
+            rng.random(out=r)
+            np.greater_equal(r, a, out=ge_a)
+            np.greater_equal(r, ab, out=ge_ab)
+            np.greater_equal(r, abc, out=ge_abc)
+            np.multiply(ge_ab, one, out=word)
+            np.bitwise_or(src[lo:hi], word, out=src[lo:hi])
+            np.bitwise_xor(ge_a, ge_ab, out=ge_a)
+            np.bitwise_xor(ge_a, ge_abc, out=ge_a)
+            np.multiply(ge_a, one, out=word)
+            np.bitwise_or(dst[lo:hi], word, out=dst[lo:hi])
+    return src, dst
 
 
 def power_law_graph(
@@ -117,6 +171,9 @@ def power_law_graph(
         raise GraphError("community_fraction must be in [0, 1]")
     if not 0.0 <= hub_shuffle <= 1.0:
         raise GraphError("hub_shuffle must be in [0, 1]")
+    _check_sizes(num_vertices, num_edges)
+    if not num_vertices:
+        raise GraphError("a power-law graph needs at least one vertex")
     rng = np.random.default_rng(seed)
     popularity = 1.0 / np.power(
         np.arange(num_vertices, dtype=np.float64) + 10.0, alpha
@@ -167,6 +224,7 @@ def uniform_graph(
 ) -> CsrGraph:
     """Uniform random directed graph (Erdős–Rényi-style), for tests and
     as a no-skew control in ablations."""
+    _check_sizes(num_vertices, num_edges)
     rng = np.random.default_rng(seed)
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     dst = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import TlbConfig, TlbGeometry
+from ..radix import stable_order
 from .hierarchy import MAX_ARRAY_IDS, TranslationHierarchy, TranslationStats
 from .trace import TlbTrace, compress_trace
 
@@ -73,29 +74,6 @@ def _iota(n: int) -> np.ndarray:
             max(n, _CHUNK + 8192), dtype=np.int32
         )
     return _iota_cache[:n]
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """Stable ascending argsort of non-negative integer keys.
-
-    NumPy's ``kind="stable"`` is a radix sort for 16-bit integers
-    (O(n)) but a comparison sort for wider types, so sort 16 bits at a
-    time, least-significant digit first.
-    """
-    if keys.size == 0:
-        return np.empty(0, dtype=np.intp)
-    if keys.dtype == np.uint16:
-        return np.argsort(keys, kind="stable")
-    hi = int(keys.max())
-    if hi < (1 << 16):
-        return np.argsort(keys.astype(np.uint16), kind="stable")
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
-    shift = 16
-    while (hi >> shift) > 0:
-        digit = ((keys >> shift) & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digit[order], kind="stable")]
-        shift += 16
-    return order
 
 
 class _BatchLru:
@@ -193,7 +171,7 @@ class _BatchLru:
         # Previous occurrence of the same key, in set-sorted
         # coordinates: same key => same set, so one stable key sort of
         # the set-sorted stream pairs consecutive occurrences.
-        key_order = _stable_order(keys_ss)
+        key_order = stable_order(keys_ss)
         sk = keys_ss[key_order]
         dup = np.flatnonzero(sk[1:] == sk[:-1])
         prev_pos = np.full(total, -1, dtype=np.int32)

@@ -5,6 +5,33 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.csr import CsrGraph, concat_ranges
+from repro.radix import stable_order
+
+
+def _reference_csr(src, dst, num_vertices, weights=None):
+    """The CSR arrays built the straightforward way: int64 ids and
+    NumPy's stable comparison argsort."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
+    w = None if weights is None else np.asarray(weights, np.int64)[order]
+    return indptr, dst[order], w
+
+
+def _edges_with_duplicates_and_loops(num_vertices, num_edges, seed):
+    """Random edges plus repeated edges, self-loops and both extreme
+    ids, so every radix digit of the largest id is exercised."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, num_vertices, size=num_edges)
+    dst = rng.integers(0, num_vertices, size=num_edges)
+    dup = rng.integers(0, num_edges, size=num_edges // 4)
+    src = np.concatenate([src, src[dup], [num_vertices - 1, 0]])
+    dst = np.concatenate([dst, dst[dup], [0, num_vertices - 1]])
+    loops = rng.random(src.size) < 0.1
+    dst[loops] = src[loops]
+    return src, dst
 
 
 class TestConcatRanges:
@@ -64,6 +91,92 @@ class TestFromEdges:
     def test_mismatched_lengths(self):
         with pytest.raises(GraphError):
             CsrGraph.from_edges(np.array([0]), np.array([0, 1]), 3)
+
+
+class TestFromEdgesMatchesArgsort:
+    """The radix-sorted build is bit-identical to the int64 stable
+    argsort build for every vertex count, id dtype and edge mix."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    @pytest.mark.parametrize(
+        "num_vertices", [1, 2, 2**16, 2**16 + 1, 2**20]
+    )
+    def test_random_edges(self, num_vertices, dtype):
+        src, dst = _edges_with_duplicates_and_loops(
+            num_vertices, min(4 * num_vertices, 200_000), seed=num_vertices
+        )
+        weights = np.arange(src.size, dtype=np.int64)[::-1]
+        g = CsrGraph.from_edges(
+            src.astype(dtype), dst.astype(dtype), num_vertices,
+            weights=weights,
+        )
+        indptr, indices, w = _reference_csr(src, dst, num_vertices, weights)
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert np.array_equal(g.weights, w)
+        assert g.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    @pytest.mark.parametrize("num_vertices", [0, 1, 2, 2**16 + 1])
+    def test_empty_edge_list(self, num_vertices, dtype):
+        empty = np.empty(0, dtype=dtype)
+        g = CsrGraph.from_edges(empty, empty, num_vertices)
+        assert g.indptr.tolist() == [0] * (num_vertices + 1)
+        assert g.num_edges == 0
+
+    def test_uint64_ids(self):
+        src, dst = _edges_with_duplicates_and_loops(70_000, 5_000, seed=4)
+        g = CsrGraph.from_edges(
+            src.astype(np.uint64), dst.astype(np.uint64), 70_000
+        )
+        indptr, indices, _ = _reference_csr(src, dst, 70_000)
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+    def test_all_edges_from_one_source(self):
+        src = np.full(1000, 2**16, dtype=np.int64)
+        dst = np.arange(1000, dtype=np.int64)
+        g = CsrGraph.from_edges(src, dst, 2**16 + 1)
+        assert g.neighbors(2**16).tolist() == dst.tolist()
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize(
+        "dtype", [np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+    )
+    def test_matches_stable_argsort(self, dtype):
+        rng = np.random.default_rng(11)
+        top = min(np.iinfo(dtype).max, 2**40)
+        keys = rng.integers(0, top, size=5000, dtype=np.int64)
+        keys[::3] = keys[0]  # ties must keep input order
+        keys = keys.astype(dtype)
+        assert np.array_equal(
+            stable_order(keys), np.argsort(keys, kind="stable")
+        )
+
+    def test_empty(self):
+        assert stable_order(np.empty(0, dtype=np.int64)).size == 0
+
+
+class TestFloatIdsRejected:
+    def test_float_source(self):
+        with pytest.raises(GraphError, match="integers"):
+            CsrGraph.from_edges(np.array([0.7]), np.array([0]), 2)
+
+    def test_float_destination(self):
+        with pytest.raises(GraphError, match="integers"):
+            CsrGraph.from_edges(np.array([0]), np.array([1.0]), 2)
+
+    def test_bool_ids(self):
+        with pytest.raises(GraphError, match="integers"):
+            CsrGraph.from_edges(np.array([True]), np.array([0]), 2)
+
+    def test_float_perm(self):
+        g = CsrGraph.from_edges(np.array([0]), np.array([1]), 2)
+        with pytest.raises(GraphError, match="integers"):
+            g.relabel(np.array([0.5, 1.0]))
+        with pytest.raises(GraphError, match="integers"):
+            g.relabel(np.array([1.0, 0.0]))
 
 
 class TestValidation:
@@ -153,6 +266,39 @@ class TestRelabel:
             )
         with pytest.raises(GraphError):
             small_graph.relabel(np.array([0, 1]))
+
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 0, 1], [0, 1, 3], [-1, 0, 1], [2, 1], [[0, 1, 2]]],
+    )
+    def test_relabel_rejects_bad_perms(self, perm):
+        g = CsrGraph.from_edges(np.array([0, 1]), np.array([1, 2]), 3)
+        with pytest.raises(GraphError, match="permutation"):
+            g.relabel(np.array(perm, dtype=np.int64))
+
+    def test_relabel_empty_graph(self):
+        g = CsrGraph.from_edges(
+            np.empty(0, np.int64), np.empty(0, np.int64), 0
+        )
+        assert g.relabel(np.empty(0, dtype=np.int64)).num_vertices == 0
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    def test_relabel_equals_rebuilt_edge_list(self, dtype):
+        """Relabeling equals building from the renamed edge list (each
+        new source has one old source, whose neighbor order the stable
+        build keeps)."""
+        src, dst = _edges_with_duplicates_and_loops(3000, 20_000, seed=9)
+        weights = np.arange(src.size, dtype=np.int64)
+        g = CsrGraph.from_edges(src, dst, 3000, weights=weights)
+        perm = np.random.default_rng(2).permutation(3000)
+        r = g.relabel(perm.astype(dtype))
+        gs, gd = g.edge_endpoints()
+        indptr, indices, w = _reference_csr(
+            perm[gs], perm[gd], 3000, g.weights
+        )
+        assert np.array_equal(r.indptr, indptr)
+        assert np.array_equal(r.indices, indices)
+        assert np.array_equal(r.weights, w)
 
     def test_relabel_preserves_edge_count_and_degrees(self, small_graph):
         rng = np.random.default_rng(5)

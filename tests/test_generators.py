@@ -5,11 +5,37 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.generators import (
+    _RMAT_CHUNK,
     path_graph,
     power_law_graph,
     rmat_graph,
     uniform_graph,
 )
+
+
+def _reference_rmat(scale, num_edges, seed, shuffle_labels, weighted,
+                    a=0.57, b=0.19, c=0.19):
+    """R-MAT the straightforward way: one ``rng.random(num_edges)`` per
+    level, int64 ids, and a stable int64 argsort for the CSR build."""
+    rng = np.random.default_rng(seed)
+    src = np.zeros(num_edges, dtype=np.int64)
+    dst = np.zeros(num_edges, dtype=np.int64)
+    for bit in range(scale):
+        r = rng.random(num_edges)
+        src_bit = r >= a + b
+        dst_bit = ((r >= a) & (r < a + b)) | (r >= a + b + c)
+        src |= src_bit.astype(np.int64) << bit
+        dst |= dst_bit.astype(np.int64) << bit
+    if shuffle_labels:
+        perm = rng.permutation(1 << scale).astype(np.int64)
+        src = perm[src]
+        dst = perm[dst]
+    weights = rng.integers(1, 64, size=num_edges) if weighted else None
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros((1 << scale) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=1 << scale), out=indptr[1:])
+    w = None if weights is None else weights[order]
+    return indptr, dst[order], w
 
 
 class TestRmat:
@@ -61,6 +87,53 @@ class TestRmat:
         assert g.weights is not None
         assert (g.weights >= 1).all()
 
+    @pytest.mark.parametrize(
+        "num_edges",
+        [0, 1, _RMAT_CHUNK - 1, _RMAT_CHUNK, _RMAT_CHUNK + 1,
+         2 * _RMAT_CHUNK + 3],
+    )
+    @pytest.mark.parametrize("shuffle_labels", [True, False])
+    def test_matches_reference_around_chunk_edges(
+        self, num_edges, shuffle_labels
+    ):
+        """Chunked draws and uint32 ids reproduce the one-draw-per-level
+        int64 generator bit for bit, including the weights drawn after
+        it (which pins the RNG state the chunked draws leave)."""
+        g = rmat_graph(scale=17, num_edges=num_edges, seed=5,
+                       shuffle_labels=shuffle_labels, weighted=True)
+        indptr, indices, weights = _reference_rmat(
+            17, num_edges, 5, shuffle_labels, weighted=True
+        )
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert np.array_equal(g.weights, weights)
+
+    @pytest.mark.parametrize("abc", [(0.25, 0.25, 0.25), (1.0, 0.0, 0.0),
+                                     (0.0, 0.0, 0.0), (0.1, 0.0, 0.9)])
+    def test_matches_reference_for_any_probabilities(self, abc):
+        a, b, c = abc
+        g = rmat_graph(scale=9, num_edges=3000, a=a, b=b, c=c, seed=8,
+                       weighted=True)
+        indptr, indices, weights = _reference_rmat(
+            9, 3000, 8, True, True, a=a, b=b, c=c
+        )
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert np.array_equal(g.weights, weights)
+
+    def test_scale_bounds(self):
+        assert rmat_graph(scale=0, num_edges=3).neighbors(0).tolist() == [
+            0, 0, 0
+        ]
+        with pytest.raises(GraphError, match="scale"):
+            rmat_graph(scale=-1, num_edges=10)
+        with pytest.raises(GraphError, match="scale"):
+            rmat_graph(scale=32, num_edges=10)
+
+    def test_negative_edge_count(self):
+        with pytest.raises(GraphError, match="non-negative"):
+            rmat_graph(scale=4, num_edges=-1)
+
     def test_invalid_probabilities(self):
         with pytest.raises(GraphError):
             rmat_graph(scale=4, num_edges=10, a=0.9, b=0.9, c=0.9)
@@ -109,6 +182,11 @@ class TestPowerLaw:
         with pytest.raises(GraphError):
             power_law_graph(10, 10, hub_shuffle=-0.1)
 
+    @pytest.mark.parametrize("v,e", [(0, 10), (0, 0), (-1, 5), (10, -1)])
+    def test_degenerate_sizes(self, v, e):
+        with pytest.raises(GraphError):
+            power_law_graph(num_vertices=v, num_edges=e)
+
     def test_deterministic(self):
         a = power_law_graph(100, 500, seed=9)
         b = power_law_graph(100, 500, seed=9)
@@ -120,6 +198,15 @@ class TestUniformAndPath:
         g = uniform_graph(100, 400, seed=1)
         assert g.num_vertices == 100
         assert g.num_edges == 400
+
+    @pytest.mark.parametrize("v,e", [(0, 3), (-1, 0), (5, -1)])
+    def test_uniform_degenerate_sizes(self, v, e):
+        with pytest.raises(GraphError):
+            uniform_graph(num_vertices=v, num_edges=e)
+
+    def test_uniform_empty(self):
+        g = uniform_graph(0, 0)
+        assert g.num_vertices == 0 and g.num_edges == 0
 
     def test_path(self):
         g = path_graph(5)

@@ -348,6 +348,9 @@ class Machine:
                     hierarchy.flush()
                     if cursor is not None:
                         cursor.flush()
+            # Free this stream and its trace before the workload builds
+            # the next stream and translates it.
+            stream = trace = None
         kernel_stall_cycles = ledger.total_cycles - compute_start_cycles
 
         compute_cycles = int(

@@ -16,9 +16,16 @@ from ..config import MachineConfig
 from ..core.plan import PlacementPlan
 from ..mem.thp import ThpMode
 from ..mem.vmm import VirtualMemoryManager, Vma
-from ..tlb.trace import MAX_ARRAY_IDS, AccessStream, TlbTrace, compress_trace
-from ..workloads.base import Workload
+from ..tlb.trace import MAX_ARRAY_IDS, AccessStream, TlbTrace
+from ..workloads.base import ARRAY_NAMES, Workload
 from ..workloads.layout import MemoryLayout
+
+_CHUNK = 1 << 17
+"""Accesses :meth:`SimProcess.translate` handles per pass: its
+temporaries stay a few MB however long the stream is."""
+
+_ID_SPACE = 256
+"""Table length: every ``uint8`` array id indexes the per-array tables."""
 
 
 class SimProcess:
@@ -36,9 +43,11 @@ class SimProcess:
         self.layout = layout
         self.config = config
         self.vma_by_array: dict[int, Vma] = {}
-        self._start_vpn: dict[int, int] = {}
-        self._start_hvpn: dict[int, int] = {}
-        self._elem_bytes: dict[int, int] = {}
+        # Per-array tables, indexed by array id: element size, first
+        # VPN and element count (zero for an unmapped id).
+        self._elem_table = np.zeros(_ID_SPACE, dtype=np.int64)
+        self._start_table = np.zeros(_ID_SPACE, dtype=np.int64)
+        self._count_table = np.zeros(_ID_SPACE, dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # Initialization phase
@@ -62,6 +71,10 @@ class SimProcess:
         pages = self.config.pages
         for spec in self.layout.allocation_sequence():
             vma = self.vmm.mmap(spec.name, spec.length_bytes)
+            # translate() reads a VPN's huge page as vpn >> (huge_shift -
+            # base_shift), which needs huge-aligned mappings.
+            assert vma.start % pages.huge_page_size == 0, vma
+            assert spec.array_id < MAX_ARRAY_IDS, spec
             pool_fraction = plan.hugetlb_fractions.get(spec.array_id)
             if pool_fraction is not None and hugetlb_pool is not None:
                 self._back_from_pool(vma, pool_fraction, hugetlb_pool)
@@ -71,9 +84,9 @@ class SimProcess:
                 self.vmm.madvise_huge(vma, 0, advise_len)
             self.vmm.touch(vma)
             self.vma_by_array[spec.array_id] = vma
-            self._start_vpn[spec.array_id] = vma.start >> pages.base_shift
-            self._start_hvpn[spec.array_id] = vma.start >> pages.huge_shift
-            self._elem_bytes[spec.array_id] = spec.element_bytes
+            self._elem_table[spec.array_id] = spec.element_bytes
+            self._start_table[spec.array_id] = vma.start >> pages.base_shift
+            self._count_table[spec.array_id] = spec.num_elements
 
     def _back_from_pool(self, vma, fraction: float, pool) -> None:
         """Map the leading ``fraction`` of a VMA from the reservation."""
@@ -103,43 +116,139 @@ class SimProcess:
         ``(huge_vpn << 1) | 1``.  The per-page size map is the VMM's
         ground truth, so promotions/demotions between streams are
         reflected automatically.
+
+        One pass over fixed chunks of the stream gathers each access's
+        element size and start VPN from per-array tables, reads its key
+        from one map over the whole mapped range, and run-length
+        compresses the keys on the spot.  The run in progress carries
+        across chunk boundaries, and runs go straight into arrays sized
+        for the worst case (one run per access) that are shrunk in place
+        at the end, so the only stream-length allocations are the
+        trace's own.  Mappings are disjoint and huge-aligned, so a key
+        names its array: runs split exactly where keys change, which is
+        also where :func:`~repro.tlb.trace.compress_trace` would split
+        them on array ids, and no two adjacent runs share a key.
+
+        Raises:
+            KeyError: if the stream names an array the process has not
+                mapped.
+            IndexError: if an element index lies outside its array
+                (negative indices included).
         """
-        pages = self.config.pages
-        base_shift = pages.base_shift
-        huge_shift = pages.huge_shift
+        base_shift = self.config.pages.base_shift
+        key_map, map_base = self._key_map()
+        elem_table = self._elem_table
+        start_table = self._start_table - map_base
+        count_table = self._count_table
         aids = stream.array_ids
-        keys = np.empty(aids.size, dtype=np.int64)
-        # Per-array access counts: they name the arrays present and,
-        # since runs never span array ids, are the trace's totals too.
-        totals = np.bincount(aids, minlength=MAX_ARRAY_IDS)
-        for array_id in np.flatnonzero(totals):
-            array_id = int(array_id)
-            mask = aids == array_id
-            vma = self.vma_by_array[array_id]
-            offsets = stream.indices[mask] * self._elem_bytes[array_id]
-            page = offsets >> base_shift
-            base_keys = (self._start_vpn[array_id] + page) << 1
-            huge_keys = (
-                (self._start_hvpn[array_id] + (offsets >> huge_shift)) << 1
-            ) | 1
-            keys[mask] = np.where(vma.is_huge[page], huge_keys, base_keys)
-        return compress_trace(keys, aids, totals)
+        indices = stream.indices
+        n = aids.size
+        run_keys = np.empty(n, dtype=np.int64)
+        run_counts = np.empty(n, dtype=np.int64)
+        run_aids = np.empty(n, dtype=np.uint8)
+        totals = np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
+        runs = 0
+        last_key = -1  # keys are non-negative: the first access starts a run
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            size = hi - lo
+            a = aids[lo:hi]
+            idx = indices[lo:hi].astype(np.int64, copy=False)
+            # One unsigned compare catches negative indices, indices
+            # past the end and ids of unmapped (zero-length) arrays.
+            if np.any(idx.view(np.uint64) >= count_table[a]):
+                self._reject(a, idx)
+            totals += np.bincount(a, minlength=MAX_ARRAY_IDS)
+            page = idx * elem_table[a]
+            page >>= base_shift
+            page += start_table[a]  # now the VPN's offset into key_map
+            keys = key_map[page]
+            change = np.empty(size, dtype=bool)
+            change[0] = int(keys[0]) != last_key
+            np.not_equal(keys[1:], keys[:-1], out=change[1:])
+            starts = np.flatnonzero(change)
+            lead = int(starts[0]) if starts.size else size
+            if lead:  # the chunk opens inside the carried run
+                run_counts[runs - 1] += lead
+            if starts.size:
+                new = runs + starts.size
+                run_keys[runs:new] = keys[starts]
+                run_aids[runs:new] = a[starts]
+                np.subtract(
+                    starts[1:], starts[:-1], out=run_counts[runs : new - 1]
+                )
+                run_counts[new - 1] = size - int(starts[-1])
+                runs = new
+            last_key = int(keys[-1])
+        for run_array in (run_keys, run_counts, run_aids):
+            run_array.resize(runs, refcheck=False)
+        # Every run leads its own lookup group, so the runs are the
+        # lookup view.
+        return TlbTrace(
+            run_keys,
+            run_counts,
+            run_aids,
+            run_keys,
+            run_aids,
+            totals,
+        )
+
+    def _key_map(self) -> tuple[np.ndarray, int]:
+        """The page key of every mapped VPN, as ``(map, first_vpn)``:
+        entry ``vpn - first_vpn`` is the key of an access to page
+        ``vpn``, from the VMAs' current page-size maps.  A VPN's huge
+        page is ``vpn >> (huge_shift - base_shift)`` because mappings
+        are huge-aligned.  The gaps between mappings hold base keys; no
+        valid access reaches them."""
+        pages = self.config.pages
+        vmas = self.vma_by_array.values()
+        if not vmas:
+            return np.zeros(0, dtype=np.int64), 0
+        first = min(vma.start for vma in vmas) >> pages.base_shift
+        stop = max((vma.start >> pages.base_shift) + vma.npages for vma in vmas)
+        huge = np.zeros(stop - first, dtype=np.int64)
+        for vma in vmas:
+            lo = (vma.start >> pages.base_shift) - first
+            huge[lo : lo + vma.npages] = vma.is_huge
+        vpn = np.arange(first, stop, dtype=np.int64)
+        vpn >>= huge * (pages.huge_shift - pages.base_shift)
+        vpn <<= 1
+        vpn |= huge
+        return vpn, first
+
+    def _reject(self, array_ids: np.ndarray, indices: np.ndarray) -> None:
+        """Raise the error for a chunk that failed translate's range check."""
+        for array_id in np.flatnonzero(np.bincount(array_ids)).tolist():
+            if array_id not in self.vma_by_array:
+                raise KeyError(
+                    f"access stream names array id {array_id}, which the "
+                    f"process has not mapped"
+                )
+        bad = np.flatnonzero(
+            indices.view(np.uint64) >= self._count_table[array_ids]
+        )[0]
+        array_id = int(array_ids[bad])
+        raise IndexError(
+            f"element index {int(indices[bad])} outside "
+            f"{ARRAY_NAMES.get(array_id, array_id)} (id {array_id}) of "
+            f"{int(self._count_table[array_id])} elements"
+        )
 
     def translation_layout(self, with_residency: bool) -> tuple:
         """Everything :meth:`translate` reads besides the stream, and
         with ``with_residency`` everything :meth:`service_swap` reads
-        too, per array in mapping order: start VPN and huge VPN,
-        element size, the per-page size map and, when asked, the
-        per-page residency.  Equal layouts translate (and swap) an
-        equal stream identically."""
+        too, per array in mapping order: start VPN, element size and
+        count, the per-page size map and, when asked, the per-page
+        residency.  Equal layouts translate (and swap) an equal stream
+        identically."""
         parts: list = [with_residency]
         for array_id, vma in self.vma_by_array.items():
             parts.append(
                 (
                     array_id,
-                    self._start_vpn[array_id],
-                    self._start_hvpn[array_id],
-                    self._elem_bytes[array_id],
+                    int(self._start_table[array_id]),
+                    int(self._elem_table[array_id]),
+                    int(self._count_table[array_id]),
                     vma.is_huge.tobytes(),
                     (vma.frame >= 0).tobytes() if with_residency else b"",
                 )
@@ -171,7 +280,7 @@ class SimProcess:
         not change when a page moves between RAM and swap).
         """
         resident: dict[int, list[bool]] = {}
-        start_vpn = self._start_vpn
+        start_vpn = self._start_table.tolist()
         fifo: deque[tuple[int, int]] = deque()
         for array_id, vma in self.vma_by_array.items():
             flags = (vma.frame >= 0).tolist()

@@ -105,11 +105,6 @@ class PageProfiler:
         util[huge_touched] = 1.0
         return util
 
-    def hottest_chunks(self, vma: Vma) -> np.ndarray:
-        """Chunk indices of ``vma`` sorted by access count, hottest
-        first — the HawkEye-style promotion order."""
-        return np.argsort(-self.chunk_counts(vma), kind="stable")
-
     def reset(self) -> None:
         """Zero all counters (start of a new profiling window)."""
         for counts in self._counts.values():

@@ -77,7 +77,8 @@ class TlbTrace:
     counts: np.ndarray
     array_ids: np.ndarray
     # Coalesced lookup view (see :meth:`lookup_view`): built eagerly by
-    # :func:`compress_trace`, lazily for hand-assembled traces.
+    # :func:`compress_trace` and ``SimProcess.translate``, lazily for
+    # hand-assembled traces.
     _lookup_keys: Optional[np.ndarray] = field(default=None, repr=False)
     _lookup_array_ids: Optional[np.ndarray] = field(default=None, repr=False)
     # Per-array access totals (see :meth:`access_totals`), same policy.

@@ -9,7 +9,11 @@ computed with one; each property pins the new form to the old:
 - ``NodeMemory`` keeps free counters incrementally; after any sequence
   of allocator operations they must equal a recount of the frame map;
 - ``SimProcess.translate`` takes a trace's per-array access totals from
-  the raw array ids; they must equal the run-length-weighted totals.
+  the raw array ids; they must equal the run-length-weighted totals;
+- ``SimProcess.translate`` translates and run-length compresses a stream
+  in one chunked pass; its trace must equal the per-array masked
+  translation followed by :func:`compress_trace` (:func:`masked_translate`,
+  kept here as the oracle).
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.config import tiny
+from repro.config import scaled, scaled_1m, tiny
 from repro.core.plan import PlacementPlan
 from repro.errors import OutOfMemoryError
 from repro.graph.csr import CsrGraph
 from repro.graph.generators import uniform_graph
 from repro.machine.machine import Machine
+from repro.machine import process as process_module
 from repro.machine.process import SimProcess
 from repro.mem.frag import Fragmenter
 from repro.mem.memhog import Memhog
@@ -35,7 +40,14 @@ from repro.mem.stats import KernelLedger
 from repro.mem.swap import SwapDevice
 from repro.mem.thp import ThpPolicy
 from repro.mem.vmm import VirtualMemoryManager
-from repro.tlb.trace import MAX_ARRAY_IDS, AccessStream, _access_totals, compress_trace
+from repro.policy.registry import get_policy
+from repro.tlb.trace import (
+    MAX_ARRAY_IDS,
+    AccessStream,
+    TlbTrace,
+    _access_totals,
+    compress_trace,
+)
 from repro.workloads.base import (
     ARRAY_EDGE,
     ARRAY_PROPERTY,
@@ -430,3 +442,216 @@ def test_translated_trace_totals_equal_run_weighted():
         )
         seen += 1
     assert seen
+
+
+# ----------------------------------------------------------------------
+# Fused chunked translation == per-array masks + compress_trace
+# ----------------------------------------------------------------------
+
+
+def masked_translate(process: SimProcess, stream: AccessStream) -> TlbTrace:
+    """The per-array masked translation: one boolean mask over the whole
+    stream per array id, a fancy-indexed gather through each, then
+    :func:`compress_trace` over the full-length key array."""
+    pages = process.config.pages
+    aids = stream.array_ids
+    keys = np.empty(aids.size, dtype=np.int64)
+    totals = np.bincount(aids, minlength=MAX_ARRAY_IDS)
+    for array_id in np.flatnonzero(totals):
+        array_id = int(array_id)
+        mask = aids == array_id
+        vma = process.vma_by_array[array_id]
+        elem_bytes = process.layout.spec(array_id).element_bytes
+        offsets = stream.indices[mask] * elem_bytes
+        page = offsets >> pages.base_shift
+        base_keys = ((vma.start >> pages.base_shift) + page) << 1
+        huge_keys = (
+            ((vma.start >> pages.huge_shift) + (offsets >> pages.huge_shift)) << 1
+        ) | 1
+        keys[mask] = np.where(vma.is_huge[page], huge_keys, base_keys)
+    return compress_trace(keys, aids, totals)
+
+
+def _assert_traces_equal(got: TlbTrace, want: TlbTrace) -> None:
+    pairs = [
+        (got.keys, want.keys),
+        (got.counts, want.counts),
+        (got.array_ids, want.array_ids),
+        *zip(got.lookup_view(), want.lookup_view()),
+        (got.access_totals(), want.access_totals()),
+    ]
+    for g, w in pairs:
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+CHUNKS = [1, 3, 64, None]  # None: the module's own chunk size
+
+
+@pytest.fixture(params=CHUNKS, ids=lambda c: f"chunk={c or 'default'}")
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(process_module, "_CHUNK", request.param)
+    return request.param
+
+
+def _checked_translate(monkeypatch, limit=None):
+    """Make every ``SimProcess.translate`` call also run the oracle and
+    require equal traces.  With ``limit``, only each stream's first
+    ``limit`` accesses are compared (single-access chunks are slow) and
+    the run continues on the oracle's trace.  Returns the list of
+    compared lengths."""
+    fused = SimProcess.translate
+    checked = []
+
+    def both(self, stream):
+        head = stream
+        if limit is not None:
+            head = AccessStream(stream.array_ids[:limit], stream.indices[:limit])
+        got = fused(self, head)
+        _assert_traces_equal(got, masked_translate(self, head))
+        checked.append(len(head))
+        return got if head is stream else masked_translate(self, stream)
+
+    monkeypatch.setattr(SimProcess, "translate", both)
+    return checked
+
+
+def _laid_out(config, thp):
+    """A mapped and touched pagerank process."""
+    graph = uniform_graph(num_vertices=16384, num_edges=65536, seed=5)
+    machine = Machine(config, thp)
+    workload = create_workload("pagerank", graph)
+    vmm = VirtualMemoryManager(machine.app_node, machine.thp, machine.config)
+    process = SimProcess(vmm, workload, MemoryLayout(workload), machine.config)
+    process.allocate_and_touch(PlacementPlan.none())
+    return process, workload
+
+
+def _half_huge(config):
+    """A process whose every array is huge-mapped on alternate chunks."""
+    process, workload = _laid_out(config, ThpPolicy.always())
+    for vma in process.vma_by_array.values():
+        fph = config.pages.frames_per_huge
+        for chunk in range(vma.nchunks):
+            if chunk % 2:
+                vma.is_huge[chunk * fph : (chunk + 1) * fph] = False
+    return process, workload
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_equals_masked_on_random_streams(seed, chunk):
+    """Random mixes of sequential scans (long runs that straddle chunk
+    boundaries), repeated pages and scattered accesses, against a map
+    with huge and base chunks interleaved."""
+    rng = np.random.default_rng(seed)
+    process, workload = _half_huge(tiny())
+    ids = sorted(process.vma_by_array)
+    sizes = {a: workload.array_elements(a) for a in ids}
+    parts_a, parts_i = [], []
+    for _ in range(int(rng.integers(1, 40))):
+        array_id = ids[int(rng.integers(len(ids)))]
+        n = int(rng.integers(1, 200))
+        kind = int(rng.integers(3))
+        if kind == 0:  # sequential scan
+            start = int(rng.integers(sizes[array_id] - n))
+            idx = np.arange(start, start + n)
+        elif kind == 1:  # one element over and over
+            idx = np.full(n, rng.integers(sizes[array_id]))
+        else:  # pointer-indirect
+            idx = rng.integers(0, sizes[array_id], size=n)
+        parts_a.append(np.full(n, array_id, dtype=np.uint8))
+        parts_i.append(idx.astype(np.int64))
+    stream = AccessStream(np.concatenate(parts_a), np.concatenate(parts_i))
+    _assert_traces_equal(
+        process.translate(stream), masked_translate(process, stream)
+    )
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 6, 7])
+def test_fused_run_straddling_chunk_boundaries(length, monkeypatch):
+    """A leading run ending on, just before and just after a chunk
+    boundary, or spanning several whole chunks, then runs that start
+    mid-chunk."""
+    monkeypatch.setattr(process_module, "_CHUNK", 3)
+    process, _ = _laid_out(tiny(), ThpPolicy.always())
+    aids = [ARRAY_PROPERTY] * length + [ARRAY_EDGE] * 3 + [ARRAY_PROPERTY] * 2
+    idx = [0] * length + [1, 1, 2] + [5, 5]
+    stream = AccessStream(
+        np.array(aids, dtype=np.uint8), np.array(idx, dtype=np.int64)
+    )
+    trace = process.translate(stream)
+    _assert_traces_equal(trace, masked_translate(process, stream))
+    if length:
+        assert trace.counts[0] == length
+
+
+@pytest.mark.parametrize("length", [0, 1])
+def test_fused_empty_and_single_access_streams(length, chunk):
+    process, _ = _laid_out(tiny(), ThpPolicy.always())
+    stream = AccessStream(
+        np.full(length, ARRAY_PROPERTY, dtype=np.uint8),
+        np.full(length, 7, dtype=np.int64),
+    )
+    trace = process.translate(stream)
+    _assert_traces_equal(trace, masked_translate(process, stream))
+    assert len(trace) == length
+    assert trace.access_totals().sum() == length
+
+
+@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank", "cc"])
+def test_fused_equals_masked_on_every_kernel(name, chunk, monkeypatch):
+    """Every stream of every kernel (SSSP's values array included), run
+    on a machine under THP, checked whole at chunk sizes 64 and the
+    default and on a prefix at 1 and 3."""
+    graph = uniform_graph(num_vertices=16384, num_edges=65536, seed=5, weighted=True)
+    checked = _checked_translate(
+        monkeypatch, limit=2000 if chunk in (1, 3) else None
+    )
+    Machine(tiny(), ThpPolicy.always()).run(create_workload(name, graph))
+    assert checked
+
+
+def _hugetlb_leading_chunks(machine):
+    machine.reserve_hugetlb(3)  # fewer regions than the array has chunks
+    return PlacementPlan(hugetlb_fractions={ARRAY_PROPERTY: 1.0})
+
+
+def _fragmented(machine):
+    machine.fragment(0.7)
+    machine.finish_setup()
+    return None
+
+
+PARTIAL_MAPS = {  # name -> (THP policy, scenario setup returning the plan)
+    "madvise-fractions": (
+        ThpPolicy.madvise,
+        lambda machine: PlacementPlan(
+            advise_fractions={ARRAY_PROPERTY: 0.4, ARRAY_EDGE: 0.7}
+        ),
+    ),
+    "hugetlb-leading-chunks": (ThpPolicy.never, _hugetlb_leading_chunks),
+    "thp-fragmented": (ThpPolicy.always, _fragmented),
+    "epoch-promotions": (
+        lambda: get_policy("hawkeye").make_thp(),
+        lambda machine: None,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PARTIAL_MAPS))
+@pytest.mark.parametrize(
+    "config", [tiny, scaled, scaled_1m], ids=["tiny", "scaled", "scaled-1m"]
+)
+def test_fused_equals_masked_on_partially_huge_maps(scenario, config, monkeypatch):
+    """Maps where only some chunks are huge, on each profile's page
+    shift: madvise fractions, a hugetlb pool smaller than the array,
+    THP under fragmentation and epoch promotions between streams."""
+    make_thp, setup = PARTIAL_MAPS[scenario]
+    graph = uniform_graph(num_vertices=16384, num_edges=65536, seed=5, weighted=True)
+    machine = Machine(config(), make_thp())
+    plan = setup(machine)
+    checked = _checked_translate(monkeypatch)
+    metrics = machine.run(create_workload("sssp", graph), plan=plan)
+    assert checked
+    assert 0 < metrics.huge_bytes < metrics.footprint_bytes

@@ -10,7 +10,12 @@ from repro.graph.generators import uniform_graph
 from repro.machine.machine import Machine
 from repro.mem.thp import ThpPolicy
 from repro.tlb.trace import AccessStream
-from repro.workloads.base import ARRAY_EDGE, ARRAY_PROPERTY, ARRAY_VERTEX
+from repro.workloads.base import (
+    ARRAY_EDGE,
+    ARRAY_PROPERTY,
+    ARRAY_VALUES,
+    ARRAY_VERTEX,
+)
 from repro.workloads.bfs import Bfs
 from repro.workloads.layout import AllocationOrder
 
@@ -80,6 +85,61 @@ class TestTranslationKeys:
         )
         trace = process.translate(stream)
         assert len(set(trace.keys.tolist())) == 3
+
+
+class TestTranslationChecks:
+    """translate() rejects accesses outside the mapped arrays instead of
+    translating them into some other page."""
+
+    @pytest.fixture
+    def process(self, graph):
+        from repro.machine.process import SimProcess
+        from repro.mem.vmm import VirtualMemoryManager
+        from repro.workloads.layout import MemoryLayout
+
+        machine = Machine(tiny(), ThpPolicy.always())
+        workload = Bfs(graph)
+        vmm = VirtualMemoryManager(
+            machine.app_node, machine.thp, machine.config
+        )
+        process = SimProcess(
+            vmm, workload, MemoryLayout(workload), machine.config
+        )
+        process.allocate_and_touch(PlacementPlan.none())
+        return process
+
+    @staticmethod
+    def _stream(pairs):
+        aids, indices = zip(*pairs)
+        return AccessStream(
+            np.array(aids, dtype=np.uint8), np.array(indices, dtype=np.int64)
+        )
+
+    def test_unmapped_array_id_is_named(self, process):
+        # BFS maps no values array.
+        stream = self._stream([(ARRAY_VERTEX, 0), (ARRAY_VALUES, 3)])
+        with pytest.raises(KeyError, match=f"array id {ARRAY_VALUES}"):
+            process.translate(stream)
+
+    @pytest.mark.parametrize("index", [-1, -4096, "end", "far"])
+    def test_index_outside_array(self, process, graph, index):
+        size = graph.num_vertices
+        index = {"end": size, "far": size * 1000}.get(index, index)
+        stream = self._stream([(ARRAY_PROPERTY, 0), (ARRAY_PROPERTY, index)])
+        with pytest.raises(IndexError, match=f"element index {index} "):
+            process.translate(stream)
+
+    def test_last_element_is_inside(self, process, graph):
+        stream = self._stream([(ARRAY_PROPERTY, graph.num_vertices - 1)])
+        assert process.translate(stream).total_accesses == 1
+
+    def test_checked_in_every_chunk(self, process, monkeypatch):
+        from repro.machine import process as process_module
+
+        monkeypatch.setattr(process_module, "_CHUNK", 2)
+        stream = self._stream([(ARRAY_EDGE, 0)] * 5 + [(ARRAY_EDGE, -1)])
+        with pytest.raises(IndexError):
+            process.translate(stream)
 
 
 class TestMachineRun:

@@ -79,13 +79,6 @@ class TestQueries:
         assert util[0] == pytest.approx(0.5)
         assert util[1] == 0.0
 
-    def test_hottest_chunks(self, setup, tiny_cfg):
-        vmm, vma, profiler = setup
-        fph = tiny_cfg.pages.frames_per_huge
-        trace = trace_for(vma, [0, fph], [1, 10], tiny_cfg)
-        profiler.observe(trace, {3: vma})
-        assert profiler.hottest_chunks(vma).tolist()[:2] == [1, 0]
-
     def test_reset(self, setup, tiny_cfg):
         vmm, vma, profiler = setup
         trace = trace_for(vma, [0], [5], tiny_cfg)

@@ -22,6 +22,7 @@ import time
 from repro.experiments import figures
 from repro.experiments.harness import ExperimentRunner
 from repro.experiments.reporting import geomean
+from repro.experiments.runconfig import RunConfig
 from repro.parallel import resolve_workers
 
 SCALING_WORKLOADS = ("bfs", "pagerank")
@@ -44,7 +45,7 @@ def run_batch(runner: ExperimentRunner):
 
 def test_parallel_scaling(sweep_record):
     # Serial reference, timing each simulated cell individually.
-    serial = ExperimentRunner(workers=1)
+    serial = ExperimentRunner(run_config=RunConfig(workers=1))
     durations: list[float] = []
     original = serial._execute_cell
 
@@ -60,7 +61,9 @@ def test_parallel_scaling(sweep_record):
     reference = run_batch(serial)
     serial_seconds = time.perf_counter() - start
 
-    parallel = ExperimentRunner(workers=SCALING_WORKERS)
+    parallel = ExperimentRunner(
+        run_config=RunConfig(workers=SCALING_WORKERS)
+    )
     start = time.perf_counter()
     result = run_batch(parallel)
     parallel_seconds = time.perf_counter() - start

@@ -1,6 +1,6 @@
 """LockSan: a runtime lockset sanitizer (the dynamic twin of REP009).
 
-Eraser for the serve/parallel stack: :class:`TrackedLock` maintains a
+Eraser for lock-holding classes: :class:`TrackedLock` maintains a
 per-thread set of held lock names, and :func:`watch` instruments an
 object so every read/write of its private attributes records ``(lockset
 held, thread)``.  :meth:`LockSanitizer.report` then applies the Eraser
@@ -14,8 +14,8 @@ Enablement mirrors MemSan's zero-cost-when-off pattern
 (:mod:`repro.analysis.sanitizer`): off by default, switched on with the
 ``REPRO_LOCKSAN=1`` environment variable or programmatically via
 :func:`set_locksan`.  When off, :func:`make_lock` returns a plain
-``threading.Lock`` and :func:`watch` is an identity function — the
-supervised classes pay two extra function calls per construction and
+``threading.Lock`` and :func:`watch` is an identity function — watched
+classes pay two extra function calls per construction and
 nothing per access.
 
 Under the test suite (see ``tests/conftest.py``) the global sanitizer
@@ -209,7 +209,7 @@ class TrackedLock:
 
 
 def make_lock(name: str):
-    """A lock for a supervised class: tracked under LockSan, plain
+    """A lock for a watched class: tracked under LockSan, plain
     ``threading.Lock`` (zero overhead) otherwise."""
     if get_locksan() is not None:
         return TrackedLock(name)

@@ -137,7 +137,6 @@ from .runstate.merge import (
     merge_journals,
     write_merged,
 )
-from .serve import ServiceConfig, SweepClient
 from .tlb import (
     TLB_ENGINES,
     BatchTranslationHierarchy,
@@ -188,9 +187,7 @@ __all__ = [
     "RunMetrics",
     "SCENARIOS",
     "Scenario",
-    "ServiceConfig",
     "Sssp",
-    "SweepClient",
     "TLB_ENGINES",
     "ThpMode",
     "ThpPolicy",

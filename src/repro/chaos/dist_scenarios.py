@@ -1,8 +1,8 @@
 """Distributed chaos scenarios: the ``repro.dist`` layer under fire.
 
-Five scenarios extend the chaos harness to the coordinator/worker
-topology (``repro figure --distribute`` + ``repro work``), asserting
-the distributed layer's core invariants:
+Five scenarios put the coordinator/worker topology (``repro figure
+--distribute`` + ``repro work``) under fire, asserting the distributed
+layer's core invariants:
 
 1. **Exactly-once under re-lease** — a worker SIGKILLed mid-cell loses
    its lease; the cell is re-leased and executes again, but the figure
@@ -19,10 +19,10 @@ the distributed layer's core invariants:
 5. **Graceful local degradation** — a coordinator that never hears
    from any worker runs the whole sweep locally, byte-identical.
 
-Like every other chaos scenario, adversity is scheduled at counted
-ordinals (:mod:`repro.chaos.plan`) — the wall-clock waits are
-observation timeouts, not randomness.  Registered into the harness's
-``SCENARIOS`` table, so ``repro chaos dist-lease-expiry`` etc. work.
+Adversity is scheduled at counted ordinals (:mod:`repro.chaos.plan`)
+— the wall-clock waits are observation timeouts, not randomness.
+:data:`DIST_SCENARIOS` is the table ``repro chaos`` runs
+(:func:`repro.chaos.harness.run_scenarios`).
 """
 
 from __future__ import annotations

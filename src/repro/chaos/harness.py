@@ -1,612 +1,29 @@
 """Chaos scenarios: deterministic process-level adversity, asserted.
 
-Each scenario starts a real ``repro serve`` subprocess (UDS transport),
-applies one kind of adversity — duplicate concurrent submissions, a
-worker SIGKILLed mid-cell, the server SIGKILLed mid-append, a full
-disk, a worker-crash storm, a repeatedly failing spec — and then
-asserts the service's recovery invariants:
-
-1. **Byte identity**: after any crash and restart, the server serves
-   byte-identical response bodies for every spec completed before the
-   crash (the journal payload is the source of truth; responses render
-   its canonical JSON).
-2. **Exactly-once**: however many duplicate submissions race and
-   however many times a crashed worker forces redelivery, each spec
-   gets exactly one ``running`` journal record and executes once.
-3. **Ladder/breaker visibility**: degradations and quarantines happen
-   at the configured thresholds and are observable as schema-valid
-   ``server.mode`` / ``breaker.*`` events.
+The scenarios (:mod:`repro.chaos.dist_scenarios`) run a real
+distributed sweep — an in-process coordinator and ``repro work``
+subprocesses — apply one kind of adversity each, and assert the
+recovery invariants: byte identity with a serial reference,
+exactly-once results in the merged journal, refusal of divergent
+shards, and schema-valid coordinator events.
 
 Scenarios are deterministic by construction — every chaos action fires
 at a counted ordinal (:mod:`repro.chaos.plan`), never at random.  The
-wall-clock waits below are *observation* timeouts (how long we give a
-recovery that either happens or doesn't), not sources of nondeterminism.
+wall-clock waits are *observation* timeouts (how long we give a
+recovery that either happens or doesn't), not sources of
+nondeterminism.
 
-Run them via ``repro chaos`` (CI's ``chaos-smoke`` job) or through
+Run them via ``repro chaos`` (CI's ``dist-chaos`` job) or through
 :func:`run_scenarios`.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import subprocess
-import sys
-import threading
-import time
-from typing import Any, Callable, Optional
+from typing import Any
 
-from ..errors import ChaosError, ServiceError
-from ..runstate.journal import STATUS_RUNNING, scan_records
-from ..serve.client import ClientResponse, SweepClient
-
-_STARTUP_TIMEOUT = 30.0
-_EXIT_TIMEOUT = 30.0
-
-Log = Callable[[str], None]
-
-
-def _quiet(_message: str) -> None:
-    pass
-
-
-class ChaosServer:
-    """One ``repro serve`` subprocess under test."""
-
-    def __init__(
-        self,
-        workdir: str,
-        name: str = "server",
-        journal: Optional[str] = None,
-        chaos: Optional[str] = None,
-        options: Optional[dict[str, Any]] = None,
-    ) -> None:
-        self.workdir = workdir
-        self.name = name
-        self.journal = journal or os.path.join(workdir, "run.jsonl")
-        self.socket_path = os.path.join(workdir, f"{name}.sock")
-        self.stderr_path = os.path.join(workdir, f"{name}.stderr")
-        self.chaos = chaos
-        self.options = dict(options or {})
-        self.proc: Optional[subprocess.Popen] = None
-
-    # ------------------------------------------------------------------
-
-    def _argv(self) -> list[str]:
-        argv = [
-            sys.executable, "-m", "repro", "serve",
-            "--journal", self.journal,
-            "--socket", self.socket_path,
-        ]
-        for key, value in sorted(self.options.items()):
-            argv.append("--" + key.replace("_", "-"))
-            argv.append(str(value))
-        if self.chaos:
-            argv.extend(["--chaos", self.chaos])
-        return argv
-
-    def _env(self) -> dict[str, str]:
-        import repro
-
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))
-        )
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
-        )
-        return env
-
-    def start(self, timeout: float = _STARTUP_TIMEOUT) -> "ChaosServer":
-        # Deliberately no socket cleanup here: the server itself must
-        # unlink a stale socket on startup (the restart-after-SIGKILL
-        # path the harness exists to exercise).
-        stderr = open(self.stderr_path, "ab")
-        try:
-            self.proc = subprocess.Popen(
-                self._argv(),
-                stdout=subprocess.DEVNULL,
-                stderr=stderr,
-                env=self._env(),
-            )
-        finally:
-            stderr.close()
-        deadline = time.monotonic() + timeout  # repro: noqa REP001 — observation timeout
-        client = self.client(timeout=2.0)
-        while time.monotonic() < deadline:  # repro: noqa REP001 — observation timeout
-            if client.healthz():
-                return self
-            if self.proc.poll() is not None:
-                raise ChaosError(
-                    f"server {self.name!r} died during startup "
-                    f"(exit {self.proc.returncode}): {self._stderr_tail()}"
-                )
-            time.sleep(0.05)
-        self.kill()
-        raise ChaosError(
-            f"server {self.name!r} did not become healthy within "
-            f"{timeout:.0f}s: {self._stderr_tail()}"
-        )
-
-    def _stderr_tail(self) -> str:
-        try:
-            with open(self.stderr_path, "r", encoding="utf-8",
-                      errors="replace") as handle:
-                lines = handle.read().strip().splitlines()
-            return " | ".join(lines[-3:]) if lines else "(no stderr)"
-        except OSError:
-            return "(stderr unavailable)"
-
-    def client(self, timeout: float = 120.0) -> SweepClient:
-        return SweepClient(socket_path=self.socket_path, timeout=timeout)
-
-    def wait_exit(self, timeout: float = _EXIT_TIMEOUT) -> int:
-        assert self.proc is not None
-        try:
-            return self.proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            self.kill()
-            raise ChaosError(
-                f"server {self.name!r} did not exit within {timeout:.0f}s"
-            )
-
-    def stop(self, timeout: float = _EXIT_TIMEOUT) -> int:
-        """Graceful drain (SIGTERM) with a SIGKILL fallback."""
-        if self.proc is None:
-            return 0
-        if self.proc.poll() is None:
-            self.proc.send_signal(signal.SIGTERM)
-            try:
-                return self.proc.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                self.kill()
-                raise ChaosError(
-                    f"server {self.name!r} ignored SIGTERM for "
-                    f"{timeout:.0f}s"
-                )
-        return self.proc.returncode
-
-    def kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# Assertion helpers
-# ----------------------------------------------------------------------
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ChaosError(message)
-
-
-def _require_ok(response: ClientResponse, what: str) -> None:
-    _require(
-        response.ok,
-        f"{what}: expected success, got HTTP {response.status} "
-        f"({response.body})",
-    )
-
-
-def _running_counts(journal: str) -> dict[str, int]:
-    """``{spec: count}`` of valid ``running`` records in file order —
-    the exactly-once ledger (one execution decision = one record)."""
-    counts: dict[str, int] = {}
-    for record in scan_records(journal):
-        if record.status == STATUS_RUNNING:
-            counts[record.spec] = counts.get(record.spec, 0) + 1
-    return counts
-
-
-def _event_names(status: dict[str, Any]) -> list[str]:
-    return [event.get("name", "?") for event in status.get("events", [])]
-
-
-def _find_event(
-    status: dict[str, Any], name: str, **fields: Any
-) -> Optional[dict[str, Any]]:
-    for event in status.get("events", []):
-        if event.get("name") != name:
-            continue
-        if all(event.get(key) == value for key, value in fields.items()):
-            return event
-    return None
-
-
-def _require_clean_schema(status: dict[str, Any], what: str) -> None:
-    problems = status.get("schema_problems", [])
-    _require(
-        not problems,
-        f"{what}: service emitted schema-invalid events: {problems[:3]}",
-    )
-
-
-def _restart_and_check_bytes(
-    workdir: str,
-    journal: str,
-    completed: dict[str, bytes],
-    options: Optional[dict[str, Any]] = None,
-    name: str = "restarted",
-) -> None:
-    """The core chaos invariant: a fresh server over the same journal
-    serves byte-identical bodies for every previously completed spec."""
-    server = ChaosServer(
-        workdir, name=name, journal=journal, options=options
-    ).start()
-    try:
-        client = server.client()
-        for spec, raw in sorted(completed.items()):
-            again = client.result(spec)
-            _require_ok(again, f"result({spec}) after restart")
-            _require(
-                again.raw == raw,
-                f"byte-identity violated for spec {spec}: "
-                f"{raw!r} != {again.raw!r}",
-            )
-    finally:
-        server.stop()
-
-
-# ----------------------------------------------------------------------
-# Scenarios
-# ----------------------------------------------------------------------
-
-
-def scenario_duplicates(workdir: str, log: Log = _quiet) -> dict[str, Any]:
-    """N concurrent submissions of one spec → one execution, identical
-    bytes for every caller, cache hits ever after (also post-restart)."""
-    server = ChaosServer(workdir, options={"workers": 2}).start()
-    fanout = 4
-    responses: list[Optional[ClientResponse]] = [None] * fanout
-    try:
-        client = server.client()
-
-        def submit(index: int) -> None:
-            responses[index] = client.submit("bfs", "test-small")
-
-        threads = [
-            threading.Thread(target=submit, args=(i,))
-            for i in range(fanout)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for index, response in enumerate(responses):
-            _require(response is not None, f"submitter {index} never returned")
-            _require_ok(response, f"duplicate submission {index}")
-        raws = {response.raw for response in responses}
-        _require(
-            len(raws) == 1,
-            f"duplicate submissions saw {len(raws)} distinct bodies",
-        )
-        spec = responses[0].body["spec"]
-        log(f"duplicates: {fanout} submitters, one body, spec {spec}")
-
-        cached = client.submit("bfs", "test-small")
-        _require_ok(cached, "cached re-submission")
-        _require(
-            cached.raw == responses[0].raw,
-            "cached re-submission returned different bytes",
-        )
-        status = client.status()
-        _require_clean_schema(status, "duplicates")
-        _require(
-            _find_event(status, "queue.dedup") is not None,
-            f"no queue.dedup event despite {fanout} concurrent "
-            f"duplicates (events: {_event_names(status)})",
-        )
-        _require(
-            _find_event(status, "queue.cached", spec=spec) is not None,
-            "no queue.cached event for the re-submission",
-        )
-        completed = {spec: responses[0].raw}
-    finally:
-        server.stop()
-
-    counts = _running_counts(server.journal)
-    _require(
-        counts.get(spec) == 1,
-        f"exactly-once violated: {counts.get(spec, 0)} running "
-        f"record(s) for spec {spec}",
-    )
-    _restart_and_check_bytes(workdir, server.journal, completed)
-    return {"executions": counts.get(spec, 0), "submitters": fanout}
-
-
-def scenario_worker_kill(workdir: str, log: Log = _quiet) -> dict[str, Any]:
-    """SIGKILL the worker mid-cell: the job redelivers (same journal
-    ``begin``), completes, and survives a restart byte-identically."""
-    server = ChaosServer(
-        workdir,
-        chaos="kill-worker:cell:1",
-        options={
-            "workers": 1,
-            "restart-backoff-base": 0.05,
-        },
-    ).start()
-    try:
-        client = server.client()
-        response = client.submit("bfs", "test-small")
-        _require_ok(response, "submission surviving a worker kill")
-        spec = response.body["spec"]
-        status = client.status()
-        _require_clean_schema(status, "worker-kill")
-        _require(
-            _find_event(status, "worker.exit", clean=0) is not None,
-            f"no unclean worker.exit event (events: {_event_names(status)})",
-        )
-        _require(
-            _find_event(status, "worker.restart") is not None,
-            "no worker.restart event after the kill",
-        )
-        log(f"worker-kill: spec {spec} completed after redelivery")
-        completed = {spec: response.raw}
-    finally:
-        server.stop()
-
-    counts = _running_counts(server.journal)
-    _require(
-        counts.get(spec) == 1,
-        f"exactly-once violated under redelivery: {counts.get(spec, 0)} "
-        f"running record(s) for spec {spec}",
-    )
-    _restart_and_check_bytes(workdir, server.journal, completed)
-    return {"executions": counts.get(spec, 0)}
-
-
-def scenario_server_kill(workdir: str, log: Log = _quiet) -> dict[str, Any]:
-    """SIGKILL the server mid-journal-append (torn record on disk): a
-    restarted server still serves completed specs byte-identically and
-    re-runs the interrupted one."""
-    # Appends: 1 = begin(A), 2 = done(A), 3 = begin(B), 4 = done(B).
-    # Tear append 4: A completed before the crash, B was interrupted.
-    server = ChaosServer(
-        workdir, chaos="kill-server:append:4", options={"workers": 1}
-    ).start()
-    client = server.client()
-    first = client.submit("bfs", "test-small")
-    _require_ok(first, "submission before the crash")
-    spec_a = first.body["spec"]
-    try:
-        second = client.submit("bfs", "test-small", policy="thp")
-    except (OSError, ServiceError):
-        pass  # connection died with the server — expected
-    else:
-        _require(
-            not second.ok,
-            f"crash-armed submission unexpectedly succeeded "
-            f"(HTTP {second.status})",
-        )
-    code = server.wait_exit()
-    _require(
-        code == -signal.SIGKILL,
-        f"server exited {code}, expected SIGKILL (-9)",
-    )
-    log(f"server-kill: server died mid-append, spec {spec_a} completed "
-        "before crash")
-
-    # The restarted server must serve A's exact bytes despite the torn
-    # tail, and must be able to run B (its `running` record resumes).
-    restarted = ChaosServer(
-        workdir, name="restarted", journal=server.journal,
-        options={"workers": 1},
-    ).start()
-    try:
-        client = restarted.client()
-        again = client.result(spec_a)
-        _require_ok(again, f"result({spec_a}) after torn-append restart")
-        _require(
-            again.raw == first.raw,
-            f"byte-identity violated across a torn append: "
-            f"{first.raw!r} != {again.raw!r}",
-        )
-        redo = client.submit("bfs", "test-small", policy="thp")
-        _require_ok(redo, "re-running the interrupted spec after restart")
-        spec_b = redo.body["spec"]
-    finally:
-        restarted.stop()
-    counts = _running_counts(server.journal)
-    _require(
-        counts.get(spec_a) == 1,
-        f"spec {spec_a} has {counts.get(spec_a, 0)} running records",
-    )
-    # B legitimately has two: one from the crashed attempt, one from the
-    # post-restart re-execution — two execution decisions, two records.
-    _require(
-        counts.get(spec_b) == 2,
-        f"interrupted spec {spec_b} has {counts.get(spec_b, 0)} running "
-        "record(s); expected 2 (crashed attempt + post-restart re-run)",
-    )
-    return {"torn_spec": spec_b, "completed_spec": spec_a}
-
-
-def scenario_disk_full(workdir: str, log: Log = _quiet) -> dict[str, Any]:
-    """ENOSPC on the result append: the service degrades to cached-only
-    (ladder, observable) instead of executing work it cannot record."""
-    server = ChaosServer(
-        workdir, chaos="enospc:append:2", options={"workers": 1}
-    ).start()
-    try:
-        client = server.client()
-        response = client.submit("bfs", "test-small")
-        _require(
-            response.status == 503,
-            f"expected 503 when the result append hits ENOSPC, got "
-            f"{response.status}",
-        )
-        status = client.status()
-        _require_clean_schema(status, "disk-full")
-        _require(
-            status.get("mode") == "cached-only",
-            f"expected cached-only after ENOSPC, mode is "
-            f"{status.get('mode')!r}",
-        )
-        event = _find_event(
-            status, "server.mode", to_mode="cached-only",
-            reason="journal-error",
-        )
-        _require(
-            event is not None,
-            f"no server.mode(journal-error) event "
-            f"(events: {_event_names(status)})",
-        )
-        refused = client.submit("bfs", "test-small", policy="thp")
-        _require(
-            refused.status == 503,
-            f"cached-only mode admitted new work (HTTP {refused.status})",
-        )
-        log("disk-full: degraded to cached-only on ENOSPC")
-    finally:
-        server.stop()
-    return {"mode": "cached-only"}
-
-
-def scenario_degrade(workdir: str, log: Log = _quiet) -> dict[str, Any]:
-    """A worker-crash storm steps the ladder down exactly one rung at
-    the configured restart rate.
-
-    The starting rung depends on the host: with >= 2 CPUs the server
-    starts ``parallel`` and the storm lands it in ``serial`` with the
-    job still completing; on a 1-CPU host the CPU clamp starts it on
-    ``serial`` (there is no parallel rung to lose), the storm lands it
-    in ``cached-only``, and the in-flight job is abandoned with a 503.
-    Either way the transition is event-logged and execution stays
-    exactly-once.
-    """
-    server = ChaosServer(
-        workdir,
-        chaos="kill-worker:cell:1,kill-worker:cell:2",
-        options={
-            "workers": 2,
-            "max-job-attempts": 3,
-            "degrade-restart-threshold": 2,
-            "restart-backoff-base": 0.05,
-        },
-    ).start()
-    try:
-        client = server.client()
-        start_mode = client.status().get("mode")
-        _require(
-            start_mode in ("parallel", "serial"),
-            f"unexpected starting mode {start_mode!r}",
-        )
-        response = client.submit("bfs", "test-small")
-        if start_mode == "parallel":
-            _require_ok(response, "submission surviving two worker kills")
-            end_mode = "serial"
-        else:
-            _require(
-                response.status == 503,
-                f"expected 503 (execution abandoned on the step to "
-                f"cached-only), got HTTP {response.status}",
-            )
-            end_mode = "cached-only"
-        spec = response.body["spec"]
-        status = client.status()
-        _require_clean_schema(status, "degrade")
-        _require(
-            status.get("mode") == end_mode,
-            f"expected {end_mode} after the restart storm, mode is "
-            f"{status.get('mode')!r}",
-        )
-        event = _find_event(
-            status, "server.mode", from_mode=start_mode, to_mode=end_mode,
-            reason="worker-restart-rate",
-        )
-        _require(
-            event is not None,
-            f"no {start_mode}→{end_mode} server.mode event "
-            f"(events: {_event_names(status)})",
-        )
-        log(f"degrade: {start_mode} → {end_mode} after 2 restarts "
-            f"(spec {spec})")
-        completed = {spec: response.raw} if response.ok else {}
-    finally:
-        server.stop()
-    counts = _running_counts(server.journal)
-    _require(
-        counts.get(spec) == 1,
-        f"exactly-once violated under the crash storm: "
-        f"{counts.get(spec, 0)} running record(s)",
-    )
-    _restart_and_check_bytes(workdir, server.journal, completed)
-    return {"mode": end_mode, "executions": counts.get(spec, 0)}
-
-
-def scenario_quarantine(workdir: str, log: Log = _quiet) -> dict[str, Any]:
-    """A spec that fails repeatedly trips the circuit breaker, and the
-    quarantine survives a server restart (breaker state is persisted)."""
-    options = {
-        "workers": 1,
-        "cell-budget": 1,  # every cell fails: budget exhausted instantly
-        "breaker-threshold": 2,
-        "breaker-cooldown": 3600,
-    }
-    server = ChaosServer(workdir, options=options).start()
-    try:
-        client = server.client()
-        for attempt in range(2):
-            response = client.submit("bfs", "test-small")
-            _require_ok(response, f"failing submission {attempt + 1}")
-            _require(
-                response.body.get("status") == "failed",
-                f"cell_budget=1 cell unexpectedly succeeded "
-                f"({response.body})",
-            )
-        spec = response.body["spec"]
-        refused = client.submit("bfs", "test-small")
-        _require(
-            refused.status == 503,
-            f"expected quarantine 503 at threshold, got {refused.status}",
-        )
-        _require(
-            refused.retry_after is not None,
-            "quarantine response carried no Retry-After",
-        )
-        status = client.status()
-        _require_clean_schema(status, "quarantine")
-        _require(
-            _find_event(status, "breaker.open", spec=spec) is not None,
-            f"no breaker.open event (events: {_event_names(status)})",
-        )
-        log(f"quarantine: breaker opened for {spec} after 2 failures")
-    finally:
-        server.stop()
-
-    restarted = ChaosServer(
-        workdir, name="restarted", journal=server.journal, options=options
-    ).start()
-    try:
-        still = restarted.client().submit("bfs", "test-small")
-        _require(
-            still.status == 503,
-            f"quarantine did not survive the restart "
-            f"(HTTP {still.status})",
-        )
-    finally:
-        restarted.stop()
-    return {"quarantined_spec": spec}
-
-
-SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
-    "duplicates": scenario_duplicates,
-    "worker-kill": scenario_worker_kill,
-    "server-kill": scenario_server_kill,
-    "disk-full": scenario_disk_full,
-    "degrade": scenario_degrade,
-    "quarantine": scenario_quarantine,
-}
-
-# The distributed-layer scenarios (repro.dist: coordinator/worker
-# sharding) live in their own module; same table so `repro chaos`
-# runs them all.
-from .dist_scenarios import DIST_SCENARIOS  # noqa: E402
-
-SCENARIOS.update(DIST_SCENARIOS)
+from ..errors import ChaosError
+from .dist_scenarios import DIST_SCENARIOS, Log, _quiet
 
 
 def run_scenarios(
@@ -620,18 +37,18 @@ def run_scenarios(
     :class:`~repro.errors.ChaosError` (scenarios after it do not run —
     chaos runs are diagnostic, not best-effort).
     """
-    unknown = [name for name in names if name not in SCENARIOS]
+    unknown = [name for name in names if name not in DIST_SCENARIOS]
     if unknown:
         raise ChaosError(
             f"unknown scenario(s) {', '.join(unknown)}; known: "
-            + ", ".join(SCENARIOS)
+            + ", ".join(DIST_SCENARIOS)
         )
     reports = []
     for name in names:
         subdir = os.path.join(workdir, name.replace("-", "_"))
         os.makedirs(subdir, exist_ok=True)
         log(f"=== scenario {name} ===")
-        detail = SCENARIOS[name](subdir, log=log)
+        detail = DIST_SCENARIOS[name](subdir, log=log)
         reports.append({"scenario": name, "ok": True, **detail})
         log(f"=== scenario {name}: OK ===")
     return reports

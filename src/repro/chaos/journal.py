@@ -1,14 +1,13 @@
 """A :class:`~repro.runstate.journal.RunJournal` that fails on cue.
 
-:class:`ChaosJournal` is what a chaos-armed server (``repro serve
---chaos ...``) writes through: it counts appends and consults the
-:class:`~repro.chaos.plan.ChaosPlan` before each one, so disk-full and
+:class:`ChaosJournal` is what a chaos-armed figure sweep (``repro
+figure --journal J --chaos ...``) writes through: it counts appends and
+consults the :class:`~repro.chaos.plan.ChaosPlan` before each one, so
 crash-mid-append adversity lands at an exact, reproducible record.
 """
 
 from __future__ import annotations
 
-import errno
 import os
 import signal
 from typing import Optional
@@ -19,16 +18,13 @@ from .plan import ChaosPlan
 
 
 class ChaosJournal(RunJournal):
-    """Counts appends and executes the plan's ``append``-point actions.
+    """Counts appends and executes the plan's ``append``-point action.
 
-    - ``enospc:append:N`` — appends from the N-th onward raise
-      ``OSError(ENOSPC)`` *before* touching the file, exactly like a
-      full disk seen by ``open``/``write``.
-    - ``kill-server:append:N`` — the N-th append writes only the first
-      half of the record (fsynced, so the torn bytes really land), then
-      SIGKILLs the process: the sharpest possible crash mid-append.
-      Recovery relies on the journal's torn-record rule — the partial
-      line fails the integrity hash and is treated as never written.
+    ``kill-server:append:N`` — the N-th append writes only the first
+    half of the record (fsynced, so the torn bytes really land), then
+    SIGKILLs the process: the sharpest possible crash mid-append.
+    Recovery relies on the journal's torn-record rule — the partial
+    line fails the integrity hash and is treated as never written.
     """
 
     def __init__(
@@ -46,8 +42,6 @@ class ChaosJournal(RunJournal):
     def _append(self, record: JournalRecord) -> None:
         self.appends += 1
         ordinal = self.appends
-        if self.plan.enospc_at_append(ordinal):
-            raise OSError(errno.ENOSPC, "chaos: disk full")
         if self.plan.kill_server_at_append(ordinal):
             line = render_line(record)
             torn = line[: max(1, len(line) // 2)]

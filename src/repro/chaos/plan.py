@@ -2,22 +2,19 @@
 
 A chaos plan composes the simulator's injected fault sites
 (:mod:`repro.faults`) with the adversity they cannot express — killing
-whole processes and filling the disk — while staying exactly as
+whole processes and faulting the network — while staying exactly as
 deterministic: every action fires at a counted ordinal, never at
 random.
 
 Grammar (comma list): ``action:point:ordinal``
 
 - ``kill-worker:cell:N`` — the worker executing the N-th task
-  *dispatch* SIGKILLs itself mid-cell (redeliveries count as
-  dispatches, so a plan can also kill the retry).
-- ``kill-server:append:N`` — the server tears the N-th journal append
-  (writes half the record, fsyncs, then SIGKILLs itself) — a crash
-  mid-``journal.write``, one level below the ``journal.write`` fault
-  site because the *process* dies too.
-- ``enospc:append:N`` — journal appends fail with ``ENOSPC`` from the
-  N-th onward (the disk stays "full"), driving the service's
-  cached-only degradation.
+  *dispatch* SIGKILLs itself mid-cell (re-leases count as dispatches,
+  so a plan can also kill the retry).
+- ``kill-server:append:N`` — the process owning the journal tears the
+  N-th journal append (writes half the record, fsyncs, then SIGKILLs
+  itself) — a crash mid-``journal.write``, one level below the
+  ``journal.write`` fault site because the *process* dies too.
 - ``drop:net.connect:N`` / ``drop:net.send:N`` / ``drop:net.recv:N`` —
   the N-th network operation *at that point* fails with a connection
   error (one lost packet/refused dial, exactly once).
@@ -30,8 +27,7 @@ Grammar (comma list): ``action:point:ordinal``
   partition that never heals, the distributed layer's worst case.
 
 Ordinals are 1-based.  Kill and ``drop``/``delay`` actions fire exactly
-once (their ordinal must match); ``enospc`` and ``sever`` are
-thresholds (``>=``).
+once (their ordinal must match); ``sever`` is a threshold (``>=``).
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from ..errors import ConfigError
 
 ACTION_KILL_WORKER = "kill-worker"
 ACTION_KILL_SERVER = "kill-server"
-ACTION_ENOSPC = "enospc"
 ACTION_DROP = "drop"
 ACTION_DELAY = "delay"
 ACTION_SEVER = "sever"
@@ -61,7 +56,6 @@ whole-link threshold, not an operation point)."""
 _VALID = {
     ACTION_KILL_WORKER: (POINT_CELL,),
     ACTION_KILL_SERVER: (POINT_APPEND,),
-    ACTION_ENOSPC: (POINT_APPEND,),
     ACTION_DROP: NET_POINTS,
     ACTION_DELAY: (POINT_NET_SEND, POINT_NET_RECV),
     ACTION_SEVER: (POINT_NET_PARTITION,),
@@ -134,13 +128,6 @@ class ChaosPlan:
         """True when this journal append must tear and kill the server."""
         return any(
             a.action == ACTION_KILL_SERVER and a.ordinal == append_ordinal
-            for a in self.actions
-        )
-
-    def enospc_at_append(self, append_ordinal: int) -> bool:
-        """True when this (and every later) append must fail ENOSPC."""
-        return any(
-            a.action == ACTION_ENOSPC and append_ordinal >= a.ordinal
             for a in self.actions
         )
 

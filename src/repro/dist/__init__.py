@@ -1,16 +1,17 @@
 """Fault-tolerant distributed sweep sharding (``repro.dist``).
 
-The layer above the sweep service that shards one figure sweep across
-remote pull-based workers with exactly-once semantics under network
-failure:
+Shards one figure sweep across remote pull-based workers with
+exactly-once semantics under network failure:
 
 - :class:`DistCoordinator` — leases cells (deadline-bounded, heartbeat
   renewed), accepts results by spec fingerprint first-write-wins, and
-  degrades gracefully to local execution (one-way, like the service's
-  ladder) when no worker is reachable;
+  degrades gracefully to local execution (one-way) when no worker is
+  reachable;
 - :func:`work_loop` / :class:`WorkerConfig` — the ``repro work`` agent:
   pull a lease, verify the fingerprint, journal locally, simulate,
   stream the result back with an integrity hash;
+- :mod:`repro.dist.http` — the HTTP/1.1 transport both ends speak:
+  the coordinator's request parser and :class:`SweepClient`;
 - :class:`NetChaos` / :class:`ChaosClient` — deterministic network
   faults (``drop``/``delay``/``sever`` at counted ordinals) injected at
   the client's socket seams;

@@ -58,7 +58,7 @@ class DistConfig:
             every worker it lands on must not orbit forever).
         local_grace_seconds: with no worker contact for this long while
             work is pending, the coordinator degrades the whole batch
-            to local execution — one-way, like the service's ladder.
+            to local execution — one-way, never back to remote.
         poll_retry_after: hint returned to an idle worker when no cell
             is currently leasable.
         faults_text: the CLI fault-plan text (``--faults``) shipped to

@@ -24,8 +24,8 @@ ownership of the journal and the figure pipeline:
   express, cells whose lease-attempt budget is exhausted, and — after
   ``local_grace_seconds`` without any worker contact — the whole batch,
   all run locally in the coordinator process.  The ``remote → local``
-  mode switch is one-way, like the sweep service's degradation ladder:
-  a batch never flaps between dispatch strategies.
+  mode switch is one-way: a batch never flaps between dispatch
+  strategies.
 
 Integrity: every streamed result carries
 :func:`~repro.runstate.serialize.integrity_hash` over its payload; a
@@ -50,9 +50,8 @@ from ..runstate.serialize import (
     encode_result,
     integrity_hash,
 )
-from ..serve.server import _read_request, _render_response
-from ..serve.service import Response
 from .config import DistConfig
+from .http import Response, _read_request, _render_response
 from .lease import LeaseTable
 from .wire import encode_cell
 
@@ -352,7 +351,7 @@ class DistCoordinator:
             batch.done_event.set()
 
     # ------------------------------------------------------------------
-    # HTTP endpoints (loop thread; same wire format as repro.serve)
+    # HTTP endpoints (loop thread; repro.dist.http wire format)
     # ------------------------------------------------------------------
 
     async def _handle(

@@ -1,25 +1,125 @@
-"""Blocking client for the sweep service (stdlib sockets, no deps).
+"""Minimal HTTP/1.1 transport for the sweep coordinator (stdlib only).
 
-One connection per request (the server is ``Connection: close``);
-submissions block until the cell completes, so callers that want
-concurrency use threads — exactly what the chaos harness does to prove
-duplicate concurrent submissions dedupe to one execution.
+Both ends of the ``repro.dist`` wire live here:
+
+- the server side — :func:`_read_request` parses one request off an
+  asyncio stream (bounded header and body, ``None`` on anything it
+  cannot trust) and :func:`_render_response` renders a
+  :class:`Response`;
+- the client side — :class:`SweepClient`, a blocking client over a
+  UNIX-domain socket or loopback TCP, with an opt-in bounded retry.
+
+Connections are one-request (``Connection: close``): a worker holds
+one socket per exchange and the coordinator never multiplexes.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import random
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..errors import ServiceError
+from ..runstate.serialize import canonical_json
+
+_MAX_HEADER_BYTES = 16384
+_MAX_BODY_BYTES = 1 << 20
+
+_REASONS = {
+    200: "OK",
+    202: "Accepted",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    409: "Conflict",
+    429: "Too Many Requests",
+    500: "Internal Server Error",
+    503: "Service Unavailable",
+}
+
+
+# ----------------------------------------------------------------------
+# Server side
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Response:
+    """Transport-agnostic outcome of one request."""
+
+    status: int
+    body: dict[str, Any] = field(default_factory=dict)
+    raw: Optional[str] = None
+    """Pre-rendered body (canonical JSON) — bytes fixed by the caller;
+    wins over ``body`` when set."""
+    retry_after: Optional[float] = None
+
+    def render(self) -> bytes:
+        if self.raw is not None:
+            return self.raw.encode("utf-8")
+        return (canonical_json(self.body) + "\n").encode("utf-8")
+
+
+def _render_response(response: Response) -> bytes:
+    body = response.render()
+    reason = _REASONS.get(response.status, "Unknown")
+    headers = [
+        f"HTTP/1.1 {response.status} {reason}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        "Connection: close",
+    ]
+    if response.retry_after is not None:
+        headers.append(f"Retry-After: {max(1, int(response.retry_after))}")
+    return ("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + body
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> Optional[tuple[str, str, bytes]]:
+    """Parse one request → (method, path, body); None on EOF/garbage."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        return None
+    if len(head) > _MAX_HEADER_BYTES:
+        return None
+    try:
+        text = head.decode("latin-1")
+        request_line, *header_lines = text.split("\r\n")
+        method, path, _version = request_line.split(" ", 2)
+    except ValueError:
+        return None
+    content_length = 0
+    for line in header_lines:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                return None
+    if content_length < 0 or content_length > _MAX_BODY_BYTES:
+        return None
+    body = b""
+    if content_length:
+        try:
+            body = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError:
+            return None
+    return method.upper(), path, body
+
+
+# ----------------------------------------------------------------------
+# Client side
+# ----------------------------------------------------------------------
 
 RETRYABLE_STATUSES = (429, 503)
 """Statuses :meth:`SweepClient.request_with_retry` treats as transient
-by default: admission backpressure (429 + Retry-After) and temporary
+by default: backpressure (429 + Retry-After) and temporary
 unavailability (503)."""
 
 
@@ -39,13 +139,12 @@ class ClientResponse:
 
 
 class SweepClient:
-    """Talks to one ``repro serve`` instance over UDS or TCP.
+    """Talks to one sweep coordinator over UDS or TCP.
 
     Args:
         socket_path: UNIX socket path (wins when set).
         host, port: TCP fallback.
-        timeout: per-request socket timeout — generous by default, a
-            submission waits for a full cell simulation.
+        timeout: per-request socket timeout.
     """
 
     def __init__(
@@ -219,43 +318,8 @@ class SweepClient:
         assert last_error is not None
         raise last_error
 
-    # ------------------------------------------------------------------
-    # Convenience endpoints
-    # ------------------------------------------------------------------
-
     def healthz(self) -> bool:
         try:
             return self.request("GET", "/v1/healthz").ok
         except (OSError, ServiceError):
             return False
-
-    def submit(
-        self,
-        workload: str,
-        dataset: str,
-        policy: str = "base4k",
-        scenario: str = "fresh",
-    ) -> ClientResponse:
-        return self.request(
-            "POST", "/v1/submit",
-            {
-                "workload": workload,
-                "dataset": dataset,
-                "policy": policy,
-                "scenario": scenario,
-            },
-        )
-
-    def result(self, spec: str) -> ClientResponse:
-        return self.request("GET", f"/v1/result/{spec}")
-
-    def status(self) -> dict[str, Any]:
-        response = self.request("GET", "/v1/status")
-        if not response.ok or not isinstance(response.body, dict):
-            raise ServiceError(
-                f"status endpoint returned {response.status}"
-            )
-        return response.body
-
-    def drain(self) -> ClientResponse:
-        return self.request("POST", "/v1/drain")

@@ -3,7 +3,7 @@
 The chaos plan grammar (:mod:`repro.chaos.plan`) gains four network
 points — ``net.connect``, ``net.send``, ``net.recv``,
 ``net.partition`` — and this module fires them from inside the client:
-:class:`ChaosClient` wraps :class:`~repro.serve.client.SweepClient`'s
+:class:`ChaosClient` wraps :class:`~repro.dist.http.SweepClient`'s
 three socket seams and consults a :class:`NetChaos` schedule before
 each real operation.
 
@@ -26,7 +26,7 @@ from ..chaos.plan import (
     POINT_NET_RECV,
     POINT_NET_SEND,
 )
-from ..serve.client import SweepClient
+from .http import SweepClient
 
 
 class NetFaultError(ConnectionError):

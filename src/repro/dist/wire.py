@@ -1,15 +1,14 @@
 """Cell ↔ wire encoding for the distributed sweep layer.
 
 Policies are dataclasses carrying factory closures — they do not ride
-JSON.  The sweep service solved this by shipping cells as *spec
-strings* (:mod:`repro.experiments.parse`), and the distributed layer
-does the same, with one extra guarantee: a cell is only dispatched
-remotely when a candidate ``(policy_string, scenario_string)`` pair
-**round-trips to the identical spec fingerprint** on the coordinator's
-own runner.  A cell the grammar cannot express (say a policy built
-programmatically with a custom manager) is not approximated — it is
-executed locally, and the journal never sees a fingerprint the wire
-form would not reproduce.
+JSON, so the distributed layer ships cells as *spec strings*
+(:mod:`repro.experiments.parse`), with one extra guarantee: a cell is
+only dispatched remotely when a candidate ``(policy_string,
+scenario_string)`` pair **round-trips to the identical spec
+fingerprint** on the coordinator's own runner.  A cell the grammar
+cannot express (say a policy built programmatically with a custom
+manager) is not approximated — it is executed locally, and the journal
+never sees a fingerprint the wire form would not reproduce.
 
 Workers repeat the verification on their side
 (:mod:`repro.dist.worker`): reconstruct the runner from the shipped

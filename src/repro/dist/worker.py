@@ -44,8 +44,8 @@ from ..runstate.serialize import (
     encode_result,
     integrity_hash,
 )
-from ..serve.client import SweepClient
 from .config import parse_connect
+from .http import SweepClient
 from .netchaos import ChaosClient, NetChaos
 
 
@@ -241,8 +241,8 @@ def _run_task(
     coords = dict(task.get("cell") or {})
     journal.begin(spec, coords)
     if config.plan is not None and config.plan.kill_worker_at(dispatch):
-        # Deterministic chaos: die mid-cell after the begin record, the
-        # same semantics the sweep service's pool workers honor.
+        # Deterministic chaos: die mid-cell after the begin record,
+        # exactly where a real crash would leave the shard.
         os.kill(os.getpid(), signal.SIGKILL)
     interval = max(0.05, float(task.get("lease_seconds", 5.0)) / 3.0)
     heartbeat = _Heartbeat(

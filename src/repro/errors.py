@@ -133,33 +133,19 @@ class JournalLockedError(JournalError):
 
     Raised by :class:`repro.runstate.lock.PidLock` when a different
     running process holds a journal's pidfile lock — e.g. ``repro runs
-    gc`` pointed at the journal of a live sweep or server.  Stale locks
+    gc`` pointed at the journal of a live sweep.  Stale locks
     (dead owners) never raise this; they are broken silently so crash
     recovery needs no manual cleanup.
     """
 
 
 class ServiceError(ReproError):
-    """The sweep service could not accept or complete a request.
+    """A sweep-server exchange failed at the protocol level.
 
-    Base class for daemon-side request failures (:mod:`repro.serve`).
-    Transport-level problems raise normal ``OSError``s; this hierarchy
-    covers protocol-level outcomes the service *chose* — rejecting,
-    quarantining, or refusing work.
+    Raised by the HTTP client (:mod:`repro.dist.http`) for a malformed
+    response or misuse.  Transport-level problems raise normal
+    ``OSError``s so the bounded retry loop can treat them uniformly.
     """
-
-
-class AdmissionError(ServiceError):
-    """The service rejected a submission at admission time.
-
-    Backpressure (queue full → retry later) and drain-mode / cached-only
-    refusals both land here.  Carries ``retry_after`` (seconds, or
-    ``None`` when retrying will not help, e.g. the server is draining).
-    """
-
-    def __init__(self, message: str, retry_after=None) -> None:
-        self.retry_after = retry_after
-        super().__init__(message)
 
 
 class MergeConflictError(JournalError):
@@ -203,27 +189,10 @@ class DistError(ServiceError):
 class ChaosError(ReproError):
     """A chaos scenario's invariant did not hold.
 
-    Raised by :mod:`repro.chaos.harness` when a post-adversity assertion
-    fails — e.g. a restarted server served different bytes for a
-    previously completed spec, or a duplicate submission executed twice.
+    Raised by the :mod:`repro.chaos` scenarios when a post-adversity
+    assertion fails — e.g. a recovered figure differs from the serial
+    reference, or a merged journal holds a spec twice.
     A chaos *action* firing is never an error; only a broken recovery
     invariant is.
     """
 
-
-class QuarantinedError(ServiceError):
-    """A spec is quarantined by the circuit breaker.
-
-    The spec failed repeatedly (possibly across restarts — breaker state
-    is persisted next to the journal) and new executions are refused
-    until the cooldown admits a probe.
-
-    Attributes:
-        spec: the quarantined spec fingerprint.
-        retry_after: seconds until the next probe is admitted.
-    """
-
-    def __init__(self, spec: str, retry_after=None) -> None:
-        self.spec = spec
-        self.retry_after = retry_after
-        super().__init__(f"spec {spec!r} is quarantined by the circuit breaker")

@@ -45,7 +45,6 @@ runaway cells as ``FAILED(watchdog)``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -237,22 +236,6 @@ def run_cells(
     return runner.run_cells(cells)
 
 
-_LEGACY_RUNNER_KWARGS = {
-    # constructor keyword -> RunConfig field
-    "fault_plan": "faults",
-    "max_retries": "retries",
-    "cell_budget": "cell_budget",
-    "journal": "journal",
-    "resume": "resume",
-    "cell_cycles": "cell_cycles",
-    "cell_deadline_seconds": "cell_deadline_seconds",
-    "workers": "workers",
-}
-"""Pre-:class:`~repro.experiments.runconfig.RunConfig` constructor
-keywords, kept as deprecation shims (they warn, then fold into the run
-config)."""
-
-
 class ExperimentRunner:
     """Runs and caches experiment cells on one machine profile.
 
@@ -263,11 +246,9 @@ class ExperimentRunner:
         runner = ExperimentRunner(run_config=RunConfig(workers=4,
                                                        trace=True))
 
-    The historical flat keywords (``workers=``, ``journal=``,
-    ``fault_plan=``, ...) still work but emit ``DeprecationWarning``
-    and fold into the run config; the matching attributes
-    (``runner.workers``, ``runner.journal``, ...) remain readable and
-    writable as thin views over ``runner.run_config``.
+    The matching attributes (``runner.workers``, ``runner.journal``,
+    ...) are readable and writable as thin views over
+    ``runner.run_config``.
 
     Attributes:
         config: machine profile (default SCALED).
@@ -295,33 +276,14 @@ class ExperimentRunner:
         pagerank_iterations: int = 3,
         datasets: tuple[str, ...] = EVALUATION_DATASETS,
         capture_failures: bool = True,
-        **legacy: Any,
     ) -> None:
         self.config = config if config is not None else scaled()
         self.pagerank_iterations = pagerank_iterations
         self.datasets = datasets
         self.capture_failures = capture_failures
-        overrides: dict[str, Any] = {}
-        for name, value in legacy.items():
-            try:
-                target = _LEGACY_RUNNER_KWARGS[name]
-            except KeyError:
-                raise TypeError(
-                    "ExperimentRunner() got an unexpected keyword "
-                    f"argument {name!r}"
-                ) from None
-            warnings.warn(
-                f"ExperimentRunner({name}=...) is deprecated; pass "
-                f"run_config=RunConfig({target}=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides[target] = value
-        if run_config is None:
-            run_config = RunConfig(**overrides)
-        elif overrides:
-            run_config = run_config.replace(**overrides)
-        self.run_config = run_config
+        self.run_config = (
+            run_config if run_config is not None else RunConfig()
+        )
         self.failures: list[CellFailure] = []
         self.trace_log: list[dict[str, Any]] = []
         self.metrics = MetricsRegistry()

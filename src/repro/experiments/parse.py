@@ -1,10 +1,10 @@
-"""String → experiment-object parsers shared by the CLI and the service.
+"""String → experiment-object parsers shared by the CLI and ``repro.dist``.
 
-The sweep service ships cell specs between processes as plain strings
-(policy and scenario names survive pickling and HTTP trivially; policy
-objects with closures do not), so the parsers that used to live in
-:mod:`repro.cli` are hoisted here where both the CLI and
-:mod:`repro.serve` workers can reach them.
+The distributed sweep layer ships cell specs between processes as plain
+strings (policy and scenario names survive pickling and HTTP trivially;
+policy objects with closures do not), so the parsers that used to live
+in :mod:`repro.cli` are hoisted here where both the CLI and
+:mod:`repro.dist` workers can reach them.
 
 Grammar (same as the CLI flags):
 

@@ -54,10 +54,10 @@ def _enable_locksan():
     """Run the whole suite under LockSan when ``REPRO_LOCKSAN=1``.
 
     Opt-in (unlike MemSan) because it swaps instrumented classes under
-    the supervised objects; CI runs the suite once with it on.  While
-    enabled, every test additionally asserts that no dynamic lock-
-    discipline violation was observed during the test — the suite
-    doubles as an Eraser-style stress test of the serve stack.
+    watched objects; CI runs the suite once with it on.  While enabled,
+    every test additionally asserts that no dynamic lock-discipline
+    violation was observed during the test — the suite doubles as an
+    Eraser-style stress test of any class that calls ``watch()``.
     """
     if os.environ.get("REPRO_LOCKSAN", "").strip().lower() in (
         "", "0", "false",

@@ -192,7 +192,8 @@ class TestRep009:
         assert rep(src) == [("REP009", 9)]
 
     def test_supervisor_stop_flag_regression(self):
-        # Replica of the pre-fix WorkerSupervisor._stopping defect:
+        # Replica of the pre-fix stop-flag defect in the (since
+        # retired) sweep-service supervisor:
         # stop() wrote the flag bare while _reap read it under the lock
         # (reached only through a locked caller — interprocedural).
         src = (

@@ -1,6 +1,6 @@
 """Crash-point recovery: SIGKILL anywhere, resume, identical bytes.
 
-The satellite invariant from docs/service.md: for every crash point —
+The invariant from docs/service.md: for every crash point —
 mid-cell or mid-journal-append (torn record) — a resumed run completes
 the figure and its saved JSON is **byte-identical** to an uninterrupted
 run.  The crash is injected with :mod:`repro.chaos.crash`, which
@@ -27,13 +27,11 @@ from repro.runstate.journal import scan_records
 
 class TestChaosPlan:
     def test_parse_round_trip(self):
-        plan = ChaosPlan.parse("kill-worker:cell:1,enospc:append:3")
+        plan = ChaosPlan.parse("kill-worker:cell:1,kill-server:append:3")
         assert plan.kill_worker_at(1)
         assert not plan.kill_worker_at(2)
-        assert plan.enospc_at_append(3)
-        assert plan.enospc_at_append(5)  # threshold, not exact
-        assert not plan.enospc_at_append(2)
-        assert not plan.kill_server_at_append(3)
+        assert plan.kill_server_at_append(3)
+        assert not plan.kill_server_at_append(2)
 
     def test_kill_server_is_exact(self):
         plan = ChaosPlan.parse("kill-server:append:4")
@@ -50,6 +48,7 @@ class TestChaosPlan:
             "kill-worker:cell:x",
             "kill-worker:append:1",  # wrong point for the action
             "enospc:cell:1",
+            "enospc:append:1",  # retired action
             "no-such-action:cell:1",
         ],
     )

@@ -1,10 +1,13 @@
 """Tests for repro.dist: address parsing, the lease table, wire
-encoding, network chaos, the client retry loop, and a small end-to-end
-coordinator/worker exchange over a UNIX socket."""
+encoding, network chaos, the HTTP transport (response rendering, the
+request parser's input limits, the client retry loop), and a small
+end-to-end coordinator/worker exchange over a UNIX socket."""
 
 from __future__ import annotations
 
+import asyncio
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -27,11 +30,16 @@ from repro.dist import (
     encode_cell,
     parse_connect,
 )
+from repro.dist.http import (
+    ClientResponse,
+    Response,
+    SweepClient,
+    _read_request,
+)
 from repro.errors import ConfigError, DistError, ServiceError
 from repro.experiments import ExperimentRunner, RunConfig
 from repro.experiments.parse import parse_policy, parse_scenario
 from repro.runstate.serialize import encode_result
-from repro.serve.client import ClientResponse, SweepClient
 
 
 def _runner() -> ExperimentRunner:
@@ -355,6 +363,131 @@ class TestRequestWithRetry:
         client = _ScriptedClient([])
         with pytest.raises(ServiceError):
             client.request_with_retry("POST", "/x", max_attempts=0)
+
+
+# ----------------------------------------------------------------------
+# HTTP transport: response rendering and the request parser's limits
+# ----------------------------------------------------------------------
+
+
+class TestResponse:
+    def test_body_renders_canonical_json(self):
+        rendered = Response(status=200, body={"b": 1, "a": 2}).render()
+        assert rendered == b'{"a":2,"b":1}\n'
+
+    def test_raw_wins_over_body(self):
+        rendered = Response(
+            status=200, body={"ignored": True}, raw='{"x":1}\n'
+        ).render()
+        assert rendered == b'{"x":1}\n'
+
+
+@pytest.fixture
+def coordinator_socket(tmp_path):
+    """A live coordinator listening on a UNIX socket; yields its path."""
+    sock = str(tmp_path / "coord.sock")
+    coordinator = DistCoordinator(
+        _runner(), DistConfig(socket_path=sock)
+    ).start()
+    try:
+        yield sock
+    finally:
+        coordinator.drain()
+        coordinator.stop()
+
+
+def _raw_exchange(sock_path: str, data: bytes) -> bytes:
+    """Send raw bytes, return everything the coordinator sends back
+    before it closes the connection."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.settimeout(5.0)
+        conn.connect(sock_path)
+        conn.sendall(data)
+        received = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestRequestParser:
+    """Outside input the coordinator refuses: each request below is
+    dropped (connection closed, no response), and the coordinator keeps
+    serving afterwards."""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            pytest.param(
+                b"GET /v1/healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * 17000 + b"\r\n\r\n",
+                id="header-over-16KiB",
+            ),
+            pytest.param(
+                b"POST /v1/dist/lease HTTP/1.1\r\n"
+                b"Content-Length: 1048577\r\n\r\n",
+                id="body-over-1MiB",
+            ),
+            pytest.param(
+                b"POST /v1/dist/lease HTTP/1.1\r\n"
+                b"Content-Length: -1\r\n\r\n",
+                id="negative-content-length",
+            ),
+            pytest.param(
+                b"POST /v1/dist/lease HTTP/1.1\r\n"
+                b"Content-Length: twelve\r\n\r\n",
+                id="non-integer-content-length",
+            ),
+            pytest.param(
+                b"GARBAGE\r\n\r\n", id="unparseable-request-line"
+            ),
+        ],
+    )
+    def test_bad_request_closes_without_response(
+        self, coordinator_socket, request_bytes
+    ):
+        assert _raw_exchange(coordinator_socket, request_bytes) == b""
+        client = SweepClient(socket_path=coordinator_socket, timeout=5.0)
+        assert client.healthz()
+
+    def test_negative_length_is_rejected_before_reading(self):
+        """The parser itself refuses a negative length (a socket-level
+        test cannot tell this from ``readexactly(-1)`` raising)."""
+
+        async def parse(data: bytes):
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await _read_request(reader)
+
+        assert asyncio.run(parse(
+            b"POST /v1/dist/lease HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+        )) is None
+
+    def test_header_at_the_limit_is_served(self, coordinator_socket):
+        head = b"GET /v1/healthz HTTP/1.1\r\nX-Pad: "
+        tail = b"\r\n\r\n"
+        padding = b"a" * (16384 - len(head) - len(tail))
+        reply = _raw_exchange(coordinator_socket, head + padding + tail)
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_non_json_body_is_400(self, coordinator_socket):
+        body = b"not json"
+        reply = _raw_exchange(
+            coordinator_socket,
+            b"POST /v1/dist/lease HTTP/1.1\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+            + body,
+        )
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b'"body must be JSON"' in reply
+
+    def test_get_on_lease_is_405(self, coordinator_socket):
+        client = SweepClient(socket_path=coordinator_socket, timeout=5.0)
+        response = client.request("GET", "/v1/dist/lease")
+        assert response.status == 405
+        assert response.body == {"error": "method not allowed"}
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.experiments.harness import (
     retry_backoff_cycles,
 )
 from repro.experiments.policies import POLICIES
+from repro.experiments.runconfig import RunConfig
 from repro.experiments.scenarios import constrained, fresh, oversubscribed
 
 
@@ -74,7 +75,7 @@ class TestRetries:
         baseline = run_bfs(runner)
         retried_runner = ExperimentRunner(
             config=tiny(),
-            fault_plan=FaultPlan.parse("staging:1.0:max=1"),
+            run_config=RunConfig(faults=FaultPlan.parse("staging:1.0:max=1")),
         )
         retried = run_bfs(retried_runner)
         assert (
@@ -202,7 +203,7 @@ class TestGracefulFigureBatch:
 
     def test_fig07_completes_with_partial_data(self):
         plan = FaultPlan.parse("compaction:1.0")
-        faulted = ExperimentRunner(fault_plan=plan)
+        faulted = ExperimentRunner(run_config=RunConfig(faults=plan))
         result = fig07_pressure_alloc_order(
             faulted, workloads=("bfs",), datasets=("test-small",)
         )

@@ -1,9 +1,10 @@
 """Tests for LockSan, the runtime lockset sanitizer (REP009's twin).
 
 The centerpiece is the confirmation pair: a replica of the *pre-fix*
-supervisor stop-flag defect produces a dynamic violation under two
-threads (REP009 confirmed by execution, not just by the static model),
-and the shipped Event-based fix runs clean under the same drill.
+stop-flag defect in the (since retired) sweep-service supervisor
+produces a dynamic violation under two threads (REP009 confirmed by
+execution, not just by the static model), and the Event-based fix runs
+clean under the same drill.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class TestTrackedLock:
 
 
 class PreFixSupervisor:
-    """Replica of the pre-fix WorkerSupervisor._stopping defect: the
-    flag is written bare in stop() but read under the lock in poll()."""
+    """Replica of the retired supervisor's pre-fix ``_stopping`` defect:
+    the flag is written bare in stop() but read under the lock in
+    poll()."""
 
     def __init__(self, san):
         self._lock = TrackedLock("PreFixSupervisor._lock")
@@ -202,23 +204,3 @@ class TestEnablement:
             assert isinstance(make_lock("x"), TrackedLock)
         finally:
             set_locksan(previous)
-
-    def test_supervisor_integration(self):
-        """WorkerSupervisor self-instruments when LockSan is on."""
-        from repro.serve.supervisor import WorkerSupervisor
-
-        previous = set_locksan(True)
-        sup = None
-        try:
-            sup = WorkerSupervisor(
-                settings={},
-                workers=0,
-                completion=lambda *a: None,
-                listener=lambda *a, **k: None,
-            )
-            assert type(sup).__name__ == "LockSan[WorkerSupervisor]"
-            assert isinstance(sup._lock, TrackedLock)
-        finally:
-            set_locksan(previous)
-            if sup is not None:
-                sup.stop()

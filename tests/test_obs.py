@@ -3,7 +3,6 @@
 
 import json
 import os
-import warnings
 
 import pytest
 
@@ -177,15 +176,17 @@ class TestRunConfig:
         assert isinstance(config.journal, RunJournal)
         assert isinstance(config.faults, FaultPlan)
 
-    def test_legacy_kwargs_warn_and_fold_in(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            runner = ExperimentRunner(workers=4)
-        assert runner.run_config.workers == 4
-        assert runner.workers == 4
-
     def test_unknown_kwarg_is_type_error(self):
         with pytest.raises(TypeError):
             ExperimentRunner(wrkers=4)
+
+    @pytest.mark.parametrize(
+        "name", ["workers", "journal", "fault_plan", "max_retries"]
+    )
+    def test_flat_run_kwargs_are_type_errors(self, name):
+        """Run knobs go through ``run_config=`` only."""
+        with pytest.raises(TypeError):
+            ExperimentRunner(**{name: None})
 
     def test_attribute_views_write_through(self):
         runner = ExperimentRunner()
@@ -387,13 +388,3 @@ class TestApiFacade:
         for name in api.__all__:
             assert getattr(api, name) is not None
 
-    def test_deprecated_kwargs_still_work_end_to_end(self):
-        from repro.api import POLICIES, SCENARIOS
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = ExperimentRunner(config=tiny(), max_retries=1)
-        result = runner.run_cell(
-            "bfs", "test-small", POLICIES["base4k"], SCENARIOS["fresh"]
-        )
-        assert result.ok

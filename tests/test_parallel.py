@@ -18,6 +18,7 @@ from repro.experiments import figures
 from repro.experiments.figures import fig07_pressure_alloc_order
 from repro.experiments.harness import CellFailure, ExperimentRunner
 from repro.experiments.policies import POLICIES
+from repro.experiments.runconfig import RunConfig
 from repro.experiments.scenarios import fresh
 from repro.faults import FaultPlan
 from repro.graph.reorder import ORDERINGS
@@ -84,7 +85,7 @@ class TestSerialParallelEquivalence:
     def reference(self, tmp_path_factory):
         """Serial saved-output bytes + figure JSON."""
         directory = tmp_path_factory.mktemp("serial")
-        result = run_fig07(ExperimentRunner(workers=1))
+        result = run_fig07(ExperimentRunner(run_config=RunConfig(workers=1)))
         txt_path, json_path = result.save(str(directory))
         return {
             "json": result.to_json(),
@@ -93,22 +94,24 @@ class TestSerialParallelEquivalence:
         }
 
     def test_saved_output_byte_identical(self, tmp_path, reference):
-        result = run_fig07(ExperimentRunner(workers=4))
+        result = run_fig07(ExperimentRunner(run_config=RunConfig(workers=4)))
         txt_path, json_path = result.save(str(tmp_path))
         assert open(txt_path, "rb").read() == reference["txt_bytes"]
         assert open(json_path, "rb").read() == reference["json_bytes"]
 
     def test_workers_zero_resolves_and_matches(self, reference):
-        result = run_fig07(ExperimentRunner(workers=0))
+        result = run_fig07(ExperimentRunner(run_config=RunConfig(workers=0)))
         assert result.to_json() == reference["json"]
 
     def test_journal_bytes_identical(self, tmp_path, reference):
         serial_path = str(tmp_path / "serial.jsonl")
-        run_fig07(ExperimentRunner(workers=1, journal=RunJournal(serial_path)))
+        run_fig07(ExperimentRunner(run_config=RunConfig(
+            workers=1, journal=RunJournal(serial_path)
+        )))
         parallel_path = str(tmp_path / "parallel.jsonl")
-        result = run_fig07(
-            ExperimentRunner(workers=4, journal=RunJournal(parallel_path))
-        )
+        result = run_fig07(ExperimentRunner(run_config=RunConfig(
+            workers=4, journal=RunJournal(parallel_path)
+        )))
         serial_bytes = open(serial_path, "rb").read()
         assert serial_bytes == open(parallel_path, "rb").read()
         assert serial_bytes  # the batch actually journaled something
@@ -116,11 +119,11 @@ class TestSerialParallelEquivalence:
 
     def test_fault_armed_journal_and_failures_identical(self, tmp_path):
         def journaled(workers: int, path: str):
-            runner = ExperimentRunner(
+            runner = ExperimentRunner(run_config=RunConfig(
                 workers=workers,
                 journal=RunJournal(path),
-                fault_plan=FaultPlan.parse("compaction:1.0", seed=0),
-            )
+                faults=FaultPlan.parse("compaction:1.0", seed=0),
+            ))
             result = run_fig07(runner)
             return result, runner.failures
 
@@ -137,7 +140,9 @@ class TestSerialParallelEquivalence:
 
     def test_resume_mid_sweep_matches_serial_resume(self, tmp_path):
         def partial_journal(path: str) -> None:
-            runner = ExperimentRunner(journal=RunJournal(path))
+            runner = ExperimentRunner(
+                run_config=RunConfig(journal=RunJournal(path))
+            )
             runner.run_cell(
                 "bfs", "test-small", POLICIES["base4k"], fresh()
             )
@@ -145,9 +150,9 @@ class TestSerialParallelEquivalence:
 
         def resume(workers: int, path: str):
             partial_journal(path)
-            runner = ExperimentRunner(
+            runner = ExperimentRunner(run_config=RunConfig(
                 workers=workers, journal=RunJournal(path), resume=True
-            )
+            ))
             return run_fig07(runner)
 
         serial_path = str(tmp_path / "serial.jsonl")
@@ -163,7 +168,9 @@ class TestSerialParallelEquivalence:
         """Journal-completed cells must not reach the pool at all."""
         path = str(tmp_path / "run.jsonl")
         cells = fig07_cells()
-        serial = ExperimentRunner(journal=RunJournal(path))
+        serial = ExperimentRunner(
+            run_config=RunConfig(journal=RunJournal(path))
+        )
         for cell in cells:
             serial.run_cell(*cell)
 
@@ -177,9 +184,9 @@ class TestSerialParallelEquivalence:
             return real_execute(runner, batch, workers)
 
         monkeypatch.setattr(pool, "execute_cells", spying)
-        resumed = ExperimentRunner(
+        resumed = ExperimentRunner(run_config=RunConfig(
             workers=4, journal=RunJournal(path), resume=True
-        )
+        ))
         results = resumed.run_cells(cells)
         assert dispatched == []
         assert len(results) == len(cells)
@@ -190,7 +197,7 @@ class TestSerialParallelEquivalence:
 class TestRunCellsSemantics:
     def test_duplicate_cells_execute_once(self):
         cell = ("bfs", "test-small", POLICIES["base4k"], fresh())
-        runner = ExperimentRunner(workers=2)
+        runner = ExperimentRunner(run_config=RunConfig(workers=2))
         results = runner.run_cells([cell, cell, cell])
         assert results[0] is results[1] is results[2]
 
@@ -201,7 +208,9 @@ class TestRunCellsSemantics:
             raise AssertionError("strict mode must stay serial")
 
         monkeypatch.setattr(pool, "execute_cells", forbidden)
-        runner = ExperimentRunner(workers=4, capture_failures=False)
+        runner = ExperimentRunner(
+            run_config=RunConfig(workers=4), capture_failures=False
+        )
         cells = [
             ("bfs", "test-small", POLICIES["base4k"], fresh()),
             ("bfs", "test-small", POLICIES["thp"], fresh()),
@@ -213,7 +222,7 @@ class TestRunCellsSemantics:
     def test_cached_cells_short_circuit(self, monkeypatch):
         import repro.parallel.pool as pool
 
-        runner = ExperimentRunner(workers=4)
+        runner = ExperimentRunner(run_config=RunConfig(workers=4))
         cells = fig07_cells()
         warm = runner.run_cells(cells)
 
@@ -240,7 +249,9 @@ class TestPoolAdversity:
             return original(self, workload, dataset, policy, scenario)
 
         monkeypatch.setattr(ExperimentRunner, "_execute_cell", hanging)
-        runner = ExperimentRunner(workers=2, cell_deadline_seconds=0.5)
+        runner = ExperimentRunner(run_config=RunConfig(
+            workers=2, cell_deadline_seconds=0.5
+        ))
         cells = [
             ("bfs", "test-small", POLICIES[hang_policy], fresh()),
             ("bfs", "test-small", POLICIES["base4k"], fresh()),
@@ -265,7 +276,7 @@ class TestPoolAdversity:
             return original(self, workload, dataset, policy, scenario)
 
         monkeypatch.setattr(ExperimentRunner, "_execute_cell", crashing)
-        runner = ExperimentRunner(workers=2)
+        runner = ExperimentRunner(run_config=RunConfig(workers=2))
         cells = [
             ("bfs", "test-small", POLICIES[crash_policy], fresh()),
             ("bfs", "test-small", POLICIES["base4k"], fresh()),

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import InjectedFaultError
 from repro.experiments.figures import fig07_pressure_alloc_order
 from repro.experiments.harness import ExperimentRunner
+from repro.experiments.runconfig import RunConfig
 from repro.faults import FaultPlan
 from repro.runstate import RunJournal
 
@@ -26,9 +27,9 @@ def run_fig07(runner: ExperimentRunner):
     )
 
 
-def counting_runner(**kwargs) -> tuple[ExperimentRunner, list]:
+def counting_runner(**run_config) -> tuple[ExperimentRunner, list]:
     """A runner that counts real cell simulations."""
-    runner = ExperimentRunner(**kwargs)
+    runner = ExperimentRunner(run_config=RunConfig(**run_config))
     simulations: list = []
     original = runner._simulate_cell
 
@@ -50,9 +51,9 @@ class TestCrashRecovery:
     def crash_sweep(self, journal_path: str, after: int) -> None:
         """Run fig07 until the journal's ``after``-th append crashes."""
         plan = FaultPlan.parse(f"journal.write:after={after}")
-        runner = ExperimentRunner(
+        runner = ExperimentRunner(run_config=RunConfig(
             journal=RunJournal(journal_path, injector=plan.make_injector())
-        )
+        ))
         with pytest.raises(InjectedFaultError):
             run_fig07(runner)
 
@@ -102,10 +103,10 @@ class TestCrashRecovery:
         path = str(tmp_path / "run.jsonl")
         self.crash_sweep(path, after=3)
         plan = FaultPlan.parse("journal.write:after=4")
-        second = ExperimentRunner(
+        second = ExperimentRunner(run_config=RunConfig(
             journal=RunJournal(path, injector=plan.make_injector()),
             resume=True,
-        )
+        ))
         with pytest.raises(InjectedFaultError):
             run_fig07(second)
         final, simulations = counting_runner(
@@ -130,6 +131,8 @@ class TestCrashRecovery:
     ):
         path = str(tmp_path / "run.jsonl")
         self.crash_sweep(path, after=3)
-        resumed = ExperimentRunner(journal=RunJournal(path), resume=True)
+        resumed = ExperimentRunner(
+            run_config=RunConfig(journal=RunJournal(path), resume=True)
+        )
         rendered = run_fig07(resumed).render()
         assert rendered == run_fig07(ExperimentRunner()).render()

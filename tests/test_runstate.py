@@ -13,6 +13,7 @@ from repro.config import tiny
 from repro.errors import InjectedFaultError, JournalError, WatchdogExpiredError
 from repro.experiments.harness import CellFailure, ExperimentRunner
 from repro.experiments.policies import POLICIES
+from repro.experiments.runconfig import RunConfig
 from repro.experiments.scenarios import SCENARIOS, fresh
 from repro.faults import FaultPlan
 from repro.graph.datasets import load_dataset
@@ -37,8 +38,8 @@ THP = POLICIES["thp"]
 FRESH = SCENARIOS["fresh"]
 
 
-def small_runner(**kwargs) -> ExperimentRunner:
-    return ExperimentRunner(**kwargs)
+def small_runner(**run_config) -> ExperimentRunner:
+    return ExperimentRunner(run_config=RunConfig(**run_config))
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +189,7 @@ class TestResultRoundTrip:
 
     def test_failure_round_trip(self):
         runner = small_runner(
-            fault_plan=FaultPlan.parse("staging:1.0"), max_retries=0
+            faults=FaultPlan.parse("staging:1.0"), retries=0
         )
         failure = runner.run_cell(BFS, SMALL, THP, FRESH)
         assert isinstance(failure, CellFailure)

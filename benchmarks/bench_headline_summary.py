@@ -44,7 +44,7 @@ def test_headline_summary(
     sweep_record(
         "headline_summary",
         {
-            "workers": runner.workers,
+            "workers": runner.run_config.workers,
             "figure_seconds": figure_seconds,
             "cells_simulated": len(durations),
             "geomean_cell_seconds": (

@@ -42,8 +42,8 @@ def _run_once(runner: ExperimentRunner, journal_path: Optional[str]) -> float:
     # cost; every round simulates the whole cell, as the seed did.
     runner._replay.clear()
     runner.failures.clear()
-    runner.journal = (
-        RunJournal(journal_path) if journal_path is not None else None
+    runner.run_config = runner.run_config.replace(
+        journal=RunJournal(journal_path) if journal_path is not None else None
     )
     gc.collect()
     start = time.perf_counter()

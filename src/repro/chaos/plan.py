@@ -19,9 +19,9 @@ Grammar (comma list): ``action:point:ordinal``
   the N-th network operation *at that point* fails with a connection
   error (one lost packet/refused dial, exactly once).
 - ``delay:net.send:N`` / ``delay:net.recv:N`` — the N-th operation at
-  that point stalls (the delay duration is a knob of the component
-  consuming the plan, e.g. ``repro work --net-delay``), long enough to
-  expire a lease without losing the result.
+  that point stalls (for the consuming component's delay, e.g.
+  ``repro work``'s ``NET_DELAY_SECONDS``), long enough to expire a
+  lease without losing the result.
 - ``sever:net.partition:N`` — from the N-th network operation onward
   (counted across *all* points) every operation fails: a full network
   partition that never heals, the distributed layer's worst case.

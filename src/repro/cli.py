@@ -423,19 +423,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 30)",
     )
     work.add_argument(
-        "--request-attempts", type=int, default=4, metavar="N",
-        help="bounded retry attempts per coordinator request "
-        "(default: 4)",
-    )
-    work.add_argument(
         "--chaos", default=None, metavar="PLAN",
         help="deterministic chaos plan (tests only): kill-worker:cell:N "
         "self-SIGKILLs mid-cell; drop/delay/sever net.* actions fault "
         "this worker's socket operations",
-    )
-    work.add_argument(
-        "--net-delay", type=float, default=0.5, metavar="SECONDS",
-        help="stall applied by delay:net.* chaos actions (default: 0.5)",
     )
 
     analyze = sub.add_parser(
@@ -538,11 +529,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
         if not args.journal:
             raise ReproError("figure --chaos requires --journal PATH")
-        old = runner.journal
+        old = runner.run_config.journal
         if old is not None:
             old.close()
-        runner.journal = ChaosJournal(
-            args.journal, ChaosPlan.parse(args.chaos), lock=True
+        runner.run_config = runner.run_config.replace(
+            journal=ChaosJournal(
+                args.journal, ChaosPlan.parse(args.chaos), lock=True
+            )
         )
     coordinator = None
     if getattr(args, "distribute", None):
@@ -556,8 +549,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             lease_seconds=args.lease_seconds,
             max_lease_attempts=args.lease_attempts,
             local_grace_seconds=args.local_grace,
-            faults_text=getattr(args, "faults", None),
-            fault_seed=getattr(args, "fault_seed", 0),
         )
         coordinator = DistCoordinator(runner, dist_config)
         coordinator.start()
@@ -834,9 +825,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         poll_interval=args.poll_interval,
         idle_exit_seconds=args.idle_exit,
-        max_attempts=args.request_attempts,
         plan=plan,
-        net_delay_seconds=args.net_delay,
     )
     return work_loop(config)
 

@@ -1,18 +1,18 @@
 """Configuration for the distributed sweep layer (:mod:`repro.dist`).
 
-One :class:`DistConfig` describes a coordinator: where it listens, how
-leases behave, and the execution settings its workers must reproduce so
-their spec fingerprints match the coordinator's
-(:func:`~repro.runstate.serialize.spec_fingerprint` covers profile,
-fault plan, retry and watchdog knobs — a worker built differently would
-compute different fingerprints and every cell would degrade to local
-execution).
+One :class:`DistConfig` describes a coordinator's transport and lease
+behaviour — nothing else.  How a cell executes is the figure runner's
+:class:`~repro.experiments.runconfig.RunConfig`: the coordinator ships
+:meth:`~repro.experiments.harness.ExperimentRunner.worker_run_config`
+to every worker through :meth:`RunConfig.to_wire
+<repro.experiments.runconfig.RunConfig.to_wire>`, so a worker's spec
+fingerprints match the coordinator's by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import ConfigError
 
@@ -59,11 +59,6 @@ class DistConfig:
         local_grace_seconds: with no worker contact for this long while
             work is pending, the coordinator degrades the whole batch
             to local execution — one-way, never back to remote.
-        poll_retry_after: hint returned to an idle worker when no cell
-            is currently leasable.
-        faults_text: the CLI fault-plan text (``--faults``) shipped to
-            workers verbatim; ``None`` when the sweep runs faultless.
-        fault_seed: seed paired with ``faults_text``.
     """
 
     socket_path: Optional[str] = None
@@ -72,9 +67,6 @@ class DistConfig:
     lease_seconds: float = 5.0
     max_lease_attempts: int = 3
     local_grace_seconds: float = 10.0
-    poll_retry_after: float = 0.2
-    faults_text: Optional[str] = None
-    fault_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lease_seconds <= 0:
@@ -83,17 +75,3 @@ class DistConfig:
             raise ConfigError("max_lease_attempts must be >= 1")
         if self.local_grace_seconds < 0:
             raise ConfigError("local_grace_seconds must be >= 0")
-
-    def worker_settings(self, runner: Any) -> dict[str, Any]:
-        """The JSON-safe execution settings a worker rebuilds its
-        runner from — everything that feeds the spec fingerprint."""
-        return {
-            "profile": runner.config.name,
-            "pagerank_iterations": runner.pagerank_iterations,
-            "retries": runner.max_retries,
-            "cell_budget": runner.cell_budget,
-            "cell_cycles": runner.cell_cycles,
-            "cell_deadline_seconds": runner.cell_deadline_seconds,
-            "faults": self.faults_text,
-            "fault_seed": self.fault_seed,
-        }

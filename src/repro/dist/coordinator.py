@@ -58,13 +58,18 @@ from .wire import encode_cell
 MODE_REMOTE = "remote"
 MODE_LOCAL = "local"
 
+POLL_RETRY_AFTER = 0.2
+"""Seconds an idle worker is told to wait when no cell is leasable."""
+
 
 class _Batch:
     """Loop-owned state of one in-flight ``execute_batch`` call."""
 
     def __init__(self, table: LeaseTable, spec_order: list[str],
-                 cells_by_spec: dict[str, tuple]) -> None:
+                 cells_by_spec: dict[str, tuple],
+                 settings: dict[str, Any]) -> None:
         self.table = table
+        self.settings = settings
         self.spec_order = spec_order
         self.cells_by_spec = cells_by_spec
         self.done_event = asyncio.Event()
@@ -96,7 +101,6 @@ class DistCoordinator:
         self._stop_event: Optional[asyncio.Event] = None
         self._batch: Optional[_Batch] = None
         self._payloads: dict[str, dict] = {}
-        self._settings: Optional[dict[str, Any]] = None
         self._workers_seen: set[str] = set()
         self._last_contact = 0.0
         self._draining = False
@@ -232,8 +236,11 @@ class DistCoordinator:
         if self._batch is not None:
             raise DistError("a batch is already executing")
         runner = self.runner
-        if self._settings is None:
-            self._settings = self.config.worker_settings(runner)
+        settings = {
+            "profile": runner.config.name,
+            "pagerank_iterations": runner.pagerank_iterations,
+            "run": runner.worker_run_config().to_wire(),
+        }
         spec_order: list[str] = []
         cells_by_spec: dict[str, tuple] = {}
         tasks: dict[str, dict] = {}
@@ -255,7 +262,7 @@ class DistCoordinator:
             lease_seconds=self.config.lease_seconds,
             max_attempts=self.config.max_lease_attempts,
         )
-        batch = _Batch(table, spec_order, cells_by_spec)
+        batch = _Batch(table, spec_order, cells_by_spec, settings)
         self._batch = batch
         self._touch()
         scan = asyncio.ensure_future(self._scan_loop(batch))
@@ -435,7 +442,7 @@ class DistCoordinator:
             body={
                 "done": False,
                 "task": None,
-                "retry_after": self.config.poll_retry_after,
+                "retry_after": POLL_RETRY_AFTER,
             },
         )
         if batch is None:
@@ -454,7 +461,7 @@ class DistCoordinator:
         task.update(
             lease_id=lease.lease_id,
             lease_seconds=self.config.lease_seconds,
-            settings=self._settings,
+            settings=batch.settings,
         )
         return Response(status=200, body={"done": False, "task": task})
 

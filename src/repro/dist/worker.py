@@ -14,16 +14,21 @@ Its durability story is deliberately boring:
   carries the result, and re-leasing plus fingerprint dedupe keep the
   merged journal exactly-once;
 - before running a cell the worker rebuilds a runner from the shipped
-  settings and **re-derives the spec fingerprint**; a mismatch is
-  reported (the coordinator runs the cell locally) rather than
-  executed — a worker must never journal a result under a fingerprint
-  its own configuration would not produce.
+  profile name, PR iteration cap and run config (the coordinator
+  runner's :meth:`~repro.experiments.harness.ExperimentRunner
+  .worker_run_config`, via :meth:`~repro.experiments.runconfig
+  .RunConfig.from_wire` — tracing, MemSan, TLB engine, faults, retries,
+  budgets and watchdogs all carry over) and **re-derives the spec
+  fingerprint**; a mismatch is reported (the coordinator runs the cell
+  locally) rather than executed — a worker must never journal a result
+  under a fingerprint its own configuration would not produce.
 
 Deterministic adversity: ``--chaos`` accepts the standard plan grammar.
 ``kill-worker:cell:N`` makes the worker SIGKILL itself mid-cell on its
 N-th dispatch (after the ``begin`` record, like a real crash);
 ``drop``/``delay``/``sever`` actions route the worker's socket
-operations through :class:`~repro.dist.netchaos.NetChaos`.
+operations through :class:`~repro.dist.netchaos.NetChaos` (a ``delay``
+stalls for :data:`NET_DELAY_SECONDS`).
 """
 
 from __future__ import annotations
@@ -48,6 +53,12 @@ from .config import parse_connect
 from .http import SweepClient
 from .netchaos import ChaosClient, NetChaos
 
+REQUEST_ATTEMPTS = 4
+"""Bounded attempts per coordinator request (lease poll, completion)."""
+
+NET_DELAY_SECONDS = 0.5
+"""Stall applied by a ``delay:net.*`` chaos action."""
+
 
 @dataclass
 class WorkerConfig:
@@ -58,10 +69,8 @@ class WorkerConfig:
     worker_id: str = ""
     poll_interval: float = 0.2
     idle_exit_seconds: float = 30.0
-    max_attempts: int = 4
     timeout: float = 120.0
     plan: Optional[ChaosPlan] = None
-    net_delay_seconds: float = 0.5
     log: Any = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,15 +87,11 @@ def _jitter_seed(worker_id: str) -> int:
 def make_client(config: WorkerConfig) -> SweepClient:
     """Build the worker's client, chaos-wrapped when a plan is armed."""
     socket_path, host, port = parse_connect(config.connect)
-    chaos: Optional[NetChaos] = None
     if config.plan is not None:
-        chaos = NetChaos(
-            config.plan, delay_seconds=config.net_delay_seconds
-        )
-    if chaos is not None:
         return ChaosClient(
             socket_path=socket_path, host=host or "127.0.0.1",
-            port=port or 7351, timeout=config.timeout, chaos=chaos,
+            port=port or 7351, timeout=config.timeout,
+            chaos=NetChaos(config.plan, delay_seconds=NET_DELAY_SECONDS),
         )
     return SweepClient(
         socket_path=socket_path, host=host or "127.0.0.1",
@@ -98,22 +103,10 @@ def _build_runner(settings: dict[str, Any]):
     from ..config import get_profile
     from ..experiments.harness import ExperimentRunner
     from ..experiments.runconfig import RunConfig
-    from ..faults.spec import FaultPlan
 
-    plan = None
-    if settings.get("faults"):
-        plan = FaultPlan.parse(
-            settings["faults"], seed=int(settings.get("fault_seed", 0))
-        )
     return ExperimentRunner(
         config=get_profile(settings["profile"]),
-        run_config=RunConfig(
-            retries=settings["retries"],
-            cell_budget=settings["cell_budget"],
-            cell_cycles=settings["cell_cycles"],
-            cell_deadline_seconds=settings["cell_deadline_seconds"],
-            faults=plan,
-        ),
+        run_config=RunConfig.from_wire(settings["run"]),
         pagerank_iterations=settings["pagerank_iterations"],
     )
 
@@ -176,7 +169,7 @@ def work_loop(config: WorkerConfig) -> int:
                 response = client.request_with_retry(
                     "POST", "/v1/dist/lease",
                     {"worker": config.worker_id},
-                    max_attempts=config.max_attempts,
+                    max_attempts=REQUEST_ATTEMPTS,
                     backoff_base=config.poll_interval / 2,
                     seed=_jitter_seed(config.worker_id),
                 )
@@ -276,7 +269,7 @@ def _post_safely(
     try:
         client.request_with_retry(
             "POST", "/v1/dist/complete", body,
-            max_attempts=config.max_attempts,
+            max_attempts=REQUEST_ATTEMPTS,
             backoff_base=config.poll_interval / 2,
             seed=_jitter_seed(config.worker_id),
         )

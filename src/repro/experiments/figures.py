@@ -157,8 +157,9 @@ class _PlanningRunner:
 def _parallel_figure(func: Callable) -> Callable:
     """Give a figure function a parallel fast path.
 
-    With ``runner.workers`` at the default ``1`` this is a no-op.  With
-    fan-out enabled, the figure body first runs against a
+    With ``runner.run_config.workers`` at the default ``1`` (and no
+    ``dist_executor``) this is a no-op.  With fan-out enabled, the
+    figure body first runs against a
     :class:`_PlanningRunner` to discover its cells, the batch executes
     on the process pool via :meth:`~repro.experiments.harness
     .ExperimentRunner.run_cells` (which owns dedupe, journal order and
@@ -171,8 +172,8 @@ def _parallel_figure(func: Callable) -> Callable:
     @functools.wraps(func)
     def wrapper(runner: ExperimentRunner, *args, **kwargs):
         if (
-            getattr(runner, "workers", 1) != 1
-            or getattr(runner, "dist_executor", None) is not None
+            runner.run_config.workers != 1
+            or runner.dist_executor is not None
         ):
             planner = _PlanningRunner(runner)
             try:

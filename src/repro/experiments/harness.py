@@ -19,7 +19,7 @@ Resilience (see ``docs/faults.md``): when a :class:`~repro.faults.spec
 exceeds its access budget — the runner degrades gracefully instead of
 aborting the whole figure batch:
 
-- injected faults are retried up to ``max_retries`` times with a
+- injected faults are retried up to ``run_config.retries`` times with a
   deterministic simulated backoff that is charged to the surviving
   run's kernel time;
 - exhausted retries, out-of-memory and budget overruns are captured as
@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
+from ..analysis.sanitizer import sanitizer_enabled
 from ..config import MachineConfig, scaled
 from ..errors import (
     CellBudgetExceededError,
@@ -67,7 +68,6 @@ from ..machine.machine import Machine
 from ..machine.metrics import RunMetrics
 from ..machine.replay import ReplayMemo
 from ..obs.tracer import MetricsRegistry, Tracer
-from ..runstate.journal import RunJournal
 from ..runstate.serialize import spec_fingerprint
 from ..runstate.watchdog import CellWatchdog
 from ..workloads.layout import MemoryLayout
@@ -246,9 +246,10 @@ class ExperimentRunner:
         runner = ExperimentRunner(run_config=RunConfig(workers=4,
                                                        trace=True))
 
-    The matching attributes (``runner.workers``, ``runner.journal``,
-    ...) are readable and writable as thin views over
-    ``runner.run_config``.
+    Read knobs as ``runner.run_config.retries``; change them between
+    batches with ``runner.run_config = runner.run_config.replace(...)``
+    (re-validated).  :meth:`worker_run_config` is the config every
+    worker process — pool or ``repro work`` — executes cells under.
 
     Attributes:
         config: machine profile (default SCALED).
@@ -314,86 +315,26 @@ class ExperimentRunner:
         self._perm_cache: dict[tuple[str, str], Any] = {}
         self._replay = ReplayMemo()
 
-    # ------------------------------------------------------------------
-    # Compatibility views over the run config.  Readable and writable
-    # (tests and notebooks tweak knobs between batches); writes rebuild
-    # the frozen RunConfig so validation always holds.
-    # ------------------------------------------------------------------
-
-    @property
-    def fault_plan(self) -> Optional[FaultPlan]:
-        return self.run_config.faults
-
-    @fault_plan.setter
-    def fault_plan(self, value: Optional[FaultPlan]) -> None:
-        self.run_config = self.run_config.replace(faults=value)
-
-    @property
-    def max_retries(self) -> int:
-        return self.run_config.retries
-
-    @max_retries.setter
-    def max_retries(self, value: int) -> None:
-        self.run_config = self.run_config.replace(retries=value)
-
-    @property
-    def cell_budget(self) -> Optional[int]:
-        return self.run_config.cell_budget
-
-    @cell_budget.setter
-    def cell_budget(self, value: Optional[int]) -> None:
-        self.run_config = self.run_config.replace(cell_budget=value)
-
-    @property
-    def journal(self) -> Optional[RunJournal]:
-        return self.run_config.journal
-
-    @journal.setter
-    def journal(self, value: Optional[RunJournal]) -> None:
-        self.run_config = self.run_config.replace(journal=value)
-
-    @property
-    def resume(self) -> bool:
-        return self.run_config.resume
-
-    @resume.setter
-    def resume(self, value: bool) -> None:
-        self.run_config = self.run_config.replace(resume=value)
-
-    @property
-    def cell_cycles(self) -> Optional[int]:
-        return self.run_config.cell_cycles
-
-    @cell_cycles.setter
-    def cell_cycles(self, value: Optional[int]) -> None:
-        self.run_config = self.run_config.replace(cell_cycles=value)
-
-    @property
-    def cell_deadline_seconds(self) -> Optional[float]:
-        return self.run_config.cell_deadline_seconds
-
-    @cell_deadline_seconds.setter
-    def cell_deadline_seconds(self, value: Optional[float]) -> None:
-        self.run_config = self.run_config.replace(
-            cell_deadline_seconds=value
-        )
-
-    @property
-    def workers(self) -> int:
-        return self.run_config.workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        self.run_config = self.run_config.replace(workers=value)
-
-    # ------------------------------------------------------------------
-
     @property
     def effective_fault_plan(self) -> Optional[FaultPlan]:
         """The armed plan: run-config level first, else the config's."""
         if self.run_config.faults is not None:
             return self.run_config.faults
         return self.config.fault_plan
+
+    def worker_run_config(self) -> RunConfig:
+        """The run config a worker process executes cells under:
+        :meth:`RunConfig.worker_view` (the parent keeps the journal and
+        the fan-out) with the effective fault plan and the ambient
+        sanitizer pinned — a profile-level plan or ``REPRO_SANITIZE``
+        in this process reaches every worker, whatever its own profile
+        lookup or environment says."""
+        run_config = self.run_config.worker_view()
+        if run_config.faults is None:
+            run_config = run_config.replace(faults=self.effective_fault_plan)
+        if not run_config.sanitize and sanitizer_enabled():
+            run_config = run_config.replace(sanitize=True)
+        return run_config
 
     def run_cell(
         self,
@@ -416,15 +357,16 @@ class ExperimentRunner:
         if cached is not None:
             return cached
 
+        journal = self.run_config.journal
         spec = None
         cell_coords = None
-        if self.journal is not None:
+        if journal is not None:
             spec = self.cell_spec(workload_name, dataset_name, policy, scenario)
             cell_coords = self._cell_coords(
                 workload_name, dataset_name, policy, scenario
             )
-            if self.resume:
-                recorded = self.journal.result(spec)
+            if self.run_config.resume:
+                recorded = journal.result(spec)
                 if recorded is not None:
                     self._cache[key] = recorded
                     self._record_trace(
@@ -432,15 +374,15 @@ class ExperimentRunner:
                         recorded,
                     )
                     return recorded
-            self.journal.begin(spec, cell_coords)
+            journal.begin(spec, cell_coords)
 
         result = self._execute_cell(workload_name, dataset_name, policy, scenario)
 
-        if self.journal is not None:
+        if journal is not None:
             # Journal append failures propagate: a sweep whose journal
             # cannot be written must crash (and later resume), not
             # silently continue unjournaled.
-            self.journal.record_result(spec, cell_coords, result)
+            journal.record_result(spec, cell_coords, result)
         self._cache[key] = result
         self._note_result(
             (workload_name, dataset_name, policy, scenario), result
@@ -567,7 +509,7 @@ class ExperimentRunner:
             # Distributed dispatch is orthogonal to the CPU clamp: a
             # 1-CPU coordinator host still shards across remote workers.
             return self._run_cells_parallel(cells)
-        workers = self.workers
+        workers = self.run_config.workers
         if workers != 1 and len(cells) > 1 and self.capture_failures:
             import os
 
@@ -598,6 +540,7 @@ class ExperimentRunner:
     ) -> list[CellResult]:
         from ..parallel.pool import execute_cells, resolve_workers
 
+        journal = self.run_config.journal
         results: list[Optional[CellResult]] = [None] * len(cells)
         keys = [self._cell_key(*cell) for cell in cells]
         dispatch: list[int] = []
@@ -614,8 +557,8 @@ class ExperimentRunner:
             if cached is not None:
                 results[i] = cached
                 continue
-            if self.journal is not None and self.resume:
-                recorded = self.journal.result(self.cell_spec(*cell))
+            if journal is not None and self.run_config.resume:
+                recorded = journal.result(self.cell_spec(*cell))
                 if recorded is not None:
                     # Resume hit: cached without journal writes, exactly
                     # like the serial path — never dispatched.
@@ -646,7 +589,7 @@ class ExperimentRunner:
                     )
                 outcomes = execute_cells(
                     self, [cells[i] for i in dispatch],
-                    resolve_workers(self.workers),
+                    resolve_workers(self.run_config.workers),
                 )
             executed = dict(zip(dispatch, outcomes))
 
@@ -656,11 +599,11 @@ class ExperimentRunner:
         for i, cell in enumerate(cells):
             if i in executed:
                 result = executed[i]
-                if self.journal is not None:
+                if journal is not None:
                     spec = self.cell_spec(*cell)
                     coords = self._cell_coords(*cell)
-                    self.journal.begin(spec, coords)
-                    self.journal.record_result(spec, coords, result)
+                    journal.begin(spec, coords)
+                    journal.record_result(spec, coords, result)
                 if isinstance(result, CellFailure):
                     self.failures.append(result)
                 self._cache[keys[i]] = result
@@ -705,9 +648,9 @@ class ExperimentRunner:
             self.pagerank_iterations,
             self.config.name,
             self.effective_fault_plan,
-            self.max_retries,
-            self.cell_budget,
-            self.cell_cycles,
+            self.run_config.retries,
+            self.run_config.cell_budget,
+            self.run_config.cell_cycles,
         )
 
     @staticmethod
@@ -758,7 +701,7 @@ class ExperimentRunner:
                     graph, preprocess_accesses, injector,
                 )
             except InjectedFaultError as error:
-                if attempts <= self.max_retries:
+                if attempts <= self.run_config.retries:
                     # Deterministic simulated backoff, charged to the
                     # surviving run's kernel-time ledger.
                     retry_cycles += retry_backoff_cycles(attempts)
@@ -814,9 +757,9 @@ class ExperimentRunner:
             pagerank_iterations=self.pagerank_iterations,
             profile_name=self.config.name,
             fault_plan=self.effective_fault_plan,
-            max_retries=self.max_retries,
-            cell_budget=self.cell_budget,
-            cell_cycles=self.cell_cycles,
+            max_retries=self.run_config.retries,
+            cell_budget=self.run_config.cell_budget,
+            cell_cycles=self.run_config.cell_cycles,
         )
 
     def _simulate_cell(
@@ -845,11 +788,15 @@ class ExperimentRunner:
         self._apply_scenario(machine, scenario, layout, policy.plan)
         # A fresh watchdog per attempt: retries must not inherit an
         # already-spent cycle budget or wall-clock window.
+        run_config = self.run_config
         watchdog = None
-        if self.cell_cycles is not None or self.cell_deadline_seconds is not None:
+        if (
+            run_config.cell_cycles is not None
+            or run_config.cell_deadline_seconds is not None
+        ):
             watchdog = CellWatchdog(
-                max_cycles=self.cell_cycles,
-                deadline_seconds=self.cell_deadline_seconds,
+                max_cycles=run_config.cell_cycles,
+                deadline_seconds=run_config.cell_deadline_seconds,
             )
         return machine.run(
             workload,
@@ -858,7 +805,7 @@ class ExperimentRunner:
             tmpfs_remote=scenario.tmpfs_remote,
             preprocess_accesses=preprocess_accesses,
             dataset=dataset_name,
-            access_budget=self.cell_budget,
+            access_budget=self.run_config.cell_budget,
             watchdog=watchdog,
             # The inputs _prepared_graph and _make_workload turn into
             # this workload's deterministic stream sequence.

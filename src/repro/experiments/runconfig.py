@@ -14,7 +14,13 @@ of nine keyword arguments.  :class:`RunConfig` consolidates them:
   plan string (``"compaction:0.5"``) or a parsed
   :class:`~repro.faults.spec.FaultPlan`;
 - :meth:`RunConfig.from_cli` is the single translation point from
-  ``argparse`` flags, shared by every subcommand.
+  ``argparse`` flags, shared by every subcommand;
+- :meth:`RunConfig.to_wire` / :meth:`RunConfig.from_wire` are the one
+  lossless JSON codec for shipping it to another process: a
+  ``repro work`` agent rebuilds its runner from exactly the config the
+  coordinator's runner holds (minus the parent-owned ``journal``,
+  ``resume`` and ``workers``), so every field — added now or later —
+  reaches every worker without a second copy of the settings.
 
 The knobs deliberately exclude anything that changes the *simulated
 outcome's identity* beyond what the journal fingerprints already cover:
@@ -29,11 +35,39 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..errors import ConfigError
-from ..faults.spec import FaultPlan
+from ..faults.sites import FaultSite
+from ..faults.spec import FaultPlan, FaultSpec
 from ..runstate.journal import RunJournal
 
 if TYPE_CHECKING:
     import argparse
+
+_PARENT_OWNED = ("journal", "resume", "workers")
+"""Fields that never cross a process boundary: the parent process owns
+durability and fan-out (:meth:`RunConfig.worker_view` clears them)."""
+
+
+def _plan_to_wire(plan: Optional[FaultPlan]) -> Optional[dict[str, Any]]:
+    if plan is None:
+        return None
+    specs = [
+        {**dataclasses.asdict(spec), "site": spec.site.value}
+        for spec in plan.specs
+    ]
+    return {"specs": specs, "seed": plan.seed}
+
+
+def _plan_from_wire(wire: Optional[dict[str, Any]]) -> Optional[FaultPlan]:
+    if wire is None:
+        return None
+    try:
+        specs = tuple(
+            FaultSpec(**{**spec, "site": FaultSite(spec["site"])})
+            for spec in wire["specs"]
+        )
+        return FaultPlan(specs=specs, seed=int(wire["seed"]))
+    except (KeyError, TypeError, ValueError) as error:
+        raise ConfigError(f"malformed wire fault plan: {error}") from None
 
 
 @dataclass(frozen=True)
@@ -157,6 +191,34 @@ class RunConfig:
         if self.journal is None and not self.resume and self.workers == 1:
             return self
         return self.replace(journal=None, resume=False, workers=1)
+
+    def to_wire(self) -> dict[str, Any]:
+        """JSON-safe encoding of every field but the parent-owned
+        ``journal``, ``resume`` and ``workers``; the fault plan travels
+        structurally (site, trigger, ``max_fires`` and seed), never as
+        CLI text.  :meth:`from_wire` inverts it exactly."""
+        wire = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if field.name not in _PARENT_OWNED
+        }
+        wire["faults"] = _plan_to_wire(self.faults)
+        return wire
+
+    @classmethod
+    def from_wire(cls, wire: dict[str, Any]) -> "RunConfig":
+        """Rebuild a (journal-free, serial) config from :meth:`to_wire`.
+
+        Raises:
+            ConfigError: on unknown keys or a malformed fault plan.
+        """
+        known = {
+            field.name for field in dataclasses.fields(cls)
+        }.difference(_PARENT_OWNED)
+        unknown = sorted(set(wire) - known)
+        if unknown:
+            raise ConfigError(f"unknown wire run-config keys: {unknown}")
+        return cls(**{**wire, "faults": _plan_from_wire(wire.get("faults"))})
 
     @classmethod
     def from_cli(cls, args: "argparse.Namespace") -> "RunConfig":

@@ -15,6 +15,11 @@ Ownership model (docs/performance.md):
 - **Determinism** is the parent's job: results arrive in completion
   order, the caller (:meth:`repro.experiments.harness.ExperimentRunner
   .run_cells`) commits them in spec order.
+- **One run config.**  Workers execute under the parent runner's
+  :meth:`~repro.experiments.harness.ExperimentRunner.worker_run_config`
+  — the same config a ``repro work`` agent receives over the wire — so
+  tracing, MemSan, the TLB engine, faults, retries, budgets and
+  watchdogs are exactly the parent's.
 - **Fork and spawn** both work.  Under ``fork`` workers inherit the
   parent's prepared graphs copy-on-write; under ``spawn`` the
   :class:`WorkerContext` is pickled to each worker, and a context that
@@ -42,7 +47,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..analysis.sanitizer import sanitizer_enabled, set_sanitize
 from ..errors import ExperimentError
 from ..runstate.serialize import decode_result, encode_result
 
@@ -82,18 +86,15 @@ class WorkerContext:
     """Everything a worker needs to rebuild a journal-free runner.
 
     Carries the parent's prepared graph/permutation caches so graph
-    loading and reordering happen exactly once (in the parent), and the
-    ambient sanitizer setting so ``REPRO_SANITIZE`` semantics survive a
-    ``spawn`` boundary (``fork`` inherits them anyway).
+    loading and reordering happen exactly once (in the parent).
     """
 
     config: Any
     pagerank_iterations: int
-    run_config: Any  # a worker-safe RunConfig (journal stripped)
+    run_config: Any  # the parent's worker_run_config()
     graph_cache: dict
     perm_cache: dict
     cells: list
-    sanitize: bool
 
     @property
     def cell_deadline_seconds(self) -> Optional[float]:
@@ -104,22 +105,13 @@ class WorkerContext:
     def from_runner(
         cls, runner: "ExperimentRunner", cells: list
     ) -> "WorkerContext":
-        run_config = runner.run_config.worker_view()
-        if run_config.faults is None:
-            # Pin the effective plan so a config-level fault plan
-            # survives the journey even if the worker's profile lookup
-            # were to drift from the parent's.
-            run_config = run_config.replace(
-                faults=runner.effective_fault_plan
-            )
         return cls(
             config=runner.config,
             pagerank_iterations=runner.pagerank_iterations,
-            run_config=run_config,
+            run_config=runner.worker_run_config(),
             graph_cache=runner._graph_cache,
             perm_cache=runner._perm_cache,
             cells=cells,
-            sanitize=sanitizer_enabled(),
         )
 
     def make_runner(self) -> "ExperimentRunner":
@@ -149,8 +141,6 @@ def _worker_main(
     results: "multiprocessing.Queue",
 ) -> None:
     """Worker loop: steal an index, simulate, return the encoded result."""
-    if ctx.sanitize:
-        set_sanitize(True)
     runner = ctx.make_runner()
     while True:
         index = tasks.get()

@@ -1,11 +1,14 @@
-"""Tests for repro.dist: address parsing, the lease table, wire
-encoding, network chaos, the HTTP transport (response rendering, the
-request parser's input limits, the client retry loop), and a small
-end-to-end coordinator/worker exchange over a UNIX socket."""
+"""Tests for repro.dist: address parsing, the run-config wire codec,
+the lease table, wire encoding, network chaos, the HTTP transport
+(response rendering, the request parser's input limits, the client
+retry loop), and end-to-end coordinator/worker exchanges over a UNIX
+socket."""
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import json
 import os
 import socket
 import subprocess
@@ -39,6 +42,7 @@ from repro.dist.http import (
 from repro.errors import ConfigError, DistError, ServiceError
 from repro.experiments import ExperimentRunner, RunConfig
 from repro.experiments.parse import parse_policy, parse_scenario
+from repro.faults.spec import FaultPlan
 from repro.runstate.serialize import encode_result
 
 
@@ -86,17 +90,80 @@ class TestDistConfig:
         with pytest.raises(ConfigError):
             DistConfig(local_grace_seconds=-1)
 
-    def test_worker_settings_cover_fingerprint_inputs(self):
-        runner = _runner()
-        settings = DistConfig(faults_text="compaction:after=3").worker_settings(
-            runner
+
+
+# ----------------------------------------------------------------------
+# RunConfig wire codec (what the coordinator ships to workers)
+# ----------------------------------------------------------------------
+
+
+class TestRunConfigWire:
+    def test_round_trip_over_every_field(self):
+        plan = FaultPlan.parse(
+            "compaction:0.25,swap-out:after=3,promotion:every=4:max=2,"
+            "staging:max=1",
+            seed=1234,
         )
-        assert settings["profile"] == "scaled"
-        assert settings["faults"] == "compaction:after=3"
-        assert set(settings) == {
-            "profile", "pagerank_iterations", "retries", "cell_budget",
-            "cell_cycles", "cell_deadline_seconds", "faults", "fault_seed",
+        config = RunConfig(
+            retries=5,
+            cell_budget=10_000,
+            cell_cycles=99_000_000,
+            cell_deadline_seconds=12.5,
+            faults=plan,
+            fault_seed=1234,
+            sanitize=True,
+            trace=True,
+            tlb_engine="exact",
+        )
+        wire = json.loads(json.dumps(config.to_wire()))
+        assert RunConfig.from_wire(wire) == config
+        rebuilt = RunConfig.from_wire(wire).faults
+        assert rebuilt == plan and rebuilt.seed == 1234
+        assert [spec.trigger_label for spec in rebuilt.specs] == [
+            "p=0.25", "after=3", "every=4,max=2", "p=1,max=1",
+        ]
+        default = RunConfig()
+        assert RunConfig.from_wire(
+            json.loads(json.dumps(default.to_wire()))
+        ) == default
+
+    def test_wire_keys_cover_every_field_but_parent_owned(self):
+        """A field added to RunConfig later reaches workers by
+        construction: only the parent-owned ones stay home."""
+        names = {field.name for field in dataclasses.fields(RunConfig)}
+        assert set(RunConfig().to_wire()) == names - {
+            "journal", "resume", "workers",
         }
+
+    def test_rejects_unknown_keys_and_malformed_plans(self):
+        with pytest.raises(ConfigError):
+            RunConfig.from_wire({"workers": 4})
+        with pytest.raises(ConfigError):
+            RunConfig.from_wire({"faults": {"specs": [{"site": "nope"}],
+                                            "seed": 0}})
+
+    def test_worker_rebuilds_the_coordinators_worker_run_config(self):
+        from repro.dist.worker import _build_runner
+
+        runner = ExperimentRunner(
+            config=get_profile("scaled"),
+            run_config=RunConfig(
+                workers=4, trace=True, sanitize=True, tlb_engine="batch",
+                faults="compaction:after=3", fault_seed=9, retries=1,
+            ),
+            pagerank_iterations=2,
+        )
+        settings = json.loads(json.dumps({
+            "profile": runner.config.name,
+            "pagerank_iterations": runner.pagerank_iterations,
+            "run": runner.worker_run_config().to_wire(),
+        }))
+        worker = _build_runner(settings)
+        assert worker.run_config == runner.worker_run_config()
+        assert worker.pagerank_iterations == 2
+        cell = ("bfs", "test-small", parse_policy("thp"),
+                parse_scenario("fresh"))
+        assert worker.cell_spec(*cell) == runner.cell_spec(*cell)
 
 
 # ----------------------------------------------------------------------
@@ -561,6 +628,123 @@ class TestCoordinatorEndToEnd:
         from repro.obs.events import validate_events
 
         assert validate_events(events) == []
+
+    def test_traced_figure_matches_serial_trace_and_bytes(self, tmp_path):
+        """Workers run under the coordinator's run config: a traced
+        distributed figure carries the serial trace, not an empty one."""
+        from repro.experiments.figures import fig07_pressure_alloc_order
+
+        def traced_runner():
+            return ExperimentRunner(
+                config=get_profile("scaled"),
+                run_config=RunConfig(trace=True),
+            )
+
+        kwargs = {"workloads": ("bfs",), "datasets": ("test-small",)}
+        serial = traced_runner()
+        expected_json = fig07_pressure_alloc_order(serial, **kwargs).to_json()
+        assert serial.trace_log
+
+        sock = str(tmp_path / "coord.sock")
+        runner = traced_runner()
+        coordinator = DistCoordinator(
+            runner,
+            DistConfig(socket_path=sock, local_grace_seconds=60.0),
+        ).start()
+        runner.dist_executor = coordinator.execute_batch
+        worker = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "work",
+                "--connect", sock,
+                "--journal", str(tmp_path / "w.jsonl"),
+                "--worker-id", "w-trace",
+                "--poll-interval", "0.05",
+                "--idle-exit", "20",
+            ],
+            env=_worker_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            figure_json = fig07_pressure_alloc_order(
+                runner, **kwargs
+            ).to_json()
+            coordinator.drain()
+            rc = worker.wait(timeout=30)
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+            coordinator.stop()
+        assert rc == 0
+        results = [
+            event for event in coordinator.drain_events()
+            if event["name"] == "dist.result"
+        ]
+        assert len(results) == len(serial.trace_log)
+        assert all(event["worker"] == "w-trace" for event in results)
+        assert figure_json == expected_json
+        assert json.dumps(runner.trace_log, sort_keys=True) == json.dumps(
+            serial.trace_log, sort_keys=True
+        )
+
+    def test_memsan_runs_on_remote_cells(self, tmp_path, monkeypatch):
+        """``RunConfig(sanitize=True)`` reaches the worker: its machines
+        carry a MemSanitizer that performs checks, even with the
+        ambient switch off."""
+        import threading
+
+        import repro.machine.machine as machine_module
+        from repro.analysis.sanitizer import set_sanitize
+        from repro.dist import WorkerConfig, work_loop
+
+        made = []
+        real = machine_module.make_sanitizer
+
+        def recording(explicit=None):
+            sanitizer = real(explicit)
+            made.append(sanitizer)
+            return sanitizer
+
+        monkeypatch.setattr(machine_module, "make_sanitizer", recording)
+        previous = set_sanitize(False)
+        sock = str(tmp_path / "coord.sock")
+        runner = ExperimentRunner(
+            config=get_profile("scaled"),
+            run_config=RunConfig(sanitize=True),
+        )
+        coordinator = DistCoordinator(
+            runner,
+            DistConfig(socket_path=sock, local_grace_seconds=60.0),
+        ).start()
+        worker = threading.Thread(
+            target=work_loop,
+            args=(WorkerConfig(
+                connect=sock, journal_path=str(tmp_path / "w.jsonl"),
+                worker_id="w-san", poll_interval=0.05,
+                idle_exit_seconds=20.0,
+            ),),
+            daemon=True,
+        )
+        worker.start()
+        cells = [
+            ("bfs", "test-small", parse_policy(name),
+             parse_scenario("fresh"))
+            for name in ("thp", "base4k")
+        ]
+        try:
+            coordinator.execute_batch(cells)
+            coordinator.drain()
+            worker.join(timeout=30)
+        finally:
+            coordinator.stop()
+            set_sanitize(previous)
+        assert not worker.is_alive()
+        results = [
+            event for event in coordinator.drain_events()
+            if event["name"] == "dist.result"
+        ]
+        assert [event["worker"] for event in results] == ["w-san"] * 2
+        assert len(made) == 2
+        assert all(s is not None and s.checks > 0 for s in made)
 
     def test_execute_batch_requires_running_loop(self):
         runner = _runner()

@@ -64,7 +64,9 @@ class TestRetries:
 
     def test_transient_glitch_survived_by_retry(self, runner):
         # staging fires once (max=1): attempt 1 dies, attempt 2 passes.
-        runner.fault_plan = FaultPlan.parse("staging:1.0:max=1")
+        runner.run_config = runner.run_config.replace(
+            faults=FaultPlan.parse("staging:1.0:max=1")
+        )
         metrics = run_bfs(runner)
         assert metrics.ok
         assert metrics.attempts == 2
@@ -84,24 +86,30 @@ class TestRetries:
         )
 
     def test_retries_exhausted_becomes_cell_failure(self, runner):
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        runner.run_config = runner.run_config.replace(
+            faults=FaultPlan.parse("staging:1.0")
+        )
         result = run_bfs(runner)
         assert isinstance(result, CellFailure)
         assert not result.ok
-        assert result.attempts == runner.max_retries + 1
+        assert result.attempts == runner.run_config.retries + 1
         assert result.site is not None and result.site.value == "staging"
         assert result.error == "InjectedFaultError"
         assert result.label == "FAILED(staging)"
         assert runner.failures == [result]
 
     def test_strict_mode_propagates(self, runner):
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        runner.run_config = runner.run_config.replace(
+            faults=FaultPlan.parse("staging:1.0")
+        )
         runner.capture_failures = False
         with pytest.raises(InjectedFaultError):
             run_bfs(runner)
 
     def test_failure_is_cached(self, runner):
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        runner.run_config = runner.run_config.replace(
+            faults=FaultPlan.parse("staging:1.0")
+        )
         first = run_bfs(runner)
         second = run_bfs(runner)
         assert first is second
@@ -109,14 +117,16 @@ class TestRetries:
 
     def test_fault_plan_in_cache_key(self, runner):
         clean = run_bfs(runner)
-        runner.fault_plan = FaultPlan.parse("staging:1.0")
+        runner.run_config = runner.run_config.replace(
+            faults=FaultPlan.parse("staging:1.0")
+        )
         faulted = run_bfs(runner)
         assert clean.ok and not faulted.ok
 
 
 class TestDeterministicFailures:
     def test_budget_overrun_not_retried(self, runner):
-        runner.cell_budget = 10
+        runner.run_config = runner.run_config.replace(cell_budget=10)
         result = run_bfs(runner)
         assert isinstance(result, CellFailure)
         assert result.error == "CellBudgetExceededError"
@@ -125,7 +135,7 @@ class TestDeterministicFailures:
 
     def test_budget_in_cache_key(self, runner):
         assert run_bfs(runner).ok
-        runner.cell_budget = 10
+        runner.run_config = runner.run_config.replace(cell_budget=10)
         assert not run_bfs(runner).ok
 
     def test_oom_captured_from_pressured_cell(self):

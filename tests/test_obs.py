@@ -188,12 +188,19 @@ class TestRunConfig:
         with pytest.raises(TypeError):
             ExperimentRunner(**{name: None})
 
-    def test_attribute_views_write_through(self):
+    def test_replace_revalidates_and_mirrors_are_gone(self):
+        """Knobs live on ``run_config`` only; writes go through
+        ``replace``, which re-validates."""
         runner = ExperimentRunner()
-        runner.cell_budget = 10
+        runner.run_config = runner.run_config.replace(cell_budget=10)
         assert runner.run_config.cell_budget == 10
         with pytest.raises(ConfigError):
-            runner.max_retries = -1
+            runner.run_config.replace(retries=-1)
+        for name in (
+            "fault_plan", "max_retries", "cell_budget", "journal",
+            "resume", "cell_cycles", "cell_deadline_seconds", "workers",
+        ):
+            assert not hasattr(runner, name), name
 
 
 class TestHarnessTraceLog:

@@ -172,7 +172,7 @@ def test_miss_after_hit_starts_from_the_restored_state(engine):
     )
     assert not _run(warm, "bfs", "never", "fresh").ok
     assert len(warm._replay) == 1
-    warm.cell_budget = None
+    warm.run_config = warm.run_config.replace(cell_budget=None)
     replayed = _run(warm, "bfs", "never", "fresh")
     assert warm._replay.hits == 1 and len(warm._replay) > 1
     fresh = ExperimentRunner(config=CONFIG, run_config=run_config)

@@ -29,8 +29,9 @@ The surface groups into:
 - **Core contribution**: the page-size advisor and placement plans.
 - **Policy API** (docs/policies.md): the :class:`PagePolicy` hook
   protocol and its run-time base :class:`HugePageManager`, the
-  read-only :class:`PolicyView`, the zoo registry
-  (:func:`register_policy` / :func:`get_policy`) and the
+  read-only :class:`PolicyView`, the one policy registry
+  (:func:`register_policy`; :func:`get_policy` resolves every
+  ``--policy`` spelling) and the
   :func:`run_tournament` leaderboard harness.
 """
 

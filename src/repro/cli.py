@@ -231,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma list (default: all Table 2 inputs)")
     figure.add_argument(
         "--policy", action="append", default=None, metavar="SPEC",
-        help="(tournament only) zoo policy spec to enter; repeat or "
+        help="(tournament only) policy spec to enter; repeat or "
         "comma-separate (default: the stock lineup)",
     )
     figure.add_argument(
@@ -294,8 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tournament.add_argument(
         "--policies", default=None, metavar="SPECS",
-        help="comma list of zoo policy specs NAME[:k=v,...] "
-        "(default: the stock lineup; see 'repro policies')",
+        help="comma list of policy specs (see 'repro policies') "
+        "(default: the stock lineup)",
     )
     tournament.add_argument(
         "--scenarios", default=None, metavar="SPECS",
@@ -462,26 +462,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_policy(spec: str, dataset=None, config=None):
-    from .experiments.parse import parse_policy
-
-    return parse_policy(spec, dataset=dataset, config=config)
-
-
-def _parse_scenario(spec: str):
-    from .experiments.parse import parse_scenario
-
-    return parse_scenario(spec)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments.harness import CellFailure
+    from .experiments.parse import parse_policy, parse_scenario
 
     runner = _make_runner(args)
-    policy = _parse_policy(
+    policy = parse_policy(
         args.policy, dataset=args.dataset, config=runner.config
     )
-    scenario = _parse_scenario(args.scenario)
+    scenario = parse_scenario(args.scenario)
     try:
         result = runner.run_cell(args.workload, args.dataset, policy, scenario)
         _write_trace(args, runner)
@@ -647,21 +636,15 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 
 def _cmd_policies(_args: argparse.Namespace) -> int:
-    from .experiments.policies import POLICIES
     from .policy.registry import registered_policies
 
-    for name, policy in POLICIES.items():
-        thp = policy.make_thp()
-        print(f"{name:16s} thp={thp.mode.value:8s} "
-              f"order={policy.plan.order.value:14s} "
-              f"reorder={policy.plan.reorder}")
-    print("selective:<s>[:<reorder>]   madvise s% of the property array")
-    print()
-    print("policy zoo — spec NAME[:k=v,...] anywhere --policy is "
+    print("policies — spec NAME[:k=v,...] anywhere --policy is "
           "accepted (docs/policies.md):")
     for name, entry in registered_policies().items():
         tag = "  [dataset-aware]" if entry.dataset_aware else ""
         print(f"{name:16s} {entry.summary}{tag}")
+    print("selective:<s>[:<reorder>]  madvise s of the property array "
+          "(default reorder dbg)")
     return 0
 
 

@@ -18,10 +18,13 @@ Its durability story is deliberately boring:
   runner's :meth:`~repro.experiments.harness.ExperimentRunner
   .worker_run_config`, via :meth:`~repro.experiments.runconfig
   .RunConfig.from_wire` — tracing, MemSan, TLB engine, faults, retries,
-  budgets and watchdogs all carry over) and **re-derives the spec
-  fingerprint**; a mismatch is reported (the coordinator runs the cell
-  locally) rather than executed — a worker must never journal a result
-  under a fingerprint its own configuration would not produce.
+  budgets and watchdogs all carry over), rebuilds the policy from its
+  spec and the scenario from its fields
+  (:func:`~repro.dist.wire.decode_cell`), and **re-derives the spec
+  fingerprint**; a mismatch or malformed cell is reported (the
+  coordinator runs the cell locally) rather than executed — a worker
+  must never journal a result under a fingerprint its own
+  configuration would not produce.
 
 Deterministic adversity: ``--chaos`` accepts the standard plan grammar.
 ``kill-worker:cell:N`` makes the worker SIGKILL itself mid-cell on its
@@ -52,6 +55,7 @@ from ..runstate.serialize import (
 from .config import parse_connect
 from .http import SweepClient
 from .netchaos import ChaosClient, NetChaos
+from .wire import decode_cell
 
 REQUEST_ATTEMPTS = 4
 """Bounded attempts per coordinator request (lease poll, completion)."""
@@ -209,18 +213,20 @@ def _run_task(
     dispatch: int,
     log: Any,
 ) -> None:
-    from ..experiments.parse import parse_policy, parse_scenario
-
     settings = task["settings"]
     key = canonical_json(settings)
     runner = runners.get(key)
     if runner is None:
         runner = runners[key] = _build_runner(settings)
-    policy = parse_policy(task["policy"])
-    scenario = parse_scenario(task["scenario"])
-    spec = runner.cell_spec(
-        task["workload"], task["dataset"], policy, scenario
-    )
+    try:
+        policy, scenario = decode_cell(runner, task)
+    except ReproError as exc:
+        log(f"undecodable cell: {exc}")
+        spec = None
+    else:
+        spec = runner.cell_spec(
+            task["workload"], task["dataset"], policy, scenario
+        )
     if spec != task["spec"]:
         log(f"spec mismatch for {task['workload']}/{task['dataset']}: "
             f"ours {spec} != leased {task['spec']}; refusing")

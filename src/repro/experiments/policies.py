@@ -15,12 +15,16 @@ every policy the paper evaluates:
 - ``dbg+thp`` — DBG with system-wide THP (Fig. 10 red);
 - selective policies from :func:`selective_policy` — DBG + madvise on
   the leading s% of the property array (Fig. 10 purple/brown, Fig. 11).
+
+Every name here, and ``selective:<s>[:<reorder>]``, is spelled through
+the one policy registry (:mod:`repro.policy.registry`), which is how
+``--policy`` resolves them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from ..core.plan import PlacementPlan
 from ..core.selective import selective_property_plan
@@ -41,11 +45,17 @@ class Policy:
     Run-time policies (the heuristic kernel managers and the online
     autotuner) are the THP policy's hook, like every other decision
     maker; see :mod:`repro.mem.heuristics`.
+
+    ``spec`` is a registry spelling that rebuilds this policy (what the
+    distributed layer ships instead of the policy object), or ``None``
+    for a hand-built policy.  It is not part of the policy's identity:
+    it never enters equality, fingerprints, journals or figures.
     """
 
     name: str
     thp_factory: Callable[[], ThpPolicy]
     plan: PlacementPlan
+    spec: Optional[str] = field(default=None, compare=False)
 
     def make_thp(self) -> ThpPolicy:
         """Fresh THP policy object (policies are stateless; machines are
@@ -61,6 +71,7 @@ def _madvise_one(array_id: int, array_name: str) -> Policy:
             advise_fractions={array_id: 1.0},
             label=f"madv-{array_name}",
         ),
+        spec=f"madv-{array_name}",
     )
 
 
@@ -69,11 +80,13 @@ POLICIES: dict[str, Policy] = {
         name="base4k",
         thp_factory=ThpPolicy.never,
         plan=PlacementPlan(label="base4k"),
+        spec="base4k",
     ),
     "thp": Policy(
         name="thp",
         thp_factory=ThpPolicy.always,
         plan=PlacementPlan(label="thp"),
+        spec="thp",
     ),
     "thp-opt": Policy(
         name="thp-opt",
@@ -81,6 +94,7 @@ POLICIES: dict[str, Policy] = {
         plan=PlacementPlan(
             order=AllocationOrder.PROPERTY_FIRST, label="thp-opt"
         ),
+        spec="thp-opt",
     ),
     "madv-vertex": _madvise_one(ARRAY_VERTEX, "vertex"),
     "madv-edge": _madvise_one(ARRAY_EDGE, "edge"),
@@ -90,14 +104,16 @@ POLICIES: dict[str, Policy] = {
         name="dbg",
         thp_factory=ThpPolicy.never,
         plan=PlacementPlan(reorder="dbg", label="dbg"),
+        spec="dbg",
     ),
     "dbg+thp": Policy(
         name="dbg+thp",
         thp_factory=ThpPolicy.always,
         plan=PlacementPlan(reorder="dbg", label="dbg+thp"),
+        spec="dbg+thp",
     ),
 }
-"""Registry of the paper's fixed policies."""
+"""The paper's fixed policies, by the name the policy registry resolves."""
 
 
 def selective_policy(
@@ -110,6 +126,7 @@ def selective_policy(
         name=plan.label,
         thp_factory=ThpPolicy.madvise,
         plan=plan,
+        spec=f"selective:{float(fraction)!r}:{reorder}",
     )
 
 
@@ -128,12 +145,3 @@ def hugetlb_policy(fraction: float = 1.0, reorder: str = "dbg") -> Policy:
         ),
     )
 
-
-def get_policy(name: str) -> Policy:
-    """Look up a fixed policy by name.
-
-    Raises:
-        KeyError: if the name is unknown (selective policies are built
-        with :func:`selective_policy`, not looked up).
-    """
-    return POLICIES[name]

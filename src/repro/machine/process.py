@@ -289,24 +289,27 @@ class SimProcess:
                 if is_resident and not vma.is_huge[page]:
                     fifo.append((array_id, page))
         swap_ins = 0
-        keys = trace.keys.tolist()
-        aids = trace.array_ids.tolist()
-        for key, array_id in zip(keys, aids):
-            if key & 1:
-                continue  # huge-mapped pages were never swapped out
-            page = (key >> 1) - start_vpn[array_id]
-            flags = resident[array_id]
-            if flags[page]:
-                continue
-            # Exchange: evict the FIFO head, reuse its frame.
-            while True:
-                victim_aid, victim_page = fifo.popleft()
-                if resident[victim_aid][victim_page]:
-                    break
-            resident[victim_aid][victim_page] = False
-            flags[page] = True
-            fifo.append((array_id, page))
-            swap_ins += 1
+        # Runs convert to Python ints a chunk at a time: whole-trace
+        # lists would cost ~48 bytes per run at once.
+        for lo in range(0, trace.keys.size, _CHUNK):
+            keys = trace.keys[lo : lo + _CHUNK].tolist()
+            aids = trace.array_ids[lo : lo + _CHUNK].tolist()
+            for key, array_id in zip(keys, aids):
+                if key & 1:
+                    continue  # huge-mapped pages were never swapped out
+                page = (key >> 1) - start_vpn[array_id]
+                flags = resident[array_id]
+                if flags[page]:
+                    continue
+                # Exchange: evict the FIFO head, reuse its frame.
+                while True:
+                    victim_aid, victim_page = fifo.popleft()
+                    if resident[victim_aid][victim_page]:
+                        break
+                resident[victim_aid][victim_page] = False
+                flags[page] = True
+                fifo.append((array_id, page))
+                swap_ins += 1
         self._charge_swap(swap_ins)
         return swap_ins, swap_ins
 

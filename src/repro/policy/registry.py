@@ -1,11 +1,13 @@
-"""Name-keyed policy registry behind ``--policy NAME[:k=v,...]``.
+"""The one policy namespace: every ``--policy`` spelling resolves here.
 
-The registry maps stable *zoo names* to builders that materialize
-:class:`~repro.experiments.policies.Policy` objects.  Specs have the
-grammar::
+The registry maps stable names to builders that materialize
+:class:`~repro.experiments.policies.Policy` objects; the paper's fixed
+bars (``base4k``, ``thp``, ``thp-opt``, ``madv-*``, ``dbg``,
+``dbg+thp``) are entries like any other.  Specs have the grammar::
 
     NAME                      # defaults
     NAME:k=v[,k=v...]         # explicit parameters
+    selective:<s>[:<reorder>] # selective THP (Figs. 10/11)
 
 Values parse as int, then float, then the keywords ``true`` / ``false``
 / ``none``, else stay strings.  When explicit parameters are present
@@ -15,7 +17,12 @@ same entry always produce distinct journal spec fingerprints — even
 for parameters the builder does not fold into its own label.  A bare
 ``NAME`` keeps the builder's native name, so default lookups stay
 fingerprint-compatible with the historical fixed policies
-(``never`` materializes as ``base4k``, etc.).
+(``never`` materializes as ``base4k``, etc.); ``selective:`` keeps its
+historical ``selective(s=..%,<reorder>)`` name.
+
+Every policy :func:`get_policy` returns carries a ``spec`` that
+rebuilds it (:attr:`~repro.experiments.policies.Policy.spec`) — the
+form the distributed layer ships on the wire.
 
 Some entries are *dataset-aware* (the static ``advisor`` derives its
 plan from the input graph); :func:`get_policy` forwards ``dataset`` and
@@ -174,7 +181,8 @@ def get_policy(
     """Materialize the policy named by ``spec``.
 
     Args:
-        spec: ``NAME[:k=v,...]`` against the registry.
+        spec: ``NAME[:k=v,...]`` against the registry, or
+            ``selective:<s>[:<reorder>]``.
         dataset: dataset name forwarded to dataset-aware builders (the
             static ``advisor`` needs the graph it is advising on).
         config: machine configuration forwarded to dataset-aware
@@ -184,13 +192,16 @@ def get_policy(
         ReproError: unknown name, malformed spec, or parameters the
             builder rejects.
     """
+    if spec.startswith("selective:"):
+        return _selective(spec)
     name, params = parse_policy_spec(spec)
     _ensure_zoo()
     entry = _REGISTRY.get(name)
     if entry is None:
         raise ReproError(
-            f"unknown zoo policy {name!r}; registered: "
+            f"unknown policy {name!r}; registered: "
             + ", ".join(sorted(_REGISTRY))
+            + ", and selective:<s>[:<reorder>]"
         )
     kwargs: dict[str, Any] = dict(params)
     if entry.dataset_aware:
@@ -205,7 +216,23 @@ def get_policy(
     if params:
         # Fold explicit parameters into the policy identity so every
         # parameterization fingerprints distinctly in the journal.
-        policy = dataclasses.replace(
-            policy, name=canonical_spec(name, params)
-        )
+        canonical = canonical_spec(name, params)
+        return dataclasses.replace(policy, name=canonical, spec=canonical)
+    if policy.spec is None:
+        return dataclasses.replace(policy, spec=name)
     return policy
+
+
+def _selective(spec: str) -> "Policy":
+    from ..experiments.policies import selective_policy
+
+    parts = spec.split(":")
+    try:
+        fraction = float(parts[1])
+    except ValueError as exc:
+        raise ReproError(
+            f"bad selective policy spec {spec!r}: expected "
+            "selective:<s>[:<reorder>]"
+        ) from exc
+    reorder = parts[2] if len(parts) > 2 else "dbg"
+    return selective_policy(fraction, reorder=reorder)

@@ -72,7 +72,8 @@ def run_tournament(
     Args:
         runner: the experiment harness to run cells on (its journal,
             workers and dist settings are reused unchanged).
-        policies: zoo policy specs (``NAME[:k=v,...]``) to rank.
+        policies: policy specs (anything
+            :func:`~repro.policy.registry.get_policy` resolves) to rank.
         scenarios: scenario specs (strings through
             :func:`~repro.experiments.parse.parse_scenario`) or
             :class:`~repro.experiments.scenarios.Scenario` objects.

@@ -1,13 +1,16 @@
-"""The policy zoo: named page-management strategies for the tournament.
+"""The policy zoo: every named page-management policy.
 
 Each entry is a builder that materializes an
 :class:`~repro.experiments.policies.Policy` (THP configuration with its
 hook + placement plan), registered with the
 :mod:`~repro.policy.registry` under a stable name so ``--policy
-NAME[:k=v,...]`` works anywhere a fixed policy name does.
+NAME[:k=v,...]`` works anywhere a policy is accepted.
 
 The shipped zoo spans the paper's design space:
 
+- the paper's fixed bars, under their historical names (``base4k``,
+  ``thp``, ``thp-opt``, ``madv-*``, ``dbg``, ``dbg+thp``; see
+  :data:`~repro.experiments.policies.POLICIES`);
 - ``never`` / ``greedy-always`` / ``madvise`` — the three Linux THP
   modes (aliases of the paper's ``base4k`` / ``thp`` /
   ``madv-property`` bars);
@@ -25,9 +28,10 @@ The shipped zoo spans the paper's design space:
 - ``autotuner`` — the online profile-then-promote runtime
   (:class:`~repro.core.autotuner.OnlineAdvisor`).
 
-Parameters fold into the materialized policy's *name* (e.g.
-``autotuner(c=90%)``), which flows into journal spec fingerprints — two
-parameterizations of the same zoo entry are distinct cells.
+Explicit parameters fold into the materialized policy's *name* (the
+registry renames it to the canonical spec, e.g.
+``autotuner:coverage=0.9``), which flows into journal spec fingerprints
+— two parameterizations of the same zoo entry are distinct cells.
 """
 
 from __future__ import annotations
@@ -140,22 +144,30 @@ class SampledHotnessManager(HotnessManager):
 # ----------------------------------------------------------------------
 
 
-def _never_builder():
-    from ..experiments.policies import POLICIES
+_FIXED_SUMMARIES = {
+    "base4k": "THP off: the paper's 4KB baseline",
+    "thp": "system-wide THP, natural allocation order",
+    "thp-opt": "system-wide THP, property-first allocation order",
+    "madv-vertex": "madvise THP on the vertex array only",
+    "madv-edge": "madvise THP on the edge array only",
+    "madv-values": "madvise THP on the edge-values array only",
+    "madv-property": "madvise THP on the property array only",
+    "dbg": "DBG reordering with 4KB pages",
+    "dbg+thp": "DBG reordering with system-wide THP",
+}
+"""The paper's fixed bars: registry name -> ``repro policies`` summary."""
 
-    return POLICIES["base4k"]
+
+def _fixed_builder(key: str):
+    def build():
+        from ..experiments.policies import POLICIES
+
+        return POLICIES[key]
+
+    return build
 
 
-def _greedy_builder():
-    from ..experiments.policies import POLICIES
-
-    return POLICIES["thp"]
-
-
-def _madvise_builder():
-    from ..experiments.policies import POLICIES
-
-    return POLICIES["madv-property"]
+_FIXED_BUILDERS = {key: _fixed_builder(key) for key in _FIXED_SUMMARIES}
 
 
 def _khugepaged_builder():
@@ -338,16 +350,18 @@ def _thp_opt_defer_builder():
 
 def register_zoo() -> None:
     """Register the shipped zoo (idempotent; called at registry import)."""
+    for key, summary in _FIXED_SUMMARIES.items():
+        register_policy(key, _FIXED_BUILDERS[key], summary=summary)
     register_policy(
-        "never", _never_builder,
+        "never", _FIXED_BUILDERS["base4k"],
         summary="THP off: the paper's 4KB baseline (alias of base4k)",
     )
     register_policy(
-        "greedy-always", _greedy_builder,
+        "greedy-always", _FIXED_BUILDERS["thp"],
         summary="system-wide THP, natural order (alias of thp)",
     )
     register_policy(
-        "madvise", _madvise_builder,
+        "madvise", _FIXED_BUILDERS["madv-property"],
         summary="programmer-advised THP on the property array "
         "(alias of madv-property)",
     )

@@ -20,6 +20,16 @@ class TestInformational:
         assert "thp" in out
         assert "selective:" in out
 
+    def test_policies_is_one_table(self, capsys):
+        """The paper's fixed names and the zoo are one namespace, listed
+        once each in one table."""
+        assert main(["policies"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "" not in lines
+        names = [line.split()[0] for line in lines[1:]]
+        assert {"thp-opt", "hawkeye", "base4k", "never"} <= set(names)
+        assert len(names) == len(set(names))
+
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0
         out = capsys.readouterr().out

@@ -39,9 +39,11 @@ from repro.dist.http import (
     SweepClient,
     _read_request,
 )
-from repro.errors import ConfigError, DistError, ServiceError
+from repro.dist.wire import decode_cell
+from repro.errors import ConfigError, DistError, ReproError, ServiceError
 from repro.experiments import ExperimentRunner, RunConfig
 from repro.experiments.parse import parse_policy, parse_scenario
+from repro.experiments.policies import Policy
 from repro.faults.spec import FaultPlan
 from repro.runstate.serialize import encode_result
 
@@ -251,10 +253,11 @@ class TestEncodeCell:
         )
         task = encode_cell(runner, cell)
         assert task is not None
+        assert task["policy"] == "thp"
+        assert task["scenario"] == dataclasses.asdict(cell[3])
         assert task["spec"] == runner.cell_spec(*cell)
         replayed = runner.cell_spec(
-            task["workload"], task["dataset"],
-            parse_policy(task["policy"]), parse_scenario(task["scenario"]),
+            task["workload"], task["dataset"], *decode_cell(runner, task)
         )
         assert replayed == task["spec"]
 
@@ -269,14 +272,135 @@ class TestEncodeCell:
         assert task["spec"] == runner.cell_spec(*cell)
 
     def test_inexpressible_cell_returns_none(self):
-        import dataclasses
-
+        """Only a hand-built ``Policy`` (no registry spec) runs locally;
+        a renamed scenario is plain data and rides the wire."""
         runner = _runner()
+        thp = parse_policy("thp")
+        hand_built = Policy("hand-built", thp.thp_factory, thp.plan)
+        assert hand_built.spec is None
         scenario = dataclasses.replace(
             parse_scenario("fresh"), name="mystery-scenario",
         )
-        cell = ("bfs", "test-small", parse_policy("thp"), scenario)
+        assert encode_cell(
+            runner, ("bfs", "test-small", hand_built, scenario)
+        ) is None
+        assert encode_cell(
+            runner, ("bfs", "test-small", thp, scenario)
+        ) is not None
+
+    def test_stale_spec_after_replace_returns_none(self):
+        runner = _runner()
+        renamed = dataclasses.replace(parse_policy("thp"), name="mine")
+        assert renamed.spec == "thp"
+        cell = ("bfs", "test-small", renamed, parse_scenario("fresh"))
         assert encode_cell(runner, cell) is None
+
+    def test_every_figure_and_tournament_cell_rides_the_wire(self):
+        """Census: every distinct cell of every figure (table2 runs no
+        cells) plus the default tournament lineup and ``advisor`` on
+        test-small encodes, and its decoded policy and scenario rebuild
+        its fingerprint."""
+        from repro.experiments import figures
+        from repro.policy.tournament import DEFAULT_POLICIES
+
+        class Planner(figures._PlanningRunner):
+            def run_cells(self, cells):
+                return [self.run_cell(*cell) for cell in cells]
+
+        runner = _runner()
+        planner = Planner(runner)
+        for figure_id, func in figures.FIGURES.items():
+            if figure_id == "table2":
+                continue
+            if figure_id == "tournament":
+                func(
+                    planner, datasets=("test-small",),
+                    policies=DEFAULT_POLICIES + ("advisor",),
+                )
+            else:
+                func.__wrapped__(planner, datasets=("test-small",))
+        cells = {runner.cell_spec(*cell): cell for cell in planner.cells}
+        assert len(cells) > 100
+        names = {cell[2].name for cell in cells.values()}
+        assert {"thp-direct", "ingens(u=90%)", "advisor(s=100%)"} <= names
+        inexpressible = []
+        for spec, cell in cells.items():
+            task = encode_cell(runner, cell)
+            if task is None:
+                inexpressible.append((cell[2].name, cell[3].name))
+                continue
+            task = json.loads(json.dumps(task))
+            assert runner.cell_spec(
+                cell[0], cell[1], *decode_cell(runner, task)
+            ) == spec
+        assert inexpressible == []
+
+
+class _RecordingClient:
+    """Stands in for the worker's ``SweepClient``: records POSTs."""
+
+    def __init__(self):
+        self.posts = []
+
+    def request_with_retry(self, method, path, body, **_kwargs):
+        self.posts.append((method, path, body))
+
+
+class TestWorkerRefusesMalformedCells:
+    """Scenario fields arriving at ``repro work`` are outside input: a
+    bad shape is refused like a fingerprint mismatch (the coordinator
+    then runs the cell locally), never a crash or a journaled run."""
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda fields: {**fields, "bogus": 1},
+            lambda fields: {
+                key: value for key, value in fields.items()
+                if key != "name"
+            },
+            lambda fields: {**fields, "pressure_gb": "lots"},
+            lambda fields: ["not", "a", "mapping"],
+        ],
+        ids=["unknown-key", "missing-name", "non-numeric-pressure",
+             "not-a-mapping"],
+    )
+    def test_bad_scenario_fields_post_mismatch(self, tmp_path, mangle):
+        from repro.dist.worker import WorkerConfig, _run_task
+        from repro.runstate.journal import RunJournal
+
+        runner = _runner()
+        task = encode_cell(runner, (
+            "bfs", "test-small", parse_policy("thp"),
+            parse_scenario("high-pressure"),
+        ))
+        task.update(
+            scenario=mangle(task["scenario"]), lease_id="L1",
+            lease_seconds=5.0,
+            settings={
+                "profile": runner.config.name,
+                "pagerank_iterations": runner.pagerank_iterations,
+                "run": runner.worker_run_config().to_wire(),
+            },
+        )
+        with pytest.raises(ReproError, match="scenario"):
+            decode_cell(runner, task)
+        client = _RecordingClient()
+        config = WorkerConfig(
+            connect=str(tmp_path / "c.sock"),
+            journal_path=str(tmp_path / "w.jsonl"), worker_id="w-bad",
+        )
+        journal = RunJournal(config.journal_path, lock=True)
+        try:
+            _run_task(config, client, journal, {}, task, 1, lambda _: None)
+        finally:
+            journal.close()
+        assert client.posts == [("POST", "/v1/dist/complete", {
+            "worker": "w-bad", "lease_id": "L1", "spec": task["spec"],
+            "mismatch": True,
+        })]
+        shard = tmp_path / "w.jsonl"
+        assert not shard.exists() or "begin" not in shard.read_text()
 
 
 # ----------------------------------------------------------------------

@@ -5,11 +5,7 @@ import pytest
 
 from repro.config import tiny
 from repro.experiments.harness import ExperimentRunner
-from repro.experiments.policies import (
-    POLICIES,
-    get_policy,
-    selective_policy,
-)
+from repro.experiments.policies import POLICIES, selective_policy
 from repro.experiments.reporting import format_table, geomean
 from repro.experiments.scenarios import (
     SCENARIOS,
@@ -20,6 +16,7 @@ from repro.experiments.scenarios import (
     oversubscribed,
 )
 from repro.mem.thp import ThpMode
+from repro.policy.registry import get_policy
 
 
 @pytest.fixture

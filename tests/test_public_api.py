@@ -57,6 +57,20 @@ class TestTopLevelExports:
         ):
             assert not hasattr(api, removed), removed
 
+    def test_get_policy_is_the_one_policy_namespace(self):
+        """``repro.api.get_policy`` resolves every ``--policy``
+        spelling: the paper's fixed names, ``selective:`` and the
+        zoo."""
+        import repro.api as api
+
+        assert api.get_policy("base4k").name == "base4k"
+        assert api.get_policy("thp-opt") is api.POLICIES["thp-opt"]
+        assert (
+            api.get_policy("selective:0.3").name
+            == api.selective_policy(0.3).name
+        )
+        assert api.get_policy("ingens").spec == "ingens"
+
     def test_version(self):
         assert repro.__version__
 

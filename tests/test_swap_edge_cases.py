@@ -57,3 +57,27 @@ class TestHarnessGuards:
             runner.run_cell(
                 "bfs", "test-small", POLICIES["base4k"], oversubscribed(1.0)
             )
+
+
+class TestServiceSwapChunking:
+    def test_result_is_independent_of_the_chunk_size(self, monkeypatch):
+        """``service_swap`` walks the trace a chunk at a time; the FIFO
+        residency state carries across chunks, so a tiny chunk gives
+        the same cell as the default one."""
+        import repro.machine.process as process_module
+        from repro.config import tiny
+        from repro.experiments.harness import ExperimentRunner
+        from repro.experiments.policies import POLICIES
+        from repro.experiments.scenarios import oversubscribed
+        from repro.runstate.serialize import encode_result
+
+        def run():
+            runner = ExperimentRunner(config=tiny(), datasets=("test-small",))
+            return runner.run_cell(
+                "bfs", "test-small", POLICIES["base4k"], oversubscribed(0.5)
+            )
+
+        reference = run()
+        assert reference.swap_ins > 0
+        monkeypatch.setattr(process_module, "_CHUNK", 3)
+        assert encode_result(run()) == encode_result(reference)

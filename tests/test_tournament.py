@@ -123,6 +123,17 @@ class TestCli:
         assert "greedy-always" in out
         assert "overall" in out
 
+    def test_paper_names_and_selective_enter_the_tournament(self, capsys):
+        code = main([
+            "tournament", "--profile", "tiny", "--datasets", "test-small",
+            "--scenarios", "fresh",
+            "--policies", "thp-opt,dbg+thp,selective:0.3",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "thp-opt" in out
+        assert "selective:0.3" in out
+
     def test_tournament_json(self, capsys):
         assert main(["tournament", *self.ARGS, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

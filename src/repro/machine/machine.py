@@ -291,23 +291,40 @@ class Machine:
         cursor = None
         if replay is not None and stream_key is not None:
             cursor = replay.cursor(stream_key, hierarchy, process, check_swap)
+        vmas = process.vma_by_array
         for stream in workload.run():
             outcome = cursor.lookup() if cursor is not None else None
             if outcome is None:
                 trace = process.translate(stream)
+                stream = None  # free the columns before simulating
                 ins = 0
                 if check_swap:
                     ins, _ = process.service_swap(trace)
                 delta = TranslationStats()
                 hierarchy.simulate(trace, delta)
+                profile = None
+                if profiler is not None:
+                    profile = profiler.observe(trace, vmas)
+                trace = None
                 if cursor is not None:
                     cursor.store(
-                        StreamOutcome(delta, ins, hierarchy.snapshot())
+                        StreamOutcome(
+                            delta, ins, hierarchy.snapshot(), profile
+                        )
                     )
             else:
-                # Same charges, counts, state and event as simulating.
+                # Same charges, counts, state and event as simulating;
+                # the stream's columns are never built.
                 if profiler is not None:
-                    trace = process.translate(stream)
+                    if outcome.profile is None:
+                        # Stored by a cell that did not profile.
+                        profile = profiler.observe(
+                            process.translate(stream), vmas
+                        )
+                        cursor.backfill(profile)
+                    else:
+                        profiler.replay(outcome.profile, vmas)
+                stream = None
                 ins = outcome.swap_ins
                 if check_swap:
                     process._charge_swap(ins)
@@ -341,16 +358,11 @@ class Machine:
                         + (ledger.total_cycles - compute_start_cycles)
                     )
                 )
-            if profiler is not None:
-                profiler.observe(trace, process.vma_by_array)
-                if vmm.epoch_pass():
-                    # Promotions rewrite page tables: full shootdown.
-                    hierarchy.flush()
-                    if cursor is not None:
-                        cursor.flush()
-            # Free this stream and its trace before the workload builds
-            # the next stream and translates it.
-            stream = trace = None
+            if profiler is not None and vmm.epoch_pass():
+                # Promotions rewrite page tables: full shootdown.
+                hierarchy.flush()
+                if cursor is not None:
+                    cursor.flush()
         kernel_stall_cycles = ledger.total_cycles - compute_start_cycles
 
         compute_cycles = int(

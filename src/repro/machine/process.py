@@ -8,8 +8,6 @@ phase when memory is oversubscribed.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from ..config import MachineConfig
@@ -23,6 +21,10 @@ from ..workloads.layout import MemoryLayout
 _CHUNK = 1 << 17
 """Accesses :meth:`SimProcess.translate` handles per pass: its
 temporaries stay a few MB however long the stream is."""
+
+_SWAP_WINDOW = 64
+"""Runs :meth:`SimProcess.service_swap` scans at first when it looks for
+the next swap-in; the window doubles from there."""
 
 _ID_SPACE = 256
 """Table length: every ``uint8`` array id indexes the per-array tables."""
@@ -278,38 +280,51 @@ class SimProcess:
         Residency is tracked per call; the VMM's page tables are not
         rewritten (the run's translation behaviour is unaffected: vpns do
         not change when a page moves between RAM and swap).
+
+        Residency is one mask over the mapped VPN range plus one
+        always-resident sentinel slot, where huge keys land (huge-mapped
+        pages are never swapped out).  The FIFO is a fixed-capacity
+        ring: the exchange is frame for frame, so its size never
+        changes, and the evicted page is always the head, so every entry
+        is resident.  Misses are rare next to hits, so the runs are
+        scanned a window at a time for the next non-resident slot; the
+        window doubles while it finds none and starts small again after
+        each serviced miss.
         """
-        resident: dict[int, list[bool]] = {}
-        start_vpn = self._start_table.tolist()
-        fifo: deque[tuple[int, int]] = deque()
-        for array_id, vma in self.vma_by_array.items():
-            flags = (vma.frame >= 0).tolist()
-            resident[array_id] = flags
-            for page, is_resident in enumerate(flags):
-                if is_resident and not vma.is_huge[page]:
-                    fifo.append((array_id, page))
-        swap_ins = 0
-        # Runs convert to Python ints a chunk at a time: whole-trace
-        # lists would cost ~48 bytes per run at once.
+        pages = self.config.pages
+        vmas = self.vma_by_array.values()
+        first = min(vma.start for vma in vmas) >> pages.base_shift
+        stop = max((vma.start >> pages.base_shift) + vma.npages for vma in vmas)
+        sentinel = stop - first
+        resident = np.ones(sentinel + 1, dtype=bool)
+        fifo = []
+        for vma in vmas:
+            lo = (vma.start >> pages.base_shift) - first
+            flags = vma.frame >= 0
+            resident[lo : lo + vma.npages] = flags
+            fifo.append(lo + np.flatnonzero(flags & ~vma.is_huge))
+        ring = np.concatenate(fifo).tolist()
+        head = swap_ins = 0
         for lo in range(0, trace.keys.size, _CHUNK):
-            keys = trace.keys[lo : lo + _CHUNK].tolist()
-            aids = trace.array_ids[lo : lo + _CHUNK].tolist()
-            for key, array_id in zip(keys, aids):
-                if key & 1:
-                    continue  # huge-mapped pages were never swapped out
-                page = (key >> 1) - start_vpn[array_id]
-                flags = resident[array_id]
-                if flags[page]:
+            keys = trace.keys[lo : lo + _CHUNK]
+            slots = np.where(keys & 1, sentinel, (keys >> 1) - first)
+            n = slots.size
+            at, width = 0, _SWAP_WINDOW
+            while at < n:
+                end = min(at + width, n)
+                window = resident[slots[at:end]]
+                miss = int(window.argmin())
+                if window[miss]:
+                    at, width = end, 2 * width
                     continue
-                # Exchange: evict the FIFO head, reuse its frame.
-                while True:
-                    victim_aid, victim_page = fifo.popleft()
-                    if resident[victim_aid][victim_page]:
-                        break
-                resident[victim_aid][victim_page] = False
-                flags[page] = True
-                fifo.append((array_id, page))
+                # Exchange: evict the ring's head, reuse its frame.
+                page = int(slots[at + miss])
+                resident[ring[head]] = False
+                resident[page] = True
+                ring[head] = page
+                head = (head + 1) % len(ring)
                 swap_ins += 1
+                at, width = at + miss + 1, _SWAP_WINDOW
         self._charge_swap(swap_ins)
         return swap_ins, swap_ins
 

@@ -23,24 +23,37 @@ the machine applies the stored counts, restores the stored TLB state and
 replays the ledger and swap-device charges instead of re-simulating, so
 every result, journal record and trace event is byte-identical to a
 fresh run.  Stream content is never hashed: the stream key names it.
+
+A hit costs neither the stream's columns nor its translation.  Streams
+are deferred (:meth:`~repro.tlb.trace.AccessStream.deferred`), so an
+unread stream is never built.  For a cell that profiles page accesses
+(an epoch policy), the outcome also carries the stream's
+:class:`~repro.mem.profiler.ProfileIncrement`, which is a function of
+the stream and the layout only, and the hit applies it.  An outcome
+stored by a non-profiling cell has no increment.  The first profiling
+cell that hits it translates the stream once and :meth:`backfills
+<ReplayCursor.backfill>` the entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Hashable, Optional
 
+from ..mem.profiler import ProfileIncrement
 from ..tlb.hierarchy import TranslationStats
 
 
 @dataclass(frozen=True)
 class StreamOutcome:
     """What one simulated stream did: its count deltas, the swap
-    exchanges it charged and the engine state it left behind."""
+    exchanges it charged, the engine state it left behind and, when a
+    profiling cell has seen it, its page-access profile increment."""
 
     stats: TranslationStats
     swap_ins: int
     state: Any
+    profile: Optional[ProfileIncrement] = None
 
 
 class ReplayMemo:
@@ -116,7 +129,8 @@ class ReplayMemo:
 
 class ReplayCursor:
     """Walks one compute phase through a :class:`ReplayMemo`: one
-    :meth:`lookup` per stream, then :meth:`store` on a miss, and
+    :meth:`lookup` per stream, then :meth:`store` on a miss (or
+    :meth:`backfill` on a hit that lacked a profile increment), and
     :meth:`flush` whenever the hierarchy is flushed."""
 
     def __init__(
@@ -129,6 +143,7 @@ class ReplayCursor:
         self._index = 0
         self._previous = 0  # no entry: a fresh or flushed hierarchy
         self._pending: Optional[tuple] = None
+        self._hit: Optional[tuple] = None
 
     def lookup(self) -> Optional[StreamOutcome]:
         """The stored outcome of the next stream, or None to simulate
@@ -140,8 +155,9 @@ class ReplayCursor:
         self._index += 1
         found = self._memo._get(key)
         if found is None:
-            self._pending = key
+            self._pending, self._hit = key, None
             return None
+        self._pending, self._hit = None, key
         self._previous, outcome = found
         return outcome
 
@@ -150,6 +166,16 @@ class ReplayCursor:
         assert self._pending is not None, "store() without a missed lookup"
         self._previous = self._memo._put(self._pending, outcome)
         self._pending = None
+
+    def backfill(self, profile: ProfileIncrement) -> None:
+        """Attach the profile increment of the stream the last lookup
+        hit to its stored outcome (which had none)."""
+        assert self._hit is not None, "backfill() without a hit"
+        entry_id, outcome = self._memo._entries[self._hit]
+        self._memo._entries[self._hit] = (
+            entry_id,
+            replace(outcome, profile=profile),
+        )
 
     def flush(self) -> None:
         """The hierarchy was flushed: later streams start from empty."""

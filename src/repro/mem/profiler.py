@@ -14,15 +14,37 @@ Counts are exact (every access is simulated), which makes the heuristic
 baselines *stronger* than their real implementations: if exact-signal
 Ingens/HawkEye still lose to the programmer-guided plan, sampling-based
 ones only lose harder.
+
+:meth:`PageProfiler.observe` returns the increment it applied, keyed by
+array id.  The increment depends only on the trace and the layout, so a
+stream whose outcome is replayed from another cell
+(:mod:`repro.machine.replay`) stores it with the outcome, and the
+replaying cell applies it with :meth:`PageProfiler.replay` instead of
+translating the stream again.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import MachineConfig
 from ..tlb.trace import TlbTrace
 from ..mem.vmm import Vma
+
+
+@dataclass(frozen=True)
+class ProfileIncrement:
+    """What one trace added to a profiler: its access total and, per
+    profiled array id, the count added to each base page of the array.
+
+    Keyed by array id rather than VMA id, because VMA ids differ from
+    cell to cell while the page offsets within an array do not.
+    """
+
+    accesses: int
+    pages: dict[int, np.ndarray]
 
 
 class PageProfiler:
@@ -44,8 +66,11 @@ class PageProfiler:
         self._start_hvpn[vma.vma_id] = vma.start >> pages.huge_shift
         self._vmas[vma.vma_id] = vma
 
-    def observe(self, trace: TlbTrace, vma_of_array: dict[int, Vma]) -> None:
-        """Fold one compressed trace into the counters.
+    def observe(
+        self, trace: TlbTrace, vma_of_array: dict[int, Vma]
+    ) -> ProfileIncrement:
+        """Fold one compressed trace into the counters and return what
+        it added, for :meth:`replay`.
 
         Huge-mapped accesses are attributed to the chunk's first base
         page (the profiler reports at chunk granularity for huge pages,
@@ -55,23 +80,35 @@ class PageProfiler:
         keys = trace.keys
         counts = trace.counts
         aids = trace.array_ids
-        for array_id in np.unique(aids):
-            vma = vma_of_array.get(int(array_id))
+        pages: dict[int, np.ndarray] = {}
+        for array_id in np.flatnonzero(np.bincount(aids)).tolist():
+            vma = vma_of_array.get(array_id)
             if vma is None or vma.vma_id not in self._counts:
                 continue
             mask = aids == array_id
             k = keys[mask]
-            c = counts[mask]
             huge = (k & 1) == 1
-            store = self._counts[vma.vma_id]
-            base_pages = (k[~huge] >> 1) - self._start_vpn[vma.vma_id]
-            np.add.at(store, base_pages, c[~huge])
+            page = (k >> 1) - self._start_vpn[vma.vma_id]
             if huge.any():
-                chunk_pages = (
+                page[huge] = (
                     (k[huge] >> 1) - self._start_hvpn[vma.vma_id]
                 ) * fph
-                np.add.at(store, chunk_pages, c[huge])
-        self.total_observed += int(counts.sum())
+            # Run lengths are integers, so the float64 sums are exact.
+            pages[array_id] = np.bincount(
+                page, weights=counts[mask], minlength=vma.npages
+            ).astype(np.int64)
+        increment = ProfileIncrement(int(counts.sum()), pages)
+        self.replay(increment, vma_of_array)
+        return increment
+
+    def replay(
+        self, increment: ProfileIncrement, vma_of_array: dict[int, Vma]
+    ) -> None:
+        """Apply an increment :meth:`observe` returned, here or in
+        another profiler whose arrays have the same layout."""
+        for array_id, added in increment.pages.items():
+            self._counts[vma_of_array[array_id].vma_id] += added
+        self.total_observed += increment.accesses
 
     # ------------------------------------------------------------------
     # Queries

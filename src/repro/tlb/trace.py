@@ -18,15 +18,17 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 MAX_ARRAY_IDS = 8
 """Upper bound on distinct data-structure ids in one workload."""
 
+Columns = tuple[np.ndarray, np.ndarray]
+"""An access stream's ``(array_ids, indices)``."""
 
-@dataclass
+
 class AccessStream:
     """A program-order sequence of logical array accesses.
 
@@ -35,29 +37,88 @@ class AccessStream:
             touches (workload-defined ids, e.g. 0=vertex, 1=edge,
             2=values, 3=property).
         indices: ``int64`` element index within that array.
+
+    A stream made by :meth:`deferred` knows its length up front and
+    builds both columns on the first read of either.  A cross-cell
+    replay hit (:mod:`repro.machine.replay`) never reads them, so it
+    never pays for them.
     """
 
-    array_ids: np.ndarray
-    indices: np.ndarray
+    __slots__ = ("_array_ids", "_indices", "_length", "_build")
 
-    def __post_init__(self) -> None:
-        if self.array_ids.shape != self.indices.shape:
+    def __init__(self, array_ids: np.ndarray, indices: np.ndarray) -> None:
+        if array_ids.shape != indices.shape:
             raise ValueError("array_ids and indices must have equal length")
+        self._array_ids = array_ids
+        self._indices = indices
+        self._length = int(array_ids.size)
+        self._build: Optional[Callable[[], Columns]] = None
+
+    @classmethod
+    def deferred(
+        cls, length: int, build: Callable[[], Columns]
+    ) -> "AccessStream":
+        """A stream of ``length`` accesses whose ``(array_ids,
+        indices)`` columns ``build`` returns when first read.  ``build``
+        must capture only arrays nobody writes to afterwards; it is
+        dropped, with everything it captured, once it has run."""
+        stream = cls.__new__(cls)
+        stream._array_ids = stream._indices = None
+        stream._length = length
+        stream._build = build
+        return stream
+
+    def _materialize(self) -> None:
+        """Run the deferred builder (once)."""
+        assert self._build is not None
+        array_ids, indices = self._build()
+        self._build = None
+        if array_ids.size != self._length or indices.shape != array_ids.shape:
+            raise ValueError(
+                f"deferred stream built {array_ids.size} array ids and "
+                f"{indices.size} indices, not {self._length}"
+            )
+        self._array_ids = array_ids
+        self._indices = indices
+
+    @property
+    def array_ids(self) -> np.ndarray:
+        if self._build is not None:
+            self._materialize()
+        return self._array_ids
+
+    @property
+    def indices(self) -> np.ndarray:
+        if self._build is not None:
+            self._materialize()
+        return self._indices
 
     def __len__(self) -> int:
-        return int(self.array_ids.size)
+        return self._length
+
+    def _columns(self) -> Columns:
+        """Both columns, run through a deferred builder without keeping
+        them (for a stream read once, as a concatenation's part)."""
+        if self._build is not None:
+            return self._build()
+        return self._array_ids, self._indices
 
     @staticmethod
     def concatenate(streams: list["AccessStream"]) -> "AccessStream":
-        """Concatenate streams in order."""
-        if not streams:
-            return AccessStream(
-                np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+        """Concatenate streams in order, deferring the copy until the
+        result's columns are read.  Deferred parts are built straight
+        into the result, once, and never hold columns of their own."""
+
+        def build() -> Columns:
+            if not streams:
+                return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
+            parts = [s._columns() for s in streams]
+            return (
+                np.concatenate([p[0] for p in parts]),
+                np.concatenate([p[1] for p in parts]),
             )
-        return AccessStream(
-            np.concatenate([s.array_ids for s in streams]),
-            np.concatenate([s.indices for s in streams]),
-        )
+
+        return AccessStream.deferred(sum(len(s) for s in streams), build)
 
 
 @dataclass

@@ -12,17 +12,27 @@ edges reads the edge array entry (and the values array entry for
 weighted algorithms) and performs the pointer-indirect property access
 ``prop_array[edge_array[e]]`` — the access highlighted gray in Fig. 4
 that the paper identifies as the dominant source of TLB misses.
+
+Streams are deferred (:meth:`AccessStream.deferred
+<repro.tlb.trace.AccessStream.deferred>`): a kernel advances its own
+state (frontier, distances, labels, ranks) eagerly at every step, but
+the stream's columns are only built when the machine reads them to
+translate.  A stream whose outcome the machine replays from another cell
+is never built.  The builders capture the kernel's frontier, edge
+position and target arrays without copying, which is sound because no
+kernel writes to those arrays after yielding them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
 
 from ..graph.csr import CsrGraph, concat_ranges
-from ..tlb.trace import AccessStream
+from ..tlb.trace import AccessStream, Columns
 
 ARRAY_VERTEX = 0
 """CSR vertex array (``indptr``): sequential, small."""
@@ -105,7 +115,8 @@ class Workload(ABC):
         with_source_property: bool = False,
         source_rank_reads: bool = False,
     ) -> AccessStream:
-        """Build one frontier pass's interleaved access stream.
+        """One frontier pass's interleaved access stream, deferred: its
+        length is known at once, its columns are built on first read.
 
         Every access is written straight to its program-order slot.
         Edge ``e`` contributes ``per_edge`` consecutive slots (edge,
@@ -132,57 +143,24 @@ class Workload(ABC):
                 (PageRank's contribution fetch).
 
         Returns:
-            The program-ordered access stream.
+            The program-ordered access stream (deferred).
         """
         num_edges = int(edge_positions.size)
-        per_edge = 3 if with_values else 2
-        vertex_ids = frontier.astype(np.int64)
-        vertex_reads = [
-            (ARRAY_VERTEX, vertex_ids),
-            (ARRAY_VERTEX, vertex_ids + 1),
-        ]
-        if with_source_property:
-            vertex_reads.append((ARRAY_PROPERTY, vertex_ids))
-        if source_rank_reads:
-            vertex_reads.append((ARRAY_RANK, vertex_ids))
-        kv = len(vertex_reads)
-        n = vertex_ids.size
-        total = num_edges * per_edge + n * kv
-        array_ids = np.empty(total, dtype=np.uint8)
-        indices = np.empty(total, dtype=np.int64)
-
-        offsets = np.zeros(n, dtype=np.int64)
-        np.cumsum(np.diff(self.graph.indptr)[frontier[:-1]], out=offsets[1:])
-        clamped = np.minimum(offsets, num_edges)
-
-        # Edge slots: shifted by the vertex reads placed before them.
-        dest = np.bincount(clamped, minlength=num_edges + 1)[:num_edges]
-        np.cumsum(dest, out=dest)
-        dest *= kv
-        dest += np.arange(0, num_edges * per_edge, per_edge)
-        array_ids[dest] = ARRAY_EDGE
-        indices[dest] = edge_positions
-        if with_values:
-            array_ids[dest + 1] = ARRAY_VALUES
-            indices[dest + 1] = edge_positions
-        dest += per_edge - 1
-        array_ids[dest] = ARRAY_PROPERTY
-        indices[dest] = property_targets
-
-        # Vertex slots: a group of vertices sharing one offset fills a
-        # block of ``kv * size`` slots, kind-major.
-        starts = np.ones(n, dtype=bool)
-        np.not_equal(offsets[1:], offsets[:-1], out=starts[1:])
-        firsts = np.flatnonzero(starts)
-        group = np.cumsum(starts) - 1
-        first = firsts[group]
-        size = np.diff(np.append(firsts, n))[group]
-        vdest = clamped * per_edge + (kv - 1) * first + np.arange(n)
-        for array_id, ids in vertex_reads:
-            array_ids[vdest] = array_id
-            indices[vdest] = ids
-            vdest += size
-        return AccessStream(array_ids, indices)
+        kv = 2 + int(with_source_property) + int(source_rank_reads)
+        total = num_edges * (3 if with_values else 2) + frontier.size * kv
+        return AccessStream.deferred(
+            total,
+            partial(
+                _edge_phase_columns,
+                self.graph.indptr,
+                frontier,
+                edge_positions,
+                property_targets,
+                with_values,
+                with_source_property,
+                source_rank_reads,
+            ),
+        )
 
     def gather_frontier_edges(
         self, frontier: np.ndarray
@@ -205,10 +183,74 @@ class Workload(ABC):
         PageRank's end-of-iteration rank swap)."""
         if count is None:
             count = self.array_elements(array_id)
-        return AccessStream(
-            np.full(count, array_id, dtype=np.uint8),
-            np.arange(count, dtype=np.int64),
+        return AccessStream.deferred(
+            count,
+            lambda: (
+                np.full(count, array_id, dtype=np.uint8),
+                np.arange(count, dtype=np.int64),
+            ),
         )
+
+
+def _edge_phase_columns(
+    indptr: np.ndarray,
+    frontier: np.ndarray,
+    edge_positions: np.ndarray,
+    property_targets: np.ndarray,
+    with_values: bool,
+    with_source_property: bool,
+    source_rank_reads: bool,
+) -> Columns:
+    """The columns of :meth:`Workload.edge_phase_stream`."""
+    num_edges = int(edge_positions.size)
+    per_edge = 3 if with_values else 2
+    vertex_ids = frontier.astype(np.int64)
+    vertex_reads = [
+        (ARRAY_VERTEX, vertex_ids),
+        (ARRAY_VERTEX, vertex_ids + 1),
+    ]
+    if with_source_property:
+        vertex_reads.append((ARRAY_PROPERTY, vertex_ids))
+    if source_rank_reads:
+        vertex_reads.append((ARRAY_RANK, vertex_ids))
+    kv = len(vertex_reads)
+    n = vertex_ids.size
+    total = num_edges * per_edge + n * kv
+    array_ids = np.empty(total, dtype=np.uint8)
+    indices = np.empty(total, dtype=np.int64)
+
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.diff(indptr)[frontier[:-1]], out=offsets[1:])
+    clamped = np.minimum(offsets, num_edges)
+
+    # Edge slots: shifted by the vertex reads placed before them.
+    dest = np.bincount(clamped, minlength=num_edges + 1)[:num_edges]
+    np.cumsum(dest, out=dest)
+    dest *= kv
+    dest += np.arange(0, num_edges * per_edge, per_edge)
+    array_ids[dest] = ARRAY_EDGE
+    indices[dest] = edge_positions
+    if with_values:
+        array_ids[dest + 1] = ARRAY_VALUES
+        indices[dest + 1] = edge_positions
+    dest += per_edge - 1
+    array_ids[dest] = ARRAY_PROPERTY
+    indices[dest] = property_targets
+
+    # Vertex slots: a group of vertices sharing one offset fills a
+    # block of ``kv * size`` slots, kind-major.
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(offsets[1:], offsets[:-1], out=starts[1:])
+    firsts = np.flatnonzero(starts)
+    group = np.cumsum(starts) - 1
+    first = firsts[group]
+    size = np.diff(np.append(firsts, n))[group]
+    vdest = clamped * per_edge + (kv - 1) * first + np.arange(n)
+    for array_id, ids in vertex_reads:
+        array_ids[vdest] = array_id
+        indices[vdest] = ids
+        vdest += size
+    return array_ids, indices
 
 
 def default_root(graph: CsrGraph) -> int:

@@ -4,7 +4,8 @@ A runner that has already simulated other cells replays stream outcomes
 from its memo; a fresh runner per cell simulates everything.  Both must
 produce the same result bytes, journal bytes and trace event bytes over
 every kernel, a flushing and a profiling policy, with and without swap,
-under armed swap fault plans and on both TLB engines.
+under armed swap fault plans and on both TLB engines.  A hit must not
+pay for the stream it replays: no column build and no translation.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from repro.experiments.harness import ExperimentRunner
 from repro.experiments.parse import parse_policy, parse_scenario
 from repro.experiments.runconfig import RunConfig
 from repro.faults.spec import FaultPlan
+from repro.machine.process import SimProcess
 from repro.machine.replay import ReplayCursor, ReplayMemo, StreamOutcome
+from repro.mem.profiler import PageProfiler
 from repro.obs import write_trace_jsonl
 from repro.runstate.journal import RunJournal
 from repro.runstate.serialize import encode_result
 from repro.tlb.hierarchy import TranslationStats
+from repro.tlb.trace import AccessStream
 
 CONFIG = tiny()
 DATASET = "test-small"
@@ -121,6 +125,54 @@ def test_warm_runner_matches_fresh_runners(
     assert warm._replay.hits > 0, "the warm sweep never replayed"
     assert flush_count, "no policy flushed the TLB mid-run"
     assert b"swap.in" in warm_trace, "no swap path exercised"
+    assert warm_results == fresh_results
+    assert warm_journal == fresh_journal
+    assert warm_trace == fresh_trace
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count column builds, translations, backfills and profile folds."""
+    counts = {"build": 0, "translate": 0, "backfill": 0, "observe": 0,
+              "replay": 0}
+
+    def spy(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(AccessStream, "_materialize", "build")
+    spy(SimProcess, "translate", "translate")
+    spy(ReplayCursor, "backfill", "backfill")
+    spy(PageProfiler, "observe", "observe")
+    spy(PageProfiler, "replay", "replay")
+    return counts
+
+
+def test_hits_build_and_translate_nothing(tmp_path, calls):
+    """A hit neither builds its stream's columns nor translates it,
+    except once to backfill the profile of an entry a non-profiling
+    cell stored; the sweep's bytes still equal fresh runners'."""
+    warm, warm_results, warm_journal, warm_trace = _sweep(
+        tmp_path, "batch", "transient", warm=True
+    )
+    warm_calls = dict(calls)
+    memo = warm._replay
+    assert memo.hits > 0
+    assert warm_calls["backfill"] > 0, "no profiled hit needed a backfill"
+    # observe() applies its own increment through replay().
+    assert warm_calls["replay"] > warm_calls["observe"], (
+        "no profiled hit applied a stored increment"
+    )
+    assert warm_calls["translate"] == memo.misses + warm_calls["backfill"]
+    assert warm_calls["build"] == warm_calls["translate"]
+    _, fresh_results, fresh_journal, fresh_trace = _sweep(
+        tmp_path, "batch", "transient", warm=False
+    )
     assert warm_results == fresh_results
     assert warm_journal == fresh_journal
     assert warm_trace == fresh_trace

@@ -69,7 +69,7 @@ class AccessStream:
         return stream
 
     def _materialize(self) -> None:
-        """Run the deferred builder (once)."""
+        """Run the deferred build function (once)."""
         assert self._build is not None
         array_ids, indices = self._build()
         self._build = None
@@ -97,7 +97,7 @@ class AccessStream:
         return self._length
 
     def _columns(self) -> Columns:
-        """Both columns, run through a deferred builder without keeping
+        """Both columns, from the deferred build function without keeping
         them (for a stream read once, as a concatenation's part)."""
         if self._build is not None:
             return self._build()

@@ -18,7 +18,7 @@ Streams are deferred (:meth:`AccessStream.deferred
 state (frontier, distances, labels, ranks) eagerly at every step, but
 the stream's columns are only built when the machine reads them to
 translate.  A stream whose outcome the machine replays from another cell
-is never built.  The builders capture the kernel's frontier, edge
+is never built.  The build functions capture the kernel's frontier, edge
 position and target arrays without copying, which is sound because no
 kernel writes to those arrays after yielding them.
 """

@@ -1,7 +1,5 @@
 """Unit tests for the page-access profiler."""
 
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,8 +119,8 @@ def add_at_counts(config, vmas, trace):
     return counts
 
 
-@lru_cache(maxsize=None)
-def _two_arrays():
+@pytest.fixture(scope="module")
+def two_arrays():
     """Edge and property VMAs (two and a half huge chunks each)."""
     config = tiny()
     machine = Machine(config, ThpPolicy.never(), sanitize=False)
@@ -147,11 +145,11 @@ def _two_arrays():
         max_size=200,
     )
 )
-def test_observe_and_replay_match_the_add_at_fold(accesses):
+def test_observe_and_replay_match_the_add_at_fold(two_arrays, accesses):
     """``observe``'s increment, applied by ``observe`` itself and by
     ``replay`` into a second profiler, equals the ``np.add.at`` fold,
     base pages and huge-mapped chunks alike."""
-    config, vmas = _two_arrays()
+    config, vmas = two_arrays
     pages = config.pages
     keys, aids = [], []
     for array_id, choice, huge, repeat in accesses:

@@ -1,7 +1,6 @@
 """Edge cases in the swap path (severe oversubscription)."""
 
 from collections import deque
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -137,10 +136,11 @@ def service_swap_per_run(process, trace):
     return swap_ins
 
 
-@lru_cache(maxsize=None)
-def _swap_process():
+@pytest.fixture(scope="module")
+def swap_process():
     """A mapped pagerank process (four arrays) on TINY with a swap
-    device; the property test rewrites its residency and size maps."""
+    device; the property test rewrites its residency and size maps and
+    puts them back."""
     config = tiny()
     graph = uniform_graph(num_vertices=4096, num_edges=16384, seed=3)
     machine = Machine(config, ThpPolicy.never(), sanitize=False)
@@ -205,11 +205,13 @@ def _swap_case(draw, process):
 @pytest.mark.parametrize("chunk, window", [(3, None), (None, 1), (None, None)])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_service_swap_matches_the_per_run_walk(chunk, window, data):
+def test_service_swap_matches_the_per_run_walk(
+    swap_process, chunk, window, data
+):
     """Swap-in counts and the ledger and swap-device charges equal the
     per-run walk's over several arrays, mixed huge and base keys,
     random residency, a 3-run chunk and a 1-run first window."""
-    process = _swap_process()
+    process = swap_process
     layout, trace = data.draw(_swap_case(process))
     saved = {
         a: (vma.is_huge.copy(), vma.frame.copy())

@@ -30,10 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "unit safety (REP003), fault-site completeness (REP004), "
             "ledger hygiene (REP005), export hygiene (REP006), "
             "durable-write discipline (REP007), tracer emission "
-            "discipline (REP008), the ConcSan concurrency rules — "
-            "lock discipline (REP009), fork/spawn safety (REP010) and "
-            "crash consistency (REP011) — vectorized trace "
-            "discipline (REP012) and the policy hook sandbox (REP013)."
+            "discipline (REP008), crash consistency of durable state "
+            "(REP011), vectorized trace discipline (REP012) and the "
+            "policy hook sandbox (REP013)."
         ),
     )
     parser.add_argument(

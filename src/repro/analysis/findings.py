@@ -80,22 +80,11 @@ RULE_SUMMARIES: dict[str, str] = {
         "tracer to a local and sits inside an 'is not None' guard, so "
         "tracing is zero-cost when off"
     ),
-    "REP009": (
-        "lock discipline (ConcSan): attributes of lock-owning classes "
-        "must not be accessed both under their inferred guarding lock "
-        "and outside it (Eraser-style interprocedural lockset "
-        "inference; runtime twin: LockSan / REPRO_LOCKSAN=1)"
-    ),
-    "REP010": (
-        "fork/spawn safety (ConcSan): no process creation while a lock "
-        "is held, no bound-method Process targets, no locks/sockets/"
-        "fds/tracers/RNG state captured across the spawn boundary"
-    ),
     "REP011": (
-        "crash consistency (ConcSan): every durable state file "
-        "(journal, .breaker.json, pidfiles, BENCH_*.json) has a "
-        "torn-write story — writes go through runstate.atomic and "
-        "json parses of durable state tolerate torn records"
+        "crash consistency: every durable state file (journal, "
+        "pidfiles, BENCH_*.json, results) has a torn-write story — "
+        "writes go through runstate.atomic and json parses of durable "
+        "state tolerate torn records"
     ),
     "REP012": (
         "vectorized trace discipline: no per-element Python loops over "

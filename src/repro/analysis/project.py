@@ -1,10 +1,7 @@
 """Project-wide lint rules spanning multiple source files.
 
-REP004 lives here; the ConcSan concurrency rules (REP009–REP011) live
-in :mod:`repro.analysis.concsan` and are merged into the registry at
-the bottom of this module.
-
-REP004 audits fault-site completeness across the whole tree:
+REP004, the only project rule, audits fault-site completeness across
+the whole tree:
 
 - every :class:`FaultSite` enum member must be wired to at least one
   ``injector.check(FaultSite.X)`` call site, and
@@ -21,7 +18,6 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Optional
 
-from .concsan import CONCSAN_RULES
 from .findings import Finding
 from .rules import ModuleContext
 
@@ -132,8 +128,5 @@ def check_rep004(modules: list[ModuleContext]) -> list[Finding]:
     return findings
 
 
-PROJECT_RULES = {"REP004": check_rep004, **CONCSAN_RULES}
-"""Registry of rules that need the whole module set at once.
-
-REP004 audits fault sites; REP009/REP010/REP011 are the ConcSan
-interprocedural concurrency rules (:mod:`repro.analysis.concsan`)."""
+PROJECT_RULES = {"REP004": check_rep004}
+"""Registry of rules that need the whole module set at once."""

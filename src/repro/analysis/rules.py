@@ -1,5 +1,4 @@
-"""Per-file AST lint rules (REP001–REP003, REP005–REP008, REP012,
-REP013).
+"""Per-file AST lint rules (REP001–REP003, REP005–REP008, REP011–REP013).
 
 Each rule is a function taking a :class:`ModuleContext` and returning
 raw findings; suppression filtering happens in the driver
@@ -969,6 +968,176 @@ def check_rep008(ctx: ModuleContext) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
+# REP011 — crash consistency (torn-write stories)
+# ----------------------------------------------------------------------
+
+DURABLE_STATE_HINTS = (
+    "journal",
+    "breaker",
+    "pidfile",
+    "bench",
+    "result",
+    "figure_id",
+)
+"""Name fragments marking durable state files: REP007's hints plus
+pidfiles and ``BENCH_*.json``.  ``breaker`` is kept from the retired
+``repro serve``'s circuit-breaker state file."""
+
+ATOMIC_WRITERS = frozenset({"atomic_write_text", "append_durable_line"})
+"""The sanctioned torn-write-safe entry points in repro.runstate.atomic."""
+
+_TOLERANT_EXC_NAMES = frozenset(
+    {"ValueError", "JSONDecodeError", "Exception", "BaseException"}
+)
+
+
+def _module_stem_hint(relpath: str) -> Optional[str]:
+    stem = relpath.replace("\\", "/").rsplit("/", 1)[-1].lower()
+    for hint in DURABLE_STATE_HINTS:
+        if hint in stem:
+            return hint
+    return None
+
+
+def _durable_state_hint(node: ast.AST) -> Optional[str]:
+    """Like REP007's hint scan, over the extended durable-state set."""
+    for sub in ast.walk(node):
+        text = None
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            text = sub.value
+        elif isinstance(sub, ast.Name):
+            text = sub.id
+        elif isinstance(sub, ast.Attribute):
+            text = sub.attr
+        if text is None:
+            continue
+        lowered = text.lower()
+        for hint in DURABLE_STATE_HINTS:
+            if hint in lowered:
+                return hint
+    return None
+
+
+def _calls_atomic_writer(ctx: ModuleContext) -> bool:
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call):
+            qual = ctx.qualify(node.func)
+            if qual is not None and qual.rsplit(".", 1)[-1] in ATOMIC_WRITERS:
+                return True
+    return False
+
+
+def _handler_tolerates_parse_errors(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True  # bare except
+    types = (
+        handler.type.elts
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    for node in types:
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name in _TOLERANT_EXC_NAMES:
+            return True
+    return False
+
+
+def check_rep011(ctx: ModuleContext) -> list[Finding]:
+    """Torn-write stories for durable state files.
+
+    A module is *durable-relevant* when its filename carries a durable
+    hint (journal/pidfile/bench/...) or it calls the runstate atomic
+    writers.  In relevant modules:
+
+    - write sites (``open('w'/'a')``, ``json.dump``, ``write_text``)
+      must go through ``repro.runstate.atomic`` — ``runstate/`` itself
+      is the sanctioned implementation and exempt on the write side;
+    - every ``json.load``/``json.loads`` must sit under a ``try``
+      whose handlers catch ``ValueError`` (torn record == absent
+      record), including inside ``runstate/``.
+    """
+    relpath = ctx.relpath.replace("\\", "/")
+    stem_hint = _module_stem_hint(relpath)
+    if stem_hint is None and not _calls_atomic_writer(ctx):
+        return []
+    findings: list[Finding] = []
+    in_runstate = RUNSTATE_PATH_FRAGMENT in relpath
+
+    # Walk with an explicit stack so parse sites can see their
+    # enclosing try handlers.
+    def _walk(node: ast.AST, tolerant: bool) -> None:
+        if isinstance(node, ast.Try):
+            body_tolerant = tolerant or any(
+                _handler_tolerates_parse_errors(h) for h in node.handlers
+            )
+            for child in node.body:
+                _walk(child, body_tolerant)
+            for child in (
+                node.handlers + node.orelse + node.finalbody
+            ):
+                _walk(child, tolerant)
+            return
+        if isinstance(node, ast.Call):
+            qual = ctx.qualify(node.func)
+            if qual in ("json.load", "json.loads") and not tolerant:
+                findings.append(
+                    _finding(
+                        ctx, node, "REP011",
+                        f"{qual}(...) parses durable state without "
+                        "torn-record tolerance; a crash mid-write "
+                        "leaves a torn tail that must read as "
+                        "absent — wrap the parse in try/except "
+                        "ValueError",
+                    )
+                )
+            if not in_runstate:
+                what = None
+                if qual == "open" and node.args:
+                    mode = _open_write_mode(node)
+                    hinted = (
+                        _durable_state_hint(node.args[0]) is not None
+                        or stem_hint is not None
+                    )
+                    if mode is not None and hinted:
+                        what = f"open(..., {mode!r})"
+                elif qual == "json.dump" and (
+                    _durable_state_hint(node) is not None
+                    or stem_hint is not None
+                ):
+                    what = "json.dump(...)"
+                elif (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("write_text", "write_bytes")
+                    and (
+                        _durable_state_hint(node.func.value) is not None
+                        or stem_hint is not None
+                    )
+                ):
+                    what = f".{node.func.attr}(...)"
+                if what is not None:
+                    findings.append(
+                        _finding(
+                            ctx, node, "REP011",
+                            f"{what} writes durable state without a "
+                            "torn-write story; route it through "
+                            "repro.runstate.atomic "
+                            "(atomic_write_text / "
+                            "append_durable_line) or document why "
+                            "tearing is safe",
+                        )
+                    )
+        for child in ast.iter_child_nodes(node):
+            _walk(child, tolerant)
+
+    _walk(ctx.tree, False)
+    return findings
+
+
+# ----------------------------------------------------------------------
 # REP012 — vectorized trace discipline
 # ----------------------------------------------------------------------
 
@@ -1304,6 +1473,7 @@ PER_FILE_RULES: dict[str, RuleFunc] = {
     "REP006": check_rep006,
     "REP007": check_rep007,
     "REP008": check_rep008,
+    "REP011": check_rep011,
     "REP012": check_rep012,
     "REP013": check_rep013,
 }

@@ -13,7 +13,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis.locksan import get_locksan, set_locksan
 from repro.analysis.sanitizer import set_sanitize
 from repro.config import MachineConfig, scaled, tiny
 from repro.graph.csr import CsrGraph
@@ -47,33 +46,6 @@ def _enable_memsan():
         yield
     finally:
         set_sanitize(previous)
-
-
-@pytest.fixture(autouse=True)
-def _enable_locksan():
-    """Run the whole suite under LockSan when ``REPRO_LOCKSAN=1``.
-
-    Opt-in (unlike MemSan) because it swaps instrumented classes under
-    watched objects; CI runs the suite once with it on.  While enabled,
-    every test additionally asserts that no dynamic lock-discipline
-    violation was observed during the test — the suite doubles as an
-    Eraser-style stress test of any class that calls ``watch()``.
-    """
-    if os.environ.get("REPRO_LOCKSAN", "").strip().lower() in (
-        "", "0", "false",
-    ):
-        yield
-        return
-    previous = set_locksan(True)
-    san = get_locksan()
-    san.reset()
-    try:
-        yield
-    finally:
-        set_locksan(previous)
-        violations = san.report()
-        san.reset()
-        assert not violations, [v.render() for v in violations]
 
 
 @pytest.fixture

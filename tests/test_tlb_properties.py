@@ -8,10 +8,12 @@ reference single-access path on arbitrary traces.
 from collections import OrderedDict
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import TlbConfig, TlbGeometry
+from repro.tlb.engine import BatchTranslationHierarchy
 from repro.tlb.hierarchy import TranslationHierarchy, TranslationStats
 from repro.tlb.tlb import SetAssociativeTlb
 from repro.tlb.trace import compress_trace
@@ -126,3 +128,107 @@ def test_walks_never_exceed_l1_misses(page_ids):
         compress_trace(keys, np.zeros(keys.size, dtype=np.uint8)), stats
     )
     assert stats.total_walks <= stats.total_l1_misses <= stats.total_accesses
+
+
+# ----------------------------------------------------------------------
+# LRU inclusion (metamorphic, both engines)
+# ----------------------------------------------------------------------
+#
+# Within one set, an LRU structure with W + 1 ways always holds a
+# superset of what the W-way one holds (the stack property), so adding
+# ways at a fixed set count can only turn misses into hits, access by
+# access.  The counts are attributed per array, so the bound holds per
+# array, not just in total.
+
+split_trace_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=63),  # page
+        st.booleans(),  # huge?
+        st.integers(min_value=0, max_value=4),  # array id
+    ),
+    min_size=1,
+    max_size=300,
+)
+geometry_strategy = st.tuples(
+    st.sampled_from([1, 2, 4]),  # sets
+    st.integers(min_value=1, max_value=4),  # ways
+)
+
+
+def _geometry(sets: int, ways: int) -> TlbGeometry:
+    return TlbGeometry(entries=sets * ways, ways=ways)
+
+
+def _simulate(engine, config: TlbConfig, accesses) -> TranslationStats:
+    keys = np.array(
+        [(page << 1) | int(huge) for page, huge, _ in accesses],
+        dtype=np.int64,
+    )
+    aids = np.array([aid for _, _, aid in accesses], dtype=np.uint8)
+    stats = TranslationStats()
+    engine(config).simulate(compress_trace(keys, aids), stats)
+    return stats
+
+
+@pytest.mark.parametrize(
+    "engine", [TranslationHierarchy, BatchTranslationHierarchy]
+)
+@given(
+    accesses=split_trace_strategy,
+    l1_base=geometry_strategy,
+    l1_huge=geometry_strategy,
+    l2=geometry_strategy,
+    extra_base=st.integers(min_value=0, max_value=3),
+    extra_huge=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_more_l1_ways_never_add_l1_misses(
+    engine, accesses, l1_base, l1_huge, l2, extra_base, extra_huge
+):
+    assume(extra_base + extra_huge > 0)
+    (base_sets, base_ways), (huge_sets, huge_ways) = l1_base, l1_huge
+    small = TlbConfig(
+        l1_base=_geometry(base_sets, base_ways),
+        l1_huge=_geometry(huge_sets, huge_ways),
+        l2=_geometry(*l2),
+    )
+    large = TlbConfig(
+        l1_base=_geometry(base_sets, base_ways + extra_base),
+        l1_huge=_geometry(huge_sets, huge_ways + extra_huge),
+        l2=small.l2,
+    )
+    before = _simulate(engine, small, accesses)
+    after = _simulate(engine, large, accesses)
+    assert np.all(after.l1_misses <= before.l1_misses)
+
+
+@pytest.mark.parametrize(
+    "engine", [TranslationHierarchy, BatchTranslationHierarchy]
+)
+@given(
+    accesses=split_trace_strategy,
+    l1_base=geometry_strategy,
+    l1_huge=geometry_strategy,
+    l2=geometry_strategy,
+    extra=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_more_stlb_ways_never_add_walks(
+    engine, accesses, l1_base, l1_huge, l2, extra
+):
+    l2_sets, l2_ways = l2
+    small = TlbConfig(
+        l1_base=_geometry(*l1_base),
+        l1_huge=_geometry(*l1_huge),
+        l2=_geometry(l2_sets, l2_ways),
+    )
+    large = TlbConfig(
+        l1_base=small.l1_base,
+        l1_huge=small.l1_huge,
+        l2=_geometry(l2_sets, l2_ways + extra),
+    )
+    before = _simulate(engine, small, accesses)
+    after = _simulate(engine, large, accesses)
+    # The STLB sees only L1 misses, so the L1 stream is untouched.
+    assert np.array_equal(after.l1_misses, before.l1_misses)
+    assert np.all(after.walks <= before.walks)

@@ -804,8 +804,9 @@ journal or results file."""
 _WRITE_ATTR_METHODS = frozenset({"write_text", "write_bytes"})
 
 
-def _durable_hint(node: ast.AST) -> Optional[str]:
-    """The first journal/results hint mentioned anywhere in ``node``."""
+def _hint_in(node: ast.AST, hints: tuple[str, ...]) -> Optional[str]:
+    """The first of ``hints`` mentioned anywhere in ``node``: in a
+    string constant, a name or an attribute, case-insensitively."""
     for sub in ast.walk(node):
         text = None
         if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -817,7 +818,7 @@ def _durable_hint(node: ast.AST) -> Optional[str]:
         if text is None:
             continue
         lowered = text.lower()
-        for hint in DURABLE_PATH_HINTS:
+        for hint in hints:
             if hint in lowered:
                 return hint
     return None
@@ -860,16 +861,17 @@ def check_rep007(ctx: ModuleContext) -> list[Finding]:
         what = None
         if qual == "open" and node.args:
             mode = _open_write_mode(node)
-            if mode is not None and _durable_hint(node.args[0]) is not None:
+            hinted = _hint_in(node.args[0], DURABLE_PATH_HINTS) is not None
+            if mode is not None and hinted:
                 what = f"open(..., {mode!r})"
         elif qual == "json.dump":
-            if _durable_hint(node) is not None:
+            if _hint_in(node, DURABLE_PATH_HINTS) is not None:
                 what = "json.dump(...)"
         elif (
             isinstance(node.func, ast.Attribute)
             and node.func.attr in _WRITE_ATTR_METHODS
         ):
-            if _durable_hint(node.func.value) is not None:
+            if _hint_in(node.func.value, DURABLE_PATH_HINTS) is not None:
                 what = f".{node.func.attr}(...)"
         if what is not None:
             findings.append(
@@ -973,15 +975,13 @@ def check_rep008(ctx: ModuleContext) -> list[Finding]:
 
 DURABLE_STATE_HINTS = (
     "journal",
-    "breaker",
     "pidfile",
     "bench",
     "result",
     "figure_id",
 )
 """Name fragments marking durable state files: REP007's hints plus
-pidfiles and ``BENCH_*.json``.  ``breaker`` is kept from the retired
-``repro serve``'s circuit-breaker state file."""
+pidfiles and ``BENCH_*.json``."""
 
 ATOMIC_WRITERS = frozenset({"atomic_write_text", "append_durable_line"})
 """The sanctioned torn-write-safe entry points in repro.runstate.atomic."""
@@ -996,25 +996,6 @@ def _module_stem_hint(relpath: str) -> Optional[str]:
     for hint in DURABLE_STATE_HINTS:
         if hint in stem:
             return hint
-    return None
-
-
-def _durable_state_hint(node: ast.AST) -> Optional[str]:
-    """Like REP007's hint scan, over the extended durable-state set."""
-    for sub in ast.walk(node):
-        text = None
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            text = sub.value
-        elif isinstance(sub, ast.Name):
-            text = sub.id
-        elif isinstance(sub, ast.Attribute):
-            text = sub.attr
-        if text is None:
-            continue
-        lowered = text.lower()
-        for hint in DURABLE_STATE_HINTS:
-            if hint in lowered:
-                return hint
     return None
 
 
@@ -1099,13 +1080,13 @@ def check_rep011(ctx: ModuleContext) -> list[Finding]:
                 if qual == "open" and node.args:
                     mode = _open_write_mode(node)
                     hinted = (
-                        _durable_state_hint(node.args[0]) is not None
+                        _hint_in(node.args[0], DURABLE_STATE_HINTS) is not None
                         or stem_hint is not None
                     )
                     if mode is not None and hinted:
                         what = f"open(..., {mode!r})"
                 elif qual == "json.dump" and (
-                    _durable_state_hint(node) is not None
+                    _hint_in(node, DURABLE_STATE_HINTS) is not None
                     or stem_hint is not None
                 ):
                     what = "json.dump(...)"
@@ -1113,7 +1094,8 @@ def check_rep011(ctx: ModuleContext) -> list[Finding]:
                     isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("write_text", "write_bytes")
                     and (
-                        _durable_state_hint(node.func.value) is not None
+                        _hint_in(node.func.value, DURABLE_STATE_HINTS)
+                        is not None
                         or stem_hint is not None
                     )
                 ):

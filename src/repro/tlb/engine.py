@@ -28,6 +28,14 @@ before ``P(t)`` — each distinct key is counted exactly once, at its
 first in-window appearance.  That turns hit/miss into window *counts*
 over the already-computed previous-occurrence array:
 
+0. *repeat* (equal to the previous lookup in set-sorted order): always
+   a hit — equal keys share a set, so the gap is 0 and the key is MRU.
+   Each such run collapses to its head before anything below runs.
+   That is exact: a repeat adds no distinct key to any later window
+   (and distinct <= gap still holds, so step 2 stays sound), and it
+   keeps each set's last-occurrence order, so the carried state is
+   unchanged.  A batch's first key that equals its set's carried MRU
+   key joins that key's warm-up run and hits, as it must.
 1. *cold* (no previous occurrence): always a miss.
 2. ``gap < ways`` (fewer than ``ways`` same-set lookups in between):
    a hit — the distinct count cannot reach ``ways``.
@@ -168,36 +176,59 @@ class _BatchLru:
         # (no per-segment rank needed).
         keys_ss = allk[set_order]
 
-        # Previous occurrence of the same key, in set-sorted
+        # Collapse each run of equal consecutive keys to its head (step
+        # 0 of the module docstring): a repeat is an MRU hit, and
+        # dropping it changes no later window's distinct count.  A
+        # segment's first position always differs from the previous
+        # segment's key, so it is a head and seg_start maps over by
+        # rank.
+        head = np.empty(total, dtype=bool)
+        head[0] = True
+        np.not_equal(keys_ss[1:], keys_ss[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        nh = heads.size
+        if nh < total:
+            keys_h = keys_ss[heads]
+            seg_h = np.searchsorted(heads, seg_start)
+        else:
+            keys_h = keys_ss
+            seg_h = seg_start
+
+        # Previous occurrence of the same key, in set-sorted head
         # coordinates: same key => same set, so one stable key sort of
-        # the set-sorted stream pairs consecutive occurrences.
-        key_order = stable_order(keys_ss)
-        sk = keys_ss[key_order]
+        # the set-sorted heads pairs consecutive occurrences.
+        key_order = stable_order(keys_h)
+        sk = keys_h[key_order]
         dup = np.flatnonzero(sk[1:] == sk[:-1])
-        prev_pos = np.full(total, -1, dtype=np.int32)
+        prev_pos = np.full(nh, -1, dtype=np.int32)
         if dup.size:
             prev_pos[key_order[dup + 1]] = key_order[dup]
 
         # d = back-distance to the same key's previous occurrence; a
         # cold position's d reaches past the segment start, so it
         # qualifies at any window depth (as a first occurrence must).
-        d_ss = _iota(total) - prev_pos
+        d_ss = _iota(nh) - prev_pos
         cold = prev_pos < 0
         gap = d_ss - 1  # intervening same-set lookups
-        miss_ss = cold.copy()  # cold => miss; hits need no write
+        miss_h = cold.copy()  # cold => miss; hits need no write
         undecided = np.flatnonzero(~cold & (gap >= ways))
         if undecided.size:
-            miss_ss[undecided] = self._resolve_windows(
+            miss_h[undecided] = self._resolve_windows(
                 d_ss, gap[undecided], starts=prev_pos[undecided] + 1
             )
 
         # Batch-final occurrence of each distinct key: everything the
         # key sort already paired as having a later duplicate is not
         # one.  Sorted positions, so per-set residents are slices.
-        last = np.ones(total, dtype=bool)
+        last = np.ones(nh, dtype=bool)
         last[key_order[dup]] = False
-        self._extract_state(keys_ss, np.flatnonzero(last), seg_start)
+        self._extract_state(keys_h, np.flatnonzero(last), seg_h)
 
+        if nh < total:
+            miss_ss = np.zeros(total, dtype=bool)  # repeats hit
+            miss_ss[heads] = miss_h
+        else:
+            miss_ss = miss_h
         miss = np.empty(total, dtype=bool)
         miss[set_order] = miss_ss
         return miss[m0:]

@@ -21,10 +21,12 @@ from repro.config import TlbConfig, TlbGeometry
 from repro.tlb.engine import (
     TLB_ENGINES,
     BatchTranslationHierarchy,
+    _BatchLru,
     batch_engine_matches,
     make_hierarchy,
 )
 from repro.tlb.hierarchy import TranslationHierarchy, TranslationStats
+from repro.tlb.tlb import SetAssociativeTlb
 from repro.tlb.trace import compress_trace
 
 GEOMETRIES = {
@@ -278,3 +280,162 @@ def test_snapshot_restore_continues_exactly(engine, name, case):
     assert _same_state(resumed.snapshot(), straight.snapshot())
     # Simulating from a restored snapshot leaves the snapshot intact.
     assert _same_state(snap, kept)
+
+
+# -- repeat-heavy streams -----------------------------------------------
+#
+# After the set sort, a key that recurs with only other sets' lookups in
+# between sits right next to itself; the engine collapses such runs to
+# their heads.  These streams make that the common case.
+
+_LANES = 16
+"""Lane ``l`` draws pages ``l + 16 * j``: every lane stays in one set of
+every structure with at most 16 sets, whatever the geometry."""
+
+
+def _lane_sequence(rng, pool, length, pattern):
+    """One lane's lookups: AAAB bursts or ABAB ping-pong over ``pool``."""
+    out = []
+    while len(out) < length:
+        a, b = rng.choice(pool, size=2, replace=False)
+        if pattern == "burst":
+            out += [a] * int(rng.integers(1, 5)) + [b]
+        else:
+            out += [a, b] * int(rng.integers(1, 6))
+    return out[:length]
+
+
+def _repeat_heavy_keys(rng, n, pattern, pool_size=6, huge_fraction=0.3):
+    """Interleave per-lane sequences at random, so a lane's repeats are
+    separated in program order only by other lanes' keys."""
+    lanes = rng.integers(0, _LANES, size=n)
+    keys = np.empty(n, dtype=np.int64)
+    for lane in range(_LANES):
+        slots = np.flatnonzero(lanes == lane)
+        pages = lane + _LANES * np.arange(pool_size, dtype=np.int64)
+        pool = (pages << 1) | (rng.random(pool_size) < huge_fraction)
+        keys[slots] = _lane_sequence(rng, pool, slots.size, pattern)
+    return keys
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("pattern", ["burst", "pingpong"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_repeat_heavy_streams_match_exact(name, pattern, seed, fast_path_spy):
+    """Few keys per set, each set's subsequence repeating in AAAB
+    bursts or ABAB ping-pong, carried across segments and a flush."""
+    rng = np.random.default_rng(300 + 10 * seed + (pattern == "burst"))
+    segments = []
+    for _ in range(4):
+        n = int(rng.integers(200, 1500))
+        keys = _repeat_heavy_keys(rng, n, pattern)
+        segments.append((keys, rng.integers(0, 5, size=n).astype(np.uint8)))
+    _run_both(GEOMETRIES[name], segments, flush_after={1})
+    assert not all(fast_path_spy), "repeat-heavy stream never chunked"
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_repeat_run_straddles_chunk_boundary(name, fast_path_spy):
+    """Key 0 recurs on every other lookup across the engine's chunk
+    boundary, with only other sets' keys in between: its set-sorted run
+    is split between two batches, and the second half must continue
+    from the carried state as hits."""
+    from repro.tlb.engine import _CHUNK
+
+    rng = np.random.default_rng(31)
+    n = _CHUNK + 4096
+    # Even filler pages 2..512 that never repeat back to back; odd
+    # interleavers sit in another set of every multi-set structure.
+    pages = 2 * (np.cumsum(rng.integers(1, 255, size=n)) % 256 + 1)
+    keys = (pages << 1) | (rng.random(n) < 0.25)
+    run = np.arange(_CHUNK - 64, _CHUNK + 64, 2)
+    keys[run] = 0
+    keys[run + 1] = (2 * (run % 8) + 1) << 1
+    aids = rng.integers(0, 4, size=n).astype(np.uint8)
+    aids[run] = 4
+    trace = compress_trace(keys, aids)
+    assert trace.lookup_view()[0].size == n  # nothing coalesced
+    stats = _run_both(GEOMETRIES[name], [(keys, aids)])
+    assert not any(fast_path_spy)
+    assert stats.l1_misses[4] == 1  # only the cold head misses
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+@pytest.mark.parametrize("flush", [False, True])
+def test_batch_opens_on_carried_mru_key(name, flush, fast_path_spy):
+    """A batch whose first key is its set's carried MRU key: the key
+    joins the warm-up run and hits, unless a flush emptied the set."""
+    rng = np.random.default_rng(37)
+    first = _random_segments(rng, 1, 1500, num_pages=128)[0]
+    second = _random_segments(rng, 1, 1500, num_pages=128)[0]
+    mru = first[0][-1]
+    second[0][0] = mru
+    if second[0][1] == mru:
+        second[0][1] ^= 2
+    second[1][0] = 5  # the only lookup of array 5
+    stats = _run_both(
+        GEOMETRIES[name], [first, second], flush_after={0} if flush else ()
+    )
+    assert not any(fast_path_spy)
+    assert stats.l1_misses[5] == (1 if flush else 0)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [TlbGeometry(entries=16, ways=4), TlbGeometry(entries=8, ways=1)],
+    ids=["4way", "1way"],
+)
+@pytest.mark.parametrize("flush", [False, True])
+def test_structure_seam_on_carried_mru_key(geometry, flush):
+    """One structure fed directly (as the STLB is): batches that open
+    on, and repeat, the carried MRU key of their sets."""
+    rng = np.random.default_rng(41)
+    exact = SetAssociativeTlb(geometry)
+    lru = _BatchLru(geometry)
+    keys = rng.integers(0, 64, size=600).astype(np.int64) << 1
+    for lo, hi in ((0, 200), (200, 201), (201, 400), (400, 600)):
+        batch = keys[lo:hi].copy()
+        if lo:
+            batch[0] = keys[lo - 1]  # the previous batch's last key
+        expect = np.array([not exact.access(int(k)) for k in batch])
+        np.testing.assert_array_equal(lru.simulate(batch), expect)
+        if flush:
+            exact.flush()
+            lru.flush()
+
+
+def test_long_pingpong_window_reaches_per_query_fallback(monkeypatch):
+    """K, more than ``cap_max`` alternations of two other same-set keys,
+    then K again: the window holds two distinct keys, so K hits with
+    ways >= 3.  Repeats collapse before the resolver, so only a long
+    window without repeats, like this one, reaches its last tier; the
+    spy proves it did."""
+    geometry = TlbGeometry(entries=16, ways=4)
+    lru = _BatchLru(geometry)
+    reached = []
+    original = _BatchLru._resolve_windows
+
+    def spy(self, d_ss, gaps, starts):
+        out = original(self, d_ss, gaps, starts)
+        reached.extend(
+            bool(miss) for gap, miss in zip(gaps, out) if gap > self.cap_max
+        )
+        return out
+
+    monkeypatch.setattr(_BatchLru, "_resolve_windows", spy)
+    k, a, b = (8 * np.array([0, 1, 2], dtype=np.int64)) << 1  # set 0
+    other = (8 * np.arange(6, dtype=np.int64) + 1) << 1  # set 1, open
+    alternations = lru.cap_max + 8
+    body = np.tile([a, b], alternations)
+    filler = np.resize(other, body.size)
+    stream = np.empty(2 * body.size, dtype=np.int64)
+    stream[0::2] = body
+    stream[1::2] = filler
+    keys = np.concatenate(([k], stream, [k]))
+    exact = SetAssociativeTlb(geometry)
+    miss = lru.simulate(keys)
+    np.testing.assert_array_equal(
+        miss, [not exact.access(int(key)) for key in keys]
+    )
+    assert not miss[-1]
+    assert reached == [False]

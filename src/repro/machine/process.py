@@ -8,6 +8,8 @@ phase when memory is oversubscribed.
 
 from __future__ import annotations
 
+from typing import Hashable
+
 import numpy as np
 
 from ..config import MachineConfig
@@ -50,6 +52,9 @@ class SimProcess:
         self._elem_table = np.zeros(_ID_SPACE, dtype=np.int64)
         self._start_table = np.zeros(_ID_SPACE, dtype=np.int64)
         self._count_table = np.zeros(_ID_SPACE, dtype=np.uint64)
+        # Identity -> (translation layout, read-only trace) of the last
+        # stream translated under that identity.
+        self._held: dict[Hashable, tuple[tuple, TlbTrace]] = {}
 
     # ------------------------------------------------------------------
     # Initialization phase
@@ -105,6 +110,7 @@ class SimProcess:
         for vma in list(self.vma_by_array.values()):
             self.vmm.unmap(vma)
         self.vma_by_array.clear()
+        self._held.clear()
 
     # ------------------------------------------------------------------
     # Translation
@@ -119,6 +125,53 @@ class SimProcess:
         ground truth, so promotions/demotions between streams are
         reflected automatically.
 
+        A stream with an :attr:`~repro.tlb.trace.AccessStream.identity`
+        gets the trace last translated under that identity, without its
+        columns being read, as long as :meth:`translation_layout`
+        (without residency) is unchanged: equal layouts translate equal
+        streams identically.  A promotion, demotion or epoch pass
+        between the two changes the layout, so the stream is translated
+        afresh and replaces the held trace.  Held traces are read-only.
+        Streams without an identity are always translated.
+
+        Raises:
+            KeyError: if the stream names an array the process has not
+                mapped.
+            IndexError: if an element index lies outside its array
+                (negative indices included).
+            ValueError: if a stream is not as long as the one last
+                translated under its identity.
+        """
+        identity = stream.identity
+        if identity is None:
+            return self._translate(stream)
+        layout = self.translation_layout(False)
+        held = self._held.get(identity)
+        if held is not None and held[0] == layout:
+            return self._reuse(stream, held[1])
+        self._held.pop(identity, None)  # free the stale trace first
+        trace = self._translate(stream)
+        for array in (trace.keys, trace.counts, trace.array_ids):
+            array.setflags(write=False)
+        trace.access_totals().setflags(write=False)
+        self._held[identity] = (layout, trace)
+        return trace
+
+    def _reuse(self, stream: AccessStream, trace: TlbTrace) -> TlbTrace:
+        """``trace``, held for ``stream``'s identity, once the stream is
+        checked to be as long as the one it was translated from."""
+        held_accesses = int(trace.access_totals().sum())
+        if len(stream) != held_accesses:
+            raise ValueError(
+                f"stream {stream.identity!r} has {len(stream)} accesses, "
+                f"but the stream translated under that identity had "
+                f"{held_accesses}"
+            )
+        return trace
+
+    def _translate(self, stream: AccessStream) -> TlbTrace:
+        """Translate ``stream``'s columns, checking every access.
+
         One pass over fixed chunks of the stream gathers each access's
         element size and start VPN from per-array tables, reads its key
         from one map over the whole mapped range, and run-length
@@ -130,12 +183,6 @@ class SimProcess:
         names its array: runs split exactly where keys change, which is
         also where :func:`~repro.tlb.trace.compress_trace` would split
         them on array ids, and no two adjacent runs share a key.
-
-        Raises:
-            KeyError: if the stream names an array the process has not
-                mapped.
-            IndexError: if an element index lies outside its array
-                (negative indices included).
         """
         base_shift = self.config.pages.base_shift
         key_map, map_base = self._key_map()

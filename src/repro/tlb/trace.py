@@ -18,7 +18,7 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
@@ -37,14 +37,23 @@ class AccessStream:
             touches (workload-defined ids, e.g. 0=vertex, 1=edge,
             2=values, 3=property).
         indices: ``int64`` element index within that array.
+        identity: ``None``, or a name the workload gives a stream it
+            repeats verbatim within one run (a data-independent pass,
+            such as PageRank's edge sweep).  Streams of one run that
+            share an identity have equal columns, so the process
+            translates them once per layout
+            (:meth:`~repro.machine.process.SimProcess.translate`).
+            Frontier streams, whose content depends on the data, have
+            none.
 
     A stream made by :meth:`deferred` knows its length up front and
     builds both columns on the first read of either.  A cross-cell
     replay hit (:mod:`repro.machine.replay`) never reads them, so it
-    never pays for them.
+    never pays for them, and neither does a stream whose translation
+    the process reuses.
     """
 
-    __slots__ = ("_array_ids", "_indices", "_length", "_build")
+    __slots__ = ("_array_ids", "_indices", "_length", "_build", "identity")
 
     def __init__(self, array_ids: np.ndarray, indices: np.ndarray) -> None:
         if array_ids.shape != indices.shape:
@@ -53,10 +62,14 @@ class AccessStream:
         self._indices = indices
         self._length = int(array_ids.size)
         self._build: Optional[Callable[[], Columns]] = None
+        self.identity: Optional[Hashable] = None
 
     @classmethod
     def deferred(
-        cls, length: int, build: Callable[[], Columns]
+        cls,
+        length: int,
+        build: Callable[[], Columns],
+        identity: Optional[Hashable] = None,
     ) -> "AccessStream":
         """A stream of ``length`` accesses whose ``(array_ids,
         indices)`` columns ``build`` returns when first read.  ``build``
@@ -66,6 +79,7 @@ class AccessStream:
         stream._array_ids = stream._indices = None
         stream._length = length
         stream._build = build
+        stream.identity = identity
         return stream
 
     def _materialize(self) -> None:
@@ -104,10 +118,14 @@ class AccessStream:
         return self._array_ids, self._indices
 
     @staticmethod
-    def concatenate(streams: list["AccessStream"]) -> "AccessStream":
+    def concatenate(
+        streams: list["AccessStream"], identity: Optional[Hashable] = None
+    ) -> "AccessStream":
         """Concatenate streams in order, deferring the copy until the
         result's columns are read.  Deferred parts are built straight
-        into the result, once, and never hold columns of their own."""
+        into the result, once, and never hold columns of their own.
+        The parts' identities do not carry over; ``identity`` names the
+        result."""
 
         def build() -> Columns:
             if not streams:
@@ -118,7 +136,9 @@ class AccessStream:
                 np.concatenate([p[1] for p in parts]),
             )
 
-        return AccessStream.deferred(sum(len(s) for s in streams), build)
+        return AccessStream.deferred(
+            sum(len(s) for s in streams), build, identity
+        )
 
 
 @dataclass

@@ -253,6 +253,22 @@ def _edge_phase_columns(
     return array_ids, indices
 
 
+def unique_vertices(ids: np.ndarray, num_vertices: int) -> np.ndarray:
+    """The sorted distinct vertex ids in the ``int64`` array ``ids``,
+    exactly what ``np.unique`` returns: a frontier's dedup.
+
+    A candidate list at least a sixteenth of ``V`` long is deduplicated
+    through a ``V``-long mask, in linear time and without a sort.  A
+    shorter one, such as a deep road-graph level's, is sorted by
+    ``np.unique`` instead, so no level pays ``O(V)`` for a few ids.
+    """
+    if ids.size * 16 >= num_vertices:
+        seen = np.zeros(num_vertices, dtype=bool)
+        seen[ids] = True
+        return np.flatnonzero(seen)
+    return np.unique(ids)
+
+
 def default_root(graph: CsrGraph) -> int:
     """Deterministic traversal root: the highest out-degree vertex.
 

@@ -21,6 +21,7 @@ from .base import (
     ARRAY_VERTEX,
     Workload,
     default_root,
+    unique_vertices,
 )
 
 UNVISITED = -1
@@ -60,11 +61,8 @@ class Bfs(Workload):
             level += 1
             self.iterations += 1
             unvisited = targets[distances[targets] == UNVISITED]
-            if unvisited.size:
-                frontier = np.unique(unvisited)
-                distances[frontier] = level
-            else:
-                frontier = np.empty(0, dtype=np.int64)
+            frontier = unique_vertices(unvisited, graph.num_vertices)
+            distances[frontier] = level
 
     def result(self) -> np.ndarray:
         """Hop counts per vertex (``UNVISITED`` if unreachable)."""

@@ -27,6 +27,7 @@ from .base import (
     ARRAY_PROPERTY,
     ARRAY_VERTEX,
     Workload,
+    unique_vertices,
 )
 
 
@@ -92,11 +93,7 @@ class ConnectedComponents(Workload):
             before = labels[targets]
             np.minimum.at(labels, targets, candidates)
             improved = targets[labels[targets] < before]
-            frontier = (
-                np.unique(improved)
-                if improved.size
-                else np.empty(0, dtype=np.int64)
-            )
+            frontier = unique_vertices(improved, sym.num_vertices)
 
     def result(self) -> np.ndarray:
         """Component label per vertex (min vertex id in the component)."""

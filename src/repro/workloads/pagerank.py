@@ -9,6 +9,11 @@ depends on the iteration count to convergence and the threshold ε.
 
 The source rank array is read sequentially (once per vertex per
 iteration) and modeled as its own data structure (``ARRAY_RANK``).
+
+Both of an iteration's streams are data-independent: every iteration
+reads the same addresses in the same order, whatever the scores.  They
+carry :attr:`~repro.tlb.trace.AccessStream.identity` names, so the
+machine translates each once for as long as the page layout holds.
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ from .base import (
     ARRAY_VERTEX,
     Workload,
 )
+
+EDGE_SWEEP = "pagerank.edge-sweep"
+"""Identity of the per-iteration pass over every edge."""
+
+RANK_SWEEP = "pagerank.rank-sweep"
+"""Identity of the end-of-iteration property write-back and rank reload."""
 
 
 class PageRank(Workload):
@@ -70,24 +81,33 @@ class PageRank(Workload):
         # Precompute the full edge sweep once: every iteration touches
         # every edge in the same order.
         edge_positions, targets = self.gather_frontier_edges(all_vertices)
-        sources = np.repeat(all_vertices, out_degrees)
         base_score = (1.0 - self.damping) / max(1, num_vertices)
         self.scores[:] = 1.0 / max(1, num_vertices)
         self.iterations = 0
         self.converged = False
         for _ in range(self.max_iterations):
-            yield self.edge_phase_stream(
+            edges = self.edge_phase_stream(
                 all_vertices,
                 edge_positions,
                 targets,
                 source_rank_reads=True,
             )
+            edges.identity = EDGE_SWEEP
+            yield edges
+            del edges  # or its built columns outlive the translation
             contributions = np.where(
                 out_degrees > 0, self.scores / np.maximum(out_degrees, 1), 0.0
             )
             dangling = float(self.scores[out_degrees == 0].sum())
             next_scores = np.zeros(num_vertices)
-            np.add.at(next_scores, targets, contributions[sources])
+            # Edges are grouped by source, so repeating each vertex's
+            # contribution by its degree gives every edge's.  It lives
+            # for this step only: the machine holds the sweep's trace
+            # for the whole run, and a held per-edge array would add to
+            # that peak.
+            np.add.at(
+                next_scores, targets, np.repeat(contributions, out_degrees)
+            )
             next_scores = base_score + self.damping * (
                 next_scores + dangling / max(1, num_vertices)
             )
@@ -100,7 +120,8 @@ class PageRank(Workload):
                 [
                     self.sequential_pass_stream(ARRAY_PROPERTY),
                     self.sequential_pass_stream(ARRAY_RANK),
-                ]
+                ],
+                identity=RANK_SWEEP,
             )
             if delta < self.epsilon:
                 self.converged = True

@@ -26,6 +26,7 @@ from .base import (
     ARRAY_VERTEX,
     Workload,
     default_root,
+    unique_vertices,
 )
 
 INFINITY = np.iinfo(np.int64).max
@@ -78,11 +79,7 @@ class Sssp(Workload):
             before = distances[targets]
             np.minimum.at(distances, targets, candidates)
             improved = targets[distances[targets] < before]
-            frontier = (
-                np.unique(improved)
-                if improved.size
-                else np.empty(0, dtype=np.int64)
-            )
+            frontier = unique_vertices(improved, graph.num_vertices)
 
     def result(self) -> np.ndarray:
         """Weighted distances per vertex (``INFINITY`` if unreachable)."""

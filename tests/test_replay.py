@@ -132,9 +132,10 @@ def test_warm_runner_matches_fresh_runners(
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count column builds, translations, backfills and profile folds."""
-    counts = {"build": 0, "translate": 0, "backfill": 0, "observe": 0,
-              "replay": 0}
+    """Count column builds, translations, held-trace reuses, backfills
+    and profile folds."""
+    counts = {"build": 0, "translate": 0, "reuse": 0, "backfill": 0,
+              "observe": 0, "replay": 0}
 
     def spy(owner, name, key):
         original = getattr(owner, name)
@@ -147,6 +148,7 @@ def calls(monkeypatch):
 
     spy(AccessStream, "_materialize", "build")
     spy(SimProcess, "translate", "translate")
+    spy(SimProcess, "_reuse", "reuse")
     spy(ReplayCursor, "backfill", "backfill")
     spy(PageProfiler, "observe", "observe")
     spy(PageProfiler, "replay", "replay")
@@ -156,7 +158,8 @@ def calls(monkeypatch):
 def test_hits_build_and_translate_nothing(tmp_path, calls):
     """A hit neither builds its stream's columns nor translates it,
     except once to backfill the profile of an entry a non-profiling
-    cell stored; the sweep's bytes still equal fresh runners'."""
+    cell stored; a translation that reuses a held trace builds nothing
+    either; the sweep's bytes still equal fresh runners'."""
     warm, warm_results, warm_journal, warm_trace = _sweep(
         tmp_path, "batch", "transient", warm=True
     )
@@ -169,7 +172,8 @@ def test_hits_build_and_translate_nothing(tmp_path, calls):
         "no profiled hit applied a stored increment"
     )
     assert warm_calls["translate"] == memo.misses + warm_calls["backfill"]
-    assert warm_calls["build"] == warm_calls["translate"]
+    assert warm_calls["reuse"] > 0, "no translation reused a held trace"
+    assert warm_calls["build"] == warm_calls["translate"] - warm_calls["reuse"]
     _, fresh_results, fresh_journal, fresh_trace = _sweep(
         tmp_path, "batch", "transient", warm=False
     )

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.graph.csr import CsrGraph
 from repro.graph.generators import path_graph, uniform_graph
-from repro.workloads.base import default_root
+from repro.workloads.base import default_root, unique_vertices
 from repro.workloads.bfs import UNVISITED, Bfs
 from repro.workloads.pagerank import PageRank
 from repro.workloads.registry import (
@@ -128,6 +128,22 @@ class TestPageRank:
         pr = PageRank(g, max_iterations=50, epsilon=1e-12)
         drain(pr)
         assert pr.result().sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestUniqueVertices:
+    @pytest.mark.parametrize("size", [0, 1, 5, 63, 64, 65, 1000, 5000])
+    def test_equals_np_unique(self, size):
+        """Byte-equal to ``np.unique`` on both sides of the mask
+        threshold (``size * 16 >= V``, here at 64 of 1000 vertices)."""
+        ids = np.random.default_rng(size).integers(0, 1000, size=size)
+        expected = np.unique(ids)
+        got = unique_vertices(ids, 1000)
+        assert got.dtype == np.int64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_empty_graph(self):
+        got = unique_vertices(np.empty(0, dtype=np.int64), 0)
+        assert got.dtype == np.int64 and got.size == 0
 
 
 class TestRegistry:

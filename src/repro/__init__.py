@@ -64,6 +64,7 @@ from .graph import (
     power_law_graph,
     rmat_graph,
 )
+from .hostalloc import pin_mmap_threshold as _pin_mmap_threshold
 from .machine import Machine, RunMetrics
 from .mem import ThpMode, ThpPolicy
 from .runstate import CellWatchdog, RunJournal, spec_fingerprint
@@ -74,6 +75,8 @@ from .workloads import (
     Sssp,
     create_workload,
 )
+
+_pin_mmap_threshold()  # before any dataset is built
 
 __version__ = "1.0.0"
 

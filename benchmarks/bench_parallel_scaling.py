@@ -1,16 +1,16 @@
-"""Parallel sweep engine scaling: serial vs multi-process execution of
-a reference figure batch, with output byte-identity verification.
+"""``--workers`` scaling: serial vs local lease workers on a reference
+figure batch, with output byte-identity verification.
 
 The batch is fig07 (allocation order under pressure) over two workloads,
 which yields a handful of independent multi-second cells — exactly the
-shape the pool is built for.  The speedup threshold (>=1.8x at 4
+shape local fan-out is built for.  The speedup threshold (>=1.8x at 4
 workers) is enforced only on hosts with at least 2 CPUs and outside CI:
 the CI ``parallel-smoke`` job runs this file as a correctness smoke
 test, and a single-core runner cannot demonstrate scaling.
 
 Environment knobs: ``REPRO_BENCH_SCALING_WORKERS`` (default 4) and
 ``REPRO_BENCH_SCALING_DATASETS`` (default ``kron-s`` — cells around a
-second each, so the pool's fork/queue overhead is amortized; CI smoke
+second each, so the workers' fork and lease overhead is amortized; CI smoke
 passes ``test-small`` for speed).
 """
 
@@ -20,10 +20,9 @@ import os
 import time
 
 from repro.experiments import figures
-from repro.experiments.harness import ExperimentRunner
+from repro.experiments.harness import ExperimentRunner, resolve_workers
 from repro.experiments.reporting import geomean
 from repro.experiments.runconfig import RunConfig
-from repro.parallel import resolve_workers
 
 SCALING_WORKLOADS = ("bfs", "pagerank")
 SCALING_DATASETS = tuple(
@@ -76,7 +75,7 @@ def test_parallel_scaling(sweep_record):
         serial_seconds / parallel_seconds if parallel_seconds > 0 else 0.0
     )
     effective_workers = resolve_workers(SCALING_WORKERS)
-    # A run clamped to one worker never exercised the pool: its
+    # A run clamped to one worker never fanned out: its
     # "speedup" is serial-vs-serial noise, and downstream consumers of
     # BENCH_sweep.json must not read it as a scaling measurement.
     valid_scaling = effective_workers > 1
@@ -97,14 +96,14 @@ def test_parallel_scaling(sweep_record):
     )
     if not valid_scaling:
         print(
-            "NOTE: pool clamped to 1 effective worker on this host -- "
+            "NOTE: --workers clamped to 1 effective worker on this host -- "
             "speedup recorded as serial-vs-serial noise, "
             "valid_scaling=false"
         )
 
     cpus = os.cpu_count() or 1
     if effective_workers == 1:
-        # The pool clamped to the serial fallback (1 CPU): there is no
+        # The fan-out clamped to the serial path (1 CPU): there is no
         # scaling to measure, only the byte-identity check above.  A
         # clamped run is *labeled* (valid_scaling=false, NOTE below) —
         # never gated on timing, which is pure noise at 1 worker.

@@ -155,8 +155,8 @@ def _make_runner(args: argparse.Namespace):
 
     run_config = RunConfig.from_cli(args)
     if run_config.sanitize:
-        # Global switch too: spawn-mode pool workers and any library
-        # code that consults the ambient setting must agree.
+        # Global switch too: library code that consults the ambient
+        # setting must agree.
         set_sanitize(True)
     return ExperimentRunner(
         config=get_profile(args.profile), run_config=run_config
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=int(os.environ.get("REPRO_WORKERS", "1")),
         metavar="N",
         help="process fan-out for the figure's cell sweep: 1 = serial "
-        "(default), N > 1 = work-stealing pool of N workers, 0 = one "
+        "(default), N > 1 = N local lease workers, 0 = one "
         "per CPU; output and journal bytes are identical to a serial "
         "run (env default: REPRO_WORKERS; see docs/performance.md)",
     )
@@ -260,16 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "listen on ADDR (socket path or host:port) and lease cells "
         "to pulling workers; degrades to local execution when no "
         "worker is reachable (see docs/service.md)",
-    )
-    figure.add_argument(
-        "--lease-seconds", type=float, default=5.0, metavar="SECONDS",
-        help="(--distribute) lease duration per cell; workers renew at "
-        "a third of this (default: 5)",
-    )
-    figure.add_argument(
-        "--lease-attempts", type=int, default=3, metavar="N",
-        help="(--distribute) lease grants per cell before it runs "
-        "locally instead (default: 3)",
     )
     figure.add_argument(
         "--local-grace", type=float, default=10.0, metavar="SECONDS",
@@ -326,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=int(os.environ.get("REPRO_WORKERS", "1")),
         metavar="N",
         help="process fan-out for the sweep: 1 = serial (default), "
-        "N > 1 = work-stealing pool, 0 = one per CPU; leaderboard and "
+        "N > 1 = N local lease workers, 0 = one per CPU; leaderboard and "
         "journal bytes are identical to a serial run",
     )
     _add_common_machine_args(tournament)
@@ -535,8 +525,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             socket_path=socket_path,
             host=host,
             port=port,
-            lease_seconds=args.lease_seconds,
-            max_lease_attempts=args.lease_attempts,
             local_grace_seconds=args.local_grace,
         )
         coordinator = DistCoordinator(runner, dist_config)

@@ -10,6 +10,8 @@ exactly-once semantics under network failure:
 - :func:`work_loop` / :class:`WorkerConfig` — the ``repro work`` agent:
   pull a lease, verify the fingerprint, journal locally, simulate,
   stream the result back with an integrity hash;
+- :func:`~repro.dist.localbatch.run_local_batch` — local ``--workers
+  N``: the same coordinator and N forked workers on a private socket;
 - :mod:`repro.dist.http` — the HTTP/1.1 transport both ends speak:
   the coordinator's request parser and :class:`SweepClient`;
 - :class:`NetChaos` / :class:`ChaosClient` — deterministic network

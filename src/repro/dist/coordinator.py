@@ -26,6 +26,12 @@ ownership of the journal and the figure pipeline:
   all run locally in the coordinator process.  The ``remote → local``
   mode switch is one-way: a batch never flaps between dispatch
   strategies.
+- **Wedged workers.**  With a ``cell_deadline_seconds`` in the run
+  config, a lease older than the deadline plus ``max(1, deadline)`` is
+  refused renewal; when it expires the cell is settled as
+  ``FAILED(watchdog)`` (a ``dist.result`` from the ``watchdog``
+  pseudo-worker) and never re-leased.  A result that arrives later for
+  it is a ``dist.conflict``.
 
 Integrity: every streamed result carries
 :func:`~repro.runstate.serialize.integrity_hash` over its payload; a
@@ -42,6 +48,7 @@ from collections import deque
 from typing import Any, Optional, Sequence
 
 from ..errors import DistError
+from ..experiments.harness import CellFailure
 from ..obs.events import validate_events
 from ..obs.tracer import Tracer
 from ..runstate.serialize import (
@@ -102,6 +109,7 @@ class DistCoordinator:
         self._batch: Optional[_Batch] = None
         self._payloads: dict[str, dict] = {}
         self._workers_seen: set[str] = set()
+        self._handlers: set[asyncio.Task] = set()
         self._last_contact = 0.0
         self._draining = False
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -188,11 +196,11 @@ class DistCoordinator:
         self._last_contact = self._loop.time()
         if self.config.socket_path:
             server = await asyncio.start_unix_server(
-                self._handle, path=self.config.socket_path
+                self._on_connect, path=self.config.socket_path
             )
         else:
             server = await asyncio.start_server(
-                self._handle, host=self.config.host, port=self.config.port
+                self._on_connect, host=self.config.host, port=self.config.port
             )
         self._ready.set()
         try:
@@ -236,11 +244,13 @@ class DistCoordinator:
         if self._batch is not None:
             raise DistError("a batch is already executing")
         runner = self.runner
+        run_config = runner.worker_run_config()
         settings = {
             "profile": runner.config.name,
             "pagerank_iterations": runner.pagerank_iterations,
-            "run": runner.worker_run_config().to_wire(),
+            "run": run_config.to_wire(),
         }
+        deadline = run_config.cell_deadline_seconds
         spec_order: list[str] = []
         cells_by_spec: dict[str, tuple] = {}
         tasks: dict[str, dict] = {}
@@ -261,6 +271,9 @@ class DistCoordinator:
             tasks,
             lease_seconds=self.config.lease_seconds,
             max_attempts=self.config.max_lease_attempts,
+            max_age=(
+                None if deadline is None else deadline + max(1.0, deadline)
+            ),
         )
         batch = _Batch(table, spec_order, cells_by_spec, settings)
         self._batch = batch
@@ -294,10 +307,11 @@ class DistCoordinator:
                     "dist.lease.expire", spec=lease.spec,
                     worker=lease.worker, attempt=lease.attempt,
                 )
-                if (
-                    lease.spec not in batch.table.completed
-                    and batch.table.exhausted(lease.spec)
-                ):
+                if lease.spec in batch.table.completed:
+                    continue
+                if lease.overdue:
+                    self._settle_watchdog(batch, lease.spec)
+                elif batch.table.exhausted(lease.spec):
                     self._start_local(batch, lease.spec, "lease-exhausted")
             if (
                 self.mode == MODE_REMOTE
@@ -308,6 +322,19 @@ class DistCoordinator:
                 self._set_mode(MODE_LOCAL, "no-worker-contact")
                 for spec in list(batch.table.remote_specs()):
                     self._start_local(batch, spec, "no-worker-contact")
+
+    def _settle_watchdog(self, batch: _Batch, spec: str) -> None:
+        workload, dataset, policy, scenario = batch.cells_by_spec[spec]
+        failure = CellFailure(
+            workload=workload,
+            dataset=dataset,
+            policy=policy.name,
+            scenario=scenario.name,
+            error="watchdog",
+            message=f"worker held the lease past {batch.table.max_age:g}s "
+            "(cell deadline plus grace); renewal refused",
+        )
+        self._accept(batch, spec, "watchdog", encode_result(failure))
 
     def _start_local(self, batch: _Batch, spec: str, reason: str) -> None:
         if not batch.table.claim_local(spec):
@@ -337,21 +364,20 @@ class DistCoordinator:
         return encode_result(outcome)
 
     def _accept(
-        self, batch: _Batch, spec: str, worker: str, payload: dict
+        self, batch: Optional[_Batch], spec: str, worker: str, payload: dict
     ) -> str:
-        if not batch.table.complete(spec):
-            existing = self._payloads.get(spec)
-            if existing is not None and (
-                canonical_json(existing) == canonical_json(payload)
-            ):
-                self._emit("dist.duplicate", spec=spec, worker=worker)
-                return "duplicate"
-            self._emit("dist.conflict", spec=spec, worker=worker)
-            return "conflict"
-        self._payloads[spec] = payload
-        self._emit("dist.result", spec=spec, worker=worker)
-        self._check_done(batch)
-        return "accepted"
+        """Settle ``spec`` in ``batch`` (first write wins); a result for
+        a settled spec (``batch`` None: from an earlier batch) is a
+        duplicate when identical, else a conflict that keeps the first."""
+        if batch is not None and batch.table.complete(spec):
+            self._payloads[spec] = payload
+            self._emit("dist.result", spec=spec, worker=worker)
+            self._check_done(batch)
+            return "accepted"
+        same = canonical_json(self._payloads[spec]) == canonical_json(payload)
+        name = "dist.duplicate" if same else "dist.conflict"
+        self._emit(name, spec=spec, worker=worker)
+        return "duplicate" if same else "conflict"
 
     def _check_done(self, batch: _Batch) -> None:
         if batch.table.done:
@@ -360,6 +386,18 @@ class DistCoordinator:
     # ------------------------------------------------------------------
     # HTTP endpoints (loop thread; repro.dist.http wire format)
     # ------------------------------------------------------------------
+
+    def _on_connect(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        # A plain callback, so the handler task is held here: a request
+        # cut off by loop shutdown (a terminated local worker's) is then
+        # cancelled quietly instead of logged by the stream protocol.
+        task = asyncio.ensure_future(self._handle(reader, writer))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
 
     async def _handle(
         self,
@@ -510,21 +548,11 @@ class DistCoordinator:
                 body={"error": "integrity-mismatch", "spec": spec},
             )
         if batch is None or spec not in batch.table.tasks:
-            known = self._payloads.get(spec)
-            if known is not None:
-                if canonical_json(known) == canonical_json(result):
-                    self._emit("dist.duplicate", spec=spec, worker=worker)
-                    return Response(
-                        status=200,
-                        body={"status": "duplicate", "spec": spec},
-                    )
-                self._emit("dist.conflict", spec=spec, worker=worker)
+            if spec not in self._payloads:
                 return Response(
-                    status=409, body={"status": "conflict", "spec": spec}
+                    status=404, body={"error": "unknown-spec", "spec": spec}
                 )
-            return Response(
-                status=404, body={"error": "unknown-spec", "spec": spec}
-            )
+            batch = None
         outcome = self._accept(batch, spec, worker, result)
         status = 409 if outcome == "conflict" else 200
         return Response(status=status, body={"status": outcome, "spec": spec})

@@ -12,6 +12,12 @@ Lifecycle of one cell::
        '---expire(now)-----'        (attempts capped; the coordinator
                                      claims exhausted cells local)
 
+A lease older than ``max_age`` (the cell deadline plus a grace window)
+is refused renewal and marked ``overdue``: its worker is alive but
+wedged.  When it expires the spec is *not* re-queued — the coordinator
+settles it as ``FAILED(watchdog)`` instead of handing the same hang to
+the next worker.
+
 Invariants the table maintains:
 
 - a spec is in exactly one of ``pending`` / active / ``completed`` /
@@ -43,6 +49,8 @@ class Lease:
     deadline: float
     attempt: int
     task: dict
+    granted: float = 0.0
+    overdue: bool = False
 
 
 class LeaseTable:
@@ -53,10 +61,12 @@ class LeaseTable:
         tasks: dict[str, dict],
         lease_seconds: float,
         max_attempts: int,
+        max_age: Optional[float] = None,
     ) -> None:
         self.tasks = dict(tasks)
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
+        self.max_age = max_age
         self.pending: deque[str] = deque(sorted(tasks))
         self.active: dict[str, Lease] = {}
         self._lease_by_spec: dict[str, str] = {}
@@ -91,6 +101,7 @@ class LeaseTable:
                 deadline=now + self.lease_seconds,
                 attempt=self.attempts[spec],
                 task=self.tasks[spec],
+                granted=now,
             )
             self.active[lease.lease_id] = lease
             self._lease_by_spec[spec] = lease.lease_id
@@ -99,18 +110,24 @@ class LeaseTable:
 
     def renew(self, lease_id: str, now: float) -> Optional[Lease]:
         """Extend a live lease's deadline; None when it is not live
-        (expired and re-queued, completed, or never granted)."""
+        (expired and re-queued, completed, or never granted) or older
+        than ``max_age`` (then it is marked ``overdue``)."""
         lease = self.active.get(lease_id)
-        if lease is None:
+        if lease is None or lease.overdue:
+            return None
+        if self.max_age is not None and now - lease.granted > self.max_age:
+            lease.overdue = True
             return None
         lease.deadline = now + self.lease_seconds
         return lease
 
     def expire(self, now: float) -> list[Lease]:
-        """Drop every lease past its deadline, re-queueing each spec.
+        """Drop every lease past its deadline, re-queueing each spec
+        whose lease is not ``overdue``.
 
-        Returns the expired leases (the caller emits events and checks
-        each spec's attempt count against ``max_attempts``).
+        Returns the expired leases (the caller emits events, settles
+        overdue ones and checks each spec's attempt count against
+        ``max_attempts``).
         """
         expired = [
             lease for lease in self.active.values()
@@ -121,6 +138,7 @@ class LeaseTable:
             if (
                 lease.spec not in self.completed
                 and lease.spec not in self.local
+                and not lease.overdue
             ):
                 self.pending.append(lease.spec)
         return expired

@@ -124,7 +124,7 @@ class _PlanningRunner:
     """Shim runner for the parallel prefetch planning pass.
 
     Figure functions enumerate their cells implicitly, through inline
-    ``run_cell`` calls.  To batch those cells onto the process pool
+    ``run_cell`` calls.  To batch those cells onto the local workers
     without duplicating each figure's enumeration logic, the decorated
     figure body runs once against this shim: every ``run_cell`` call is
     *recorded* (in exact body order, which is what makes the parallel
@@ -159,11 +159,12 @@ def _parallel_figure(func: Callable) -> Callable:
 
     With ``runner.run_config.workers`` at the default ``1`` (and no
     ``dist_executor``) this is a no-op.  With fan-out enabled, the
-    figure body first runs against a
-    :class:`_PlanningRunner` to discover its cells, the batch executes
-    on the process pool via :meth:`~repro.experiments.harness
-    .ExperimentRunner.run_cells` (which owns dedupe, journal order and
-    the deterministic merge), and the body then re-runs for real with
+    figure body first runs against a :class:`_PlanningRunner` to
+    discover its cells, the batch executes on the local lease workers
+    (or the ``--distribute`` coordinator) via
+    :meth:`~repro.experiments.harness.ExperimentRunner.run_cells`
+    (which owns dedupe, journal order and the deterministic merge),
+    and the body then re-runs for real with
     every cell already cached.  A planning-pass surprise degrades to
     plain serial execution — parallelism is an accelerator, never a
     correctness dependency.

@@ -45,6 +45,7 @@ runaway cells as ``FAILED(watchdog)``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -221,6 +222,23 @@ CellResult = Union[RunMetrics, CellFailure]
 graceful degradation — a structured failure."""
 
 
+def resolve_workers(workers: int) -> int:
+    """Normalize a worker-count knob: ``0`` means one per CPU, and any
+    request is clamped to the CPUs actually available.
+
+    The clamp is what keeps the 1-CPU regression recorded in
+    ``BENCH_sweep.json`` (0.82x vs serial with ``--workers 4`` on one
+    core) from recurring: oversubscribing cores buys pure dispatch
+    overhead, so ``--workers 4`` on a 1-CPU host resolves to ``1`` and
+    takes the serial path.  Callers that need to know a clamp happened
+    compare against their requested value and emit ``pool.autosize``.
+    """
+    cpus = os.cpu_count() or 1
+    if workers == 0:
+        return cpus
+    return min(max(1, workers), cpus)
+
+
 def run_cells(
     cells: Sequence[tuple[str, str, Policy, Scenario]],
     config: Optional[MachineConfig] = None,
@@ -249,7 +267,8 @@ class ExperimentRunner:
     Read knobs as ``runner.run_config.retries``; change them between
     batches with ``runner.run_config = runner.run_config.replace(...)``
     (re-validated).  :meth:`worker_run_config` is the config every
-    worker process — pool or ``repro work`` — executes cells under.
+    worker process — local ``--workers`` or ``repro work`` — executes
+    cells under.
 
     Attributes:
         config: machine profile (default SCALED).
@@ -304,10 +323,10 @@ class ExperimentRunner:
         ] = None
         """When set (``repro figure --distribute``), batches route
         through this callable — e.g. :meth:`repro.dist.DistCoordinator
-        .execute_batch` — instead of the local process pool.  It
-        receives the not-yet-known cells and must return results
-        aligned with them; journaling, caching and trace merging stay
-        in this process, in spec order, exactly like the pool path."""
+        .execute_batch` — instead of a local lease batch.  It receives
+        the not-yet-known cells and must return results aligned with
+        them; journaling, caching and trace merging stay in this
+        process, in spec order, exactly like the ``--workers`` path."""
         self._cache: dict[tuple, CellResult] = {}
         self._graph_cache: dict[
             tuple[str, str, bool], tuple[CsrGraph, int]
@@ -489,9 +508,10 @@ class ExperimentRunner:
 
         With ``workers <= 1`` this is exactly ``[run_cell(*c) for c in
         cells]`` — the bit-for-bit serial path.  With ``workers > 1``
-        the not-yet-known cells are executed on a work-stealing process
-        pool and merged deterministically: the parent stays the single
-        owner of the cell cache and the journal, and journal records,
+        the not-yet-known cells are executed by N local lease workers
+        (:func:`repro.dist.localbatch.run_local_batch`) and merged
+        deterministically: the parent stays the single owner of the
+        cell cache and the journal, and journal records,
         failure-list entries and cached results are committed in *spec
         order* (the order of ``cells``), never completion order — so
         journal bytes and figure output are identical to a serial run.
@@ -501,45 +521,49 @@ class ExperimentRunner:
         at the failing cell, which a process boundary cannot preserve.
         """
         cells = list(cells)
-        if (
-            self.dist_executor is not None
-            and len(cells) > 1
-            and self.capture_failures
-        ):
-            # Distributed dispatch is orthogonal to the CPU clamp: a
-            # 1-CPU coordinator host still shards across remote workers.
-            return self._run_cells_parallel(cells)
-        workers = self.run_config.workers
-        if workers != 1 and len(cells) > 1 and self.capture_failures:
-            import os
+        if len(cells) > 1 and self.capture_failures:
+            if self.dist_executor is not None:
+                # Distributed dispatch is orthogonal to the CPU clamp: a
+                # 1-CPU coordinator host still shards across remote workers.
+                return self._run_cells_parallel(cells, self.dist_executor)
+            workers = self._resolve_workers()
+            if workers > 1:
+                from ..dist import localbatch
 
-            from ..parallel.pool import resolve_workers
+                return self._run_cells_parallel(
+                    cells,
+                    lambda batch: localbatch.run_local_batch(
+                        self, batch, workers
+                    ),
+                )
+        return [self.run_cell(*cell) for cell in cells]
 
-            requested = workers
-            workers = resolve_workers(workers)
-            if requested > 0 and workers < requested:
-                # Clamped to available CPUs: oversubscription would be
-                # pure overhead (the BENCH_sweep 0.82x regression).
-                self.metrics.count("pool.autosize")
-                if not self._autosize_emitted:
-                    self._autosize_emitted = True
-                    tracer = self.harness_tracer
-                    if tracer is not None:
-                        tracer.emit(
-                            "pool.autosize",
-                            requested=requested,
-                            effective=workers,
-                            cpus=os.cpu_count() or 1,
-                        )
-        if workers <= 1 or len(cells) <= 1 or not self.capture_failures:
-            return [self.run_cell(*cell) for cell in cells]
-        return self._run_cells_parallel(cells)
+    def _resolve_workers(self) -> int:
+        """``run_config.workers`` clamped to the CPUs; a clamp is counted
+        and traced (once) as ``pool.autosize``."""
+        requested = self.run_config.workers
+        workers = resolve_workers(requested)
+        if requested > 0 and workers < requested:
+            # Clamped to available CPUs: oversubscription would be
+            # pure overhead (the BENCH_sweep 0.82x regression).
+            self.metrics.count("pool.autosize")
+            if not self._autosize_emitted:
+                self._autosize_emitted = True
+                tracer = self.harness_tracer
+                if tracer is not None:
+                    tracer.emit(
+                        "pool.autosize",
+                        requested=requested,
+                        effective=workers,
+                        cpus=os.cpu_count() or 1,
+                    )
+        return workers
 
     def _run_cells_parallel(
-        self, cells: list[tuple[str, str, Policy, Scenario]]
+        self,
+        cells: list[tuple[str, str, Policy, Scenario]],
+        execute: Callable[[list[tuple]], list[CellResult]],
     ) -> list[CellResult]:
-        from ..parallel.pool import execute_cells, resolve_workers
-
         journal = self.run_config.journal
         results: list[Optional[CellResult]] = [None] * len(cells)
         keys = [self._cell_key(*cell) for cell in cells]
@@ -571,26 +595,7 @@ class ExperimentRunner:
 
         executed: dict[int, CellResult] = {}
         if dispatch:
-            if self.dist_executor is not None:
-                outcomes = self.dist_executor(
-                    [cells[i] for i in dispatch]
-                )
-            else:
-                # Graph preparation happens once, in the parent: workers
-                # inherit (fork) or receive (spawn) the prepared cache
-                # and never duplicate load/reorder work.
-                for i in dispatch:
-                    workload_name, dataset_name, policy, _scenario = (
-                        cells[i]
-                    )
-                    self._prepared_graph(
-                        dataset_name, policy.plan.reorder,
-                        weighted=workload_needs_weights(workload_name),
-                    )
-                outcomes = execute_cells(
-                    self, [cells[i] for i in dispatch],
-                    resolve_workers(self.run_config.workers),
-                )
+            outcomes = execute([cells[i] for i in dispatch])
             executed = dict(zip(dispatch, outcomes))
 
         # Deterministic merge, in spec order: journal begin/result pairs,

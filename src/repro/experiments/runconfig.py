@@ -77,8 +77,8 @@ class RunConfig:
     Attributes:
         workers: process fan-out for batched cells. ``1`` is the serial
             path (bit-for-bit identical to historical behavior), ``0``
-            means one worker per CPU, ``N > 1`` uses a work-stealing
-            pool with a deterministic spec-order merge.
+            means one worker per CPU, ``N > 1`` runs N local lease
+            workers with a deterministic spec-order merge.
         journal: crash-safe run journal — a
             :class:`~repro.runstate.journal.RunJournal` or a path
             string (normalized to one).  ``None`` disables journaling.
@@ -185,7 +185,7 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
     def worker_view(self) -> "RunConfig":
-        """The configuration a pool worker runs under: identical
+        """The configuration a worker process runs under: identical
         execution policy minus durability — the parent process is the
         single owner of the journal (docs/performance.md)."""
         if self.journal is None and not self.resume and self.workers == 1:

@@ -27,7 +27,7 @@ by the subsystem that emits them:
 - ``swap.*`` — the swap device,
 - ``cache.*`` — the page cache,
 - ``tlb.*`` — per-access-stream translation counts,
-- ``pool.*`` — the parallel sweep pool (sizing decisions),
+- ``pool.*`` — ``--workers`` fan-out sizing (the CPU clamp),
 - ``harness.*`` — the experiment harness's resilience machinery
   (retries, absorbed failures, watchdog kills),
 - ``dist.*`` / ``net.*`` — the distributed sweep layer
@@ -85,7 +85,7 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
         "l1_misses": "count",
         "walks": "count",
     },
-    # -- parallel sweep pool ------------------------------------------
+    # -- --workers fan-out sizing -------------------------------------
     "pool.autosize": {
         "requested": "count",
         "effective": "count",

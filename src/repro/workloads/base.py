@@ -109,7 +109,7 @@ class Workload(ABC):
     def edge_phase_stream(
         self,
         frontier: np.ndarray,
-        edge_positions: np.ndarray,
+        edge_positions: Optional[np.ndarray],
         property_targets: np.ndarray,
         with_values: bool = False,
         with_source_property: bool = False,
@@ -133,7 +133,10 @@ class Workload(ABC):
         Args:
             frontier: worklist vertex ids, in processing order.
             edge_positions: edge-array indices of every processed edge,
-                grouped by frontier vertex (``concat_ranges`` output).
+                grouped by frontier vertex (``concat_ranges`` output), or
+                ``None`` when the pass walks the whole edge array in order
+                (edge ``e`` at index ``e``): that column is then built
+                from a range, and only while the stream is built.
             property_targets: property-array index accessed per edge
                 (the indirect ``edge_array[e]`` destination).
             with_values: also read the values array per edge (SSSP).
@@ -145,7 +148,7 @@ class Workload(ABC):
         Returns:
             The program-ordered access stream (deferred).
         """
-        num_edges = int(edge_positions.size)
+        num_edges = int(property_targets.size)
         kv = 2 + int(with_source_property) + int(source_rank_reads)
         total = num_edges * (3 if with_values else 2) + frontier.size * kv
         return AccessStream.deferred(
@@ -195,14 +198,16 @@ class Workload(ABC):
 def _edge_phase_columns(
     indptr: np.ndarray,
     frontier: np.ndarray,
-    edge_positions: np.ndarray,
+    edge_positions: Optional[np.ndarray],
     property_targets: np.ndarray,
     with_values: bool,
     with_source_property: bool,
     source_rank_reads: bool,
 ) -> Columns:
     """The columns of :meth:`Workload.edge_phase_stream`."""
-    num_edges = int(edge_positions.size)
+    num_edges = int(property_targets.size)
+    if edge_positions is None:
+        edge_positions = np.arange(num_edges, dtype=np.int64)
     per_edge = 3 if with_values else 2
     vertex_ids = frontier.astype(np.int64)
     vertex_reads = [

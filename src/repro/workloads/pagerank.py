@@ -78,9 +78,11 @@ class PageRank(Workload):
         num_vertices = graph.num_vertices
         out_degrees = np.diff(graph.indptr)
         all_vertices = np.arange(num_vertices, dtype=np.int64)
-        # Precompute the full edge sweep once: every iteration touches
-        # every edge in the same order.
-        edge_positions, targets = self.gather_frontier_edges(all_vertices)
+        # Every iteration walks the whole edge array in order, so edge
+        # ``e``'s property target is ``graph.indices[e]`` itself, and the
+        # stream builds its edge-index column from a range (no E-long
+        # array lives for the cell).
+        targets = graph.indices
         base_score = (1.0 - self.damping) / max(1, num_vertices)
         self.scores[:] = 1.0 / max(1, num_vertices)
         self.iterations = 0
@@ -88,7 +90,7 @@ class PageRank(Workload):
         for _ in range(self.max_iterations):
             edges = self.edge_phase_stream(
                 all_vertices,
-                edge_positions,
+                None,
                 targets,
                 source_rank_reads=True,
             )

@@ -1,8 +1,32 @@
 """Tests for the command-line interface (driven in-process)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
+
+
+class TestStartup:
+    def test_cli_import_stays_lean(self):
+        """``import repro.cli`` must not pull in the process-executor
+        machinery: a one-shot ``repro run`` pays for every module it
+        imports, and ``--workers``/``--distribute`` import it lazily."""
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src_root)
+        probe = (
+            "import sys, repro.cli; "
+            "print(' '.join(m for m in ('asyncio', 'multiprocessing', "
+            "'repro.dist') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True, timeout=60,
+        ).stdout
+        assert out.strip() == ""
 
 
 class TestInformational:
@@ -159,6 +183,13 @@ class TestFigure:
         doc = json.loads(capsys.readouterr().out)
         assert doc["figure_id"] == "fig03"
         assert doc["rows"]
+
+    @pytest.mark.parametrize("flag", ["--lease-seconds", "--lease-attempts"])
+    def test_lease_tuning_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "fig07", flag, "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_figure_all_runs_every_function(self, capsys):
         code = main(

@@ -173,11 +173,13 @@ class TestRunConfigWire:
 # ----------------------------------------------------------------------
 
 
-def _table(specs=("a", "b"), lease_seconds=10.0, max_attempts=3):
+def _table(specs=("a", "b"), lease_seconds=10.0, max_attempts=3,
+           max_age=None):
     return LeaseTable(
         {spec: {"spec": spec} for spec in specs},
         lease_seconds=lease_seconds,
         max_attempts=max_attempts,
+        max_age=max_age,
     )
 
 
@@ -227,6 +229,39 @@ class TestLeaseTable:
         assert table.complete("a") is True
         # the re-queued spec must not be granted again
         assert table.lease("w2", now=3.0) is None
+
+    def test_renewal_past_max_age_is_refused_and_never_requeued(self):
+        """A live worker wedged in its cell: renewal is refused once the
+        lease is older than ``max_age``, and when it expires the spec is
+        left for the coordinator to settle, not handed out again."""
+        table = _table(("a", "b"), lease_seconds=1.0, max_age=1.5)
+        lease = table.lease("w1", now=0.0)
+        assert lease.spec == "a" and lease.granted == 0.0
+        assert table.renew(lease.lease_id, now=0.9) is lease
+        assert not lease.overdue
+        assert table.renew(lease.lease_id, now=1.6) is None
+        assert lease.overdue
+        assert table.renew(lease.lease_id, now=1.7) is None
+        assert table.expire(now=1.8) == []
+        assert table.expire(now=1.9) == [lease]
+        assert "a" not in table.pending
+        assert table.lease("w2", now=2.0).spec == "b"
+        assert table.lease("w3", now=100.0) is None
+        assert table.attempts["a"] == 1
+        # The coordinator settles it as FAILED(watchdog) by spec.
+        assert table.complete("a") is True
+        table.complete("b")
+        assert table.done
+
+    def test_dead_worker_lease_past_max_age_is_requeued(self):
+        """Age alone does not settle a cell: a lease that simply stopped
+        renewing (its worker died) is re-leased as usual."""
+        table = _table(("a",), lease_seconds=5.0, max_age=1.5)
+        lease = table.lease("w1", now=0.0)
+        assert table.expire(now=5.0) == [lease]
+        assert not lease.overdue
+        again = table.lease("w2", now=5.0)
+        assert again.spec == "a" and again.attempt == 2
 
     def test_claim_local_and_remote_specs(self):
         table = _table(("a", "b", "c"))
@@ -869,6 +904,125 @@ class TestCoordinatorEndToEnd:
         assert [event["worker"] for event in results] == ["w-san"] * 2
         assert len(made) == 2
         assert all(s is not None and s.checks > 0 for s in made)
+
+    def test_wedged_worker_settles_as_watchdog(self, tmp_path, monkeypatch):
+        """``--distribute`` with a cell deadline: a worker wedged inside
+        a cell keeps heartbeating, but the coordinator stops renewing its
+        lease past the deadline grace and settles the cell as
+        ``FAILED(watchdog)`` instead of waiting forever; the late real
+        result is then a ``dist.conflict``."""
+        import threading
+
+        from repro.dist import WorkerConfig, work_loop
+        from repro.experiments.harness import CellFailure
+
+        release = threading.Event()
+        original = ExperimentRunner._execute_cell
+
+        def wedging(self, workload, dataset, policy, scenario):
+            if policy.name == "thp":
+                release.wait(60.0)
+            return original(self, workload, dataset, policy, scenario)
+
+        monkeypatch.setattr(ExperimentRunner, "_execute_cell", wedging)
+        sock = str(tmp_path / "coord.sock")
+        runner = ExperimentRunner(
+            config=get_profile("scaled"),
+            run_config=RunConfig(cell_deadline_seconds=1.0),
+        )
+        coordinator = DistCoordinator(
+            runner,
+            DistConfig(
+                socket_path=sock, lease_seconds=0.6,
+                local_grace_seconds=60.0, max_lease_attempts=5,
+            ),
+        ).start()
+        workers = [
+            threading.Thread(
+                target=work_loop,
+                args=(WorkerConfig(
+                    connect=sock,
+                    journal_path=str(tmp_path / f"w{i}.jsonl"),
+                    worker_id=f"w{i}", poll_interval=0.05,
+                    idle_exit_seconds=20.0,
+                ),),
+                daemon=True,
+            )
+            for i in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        cells = [
+            ("bfs", "test-small", parse_policy(name),
+             parse_scenario("fresh"))
+            for name in ("thp", "base4k")
+        ]
+        outcome: list = []
+        sweep = threading.Thread(
+            target=lambda: outcome.append(coordinator.execute_batch(cells)),
+            daemon=True,
+        )
+        try:
+            sweep.start()
+            sweep.join(timeout=20.0)
+            assert not sweep.is_alive(), "the sweep hung on a wedged worker"
+            results = outcome[0]
+            assert isinstance(results[0], CellFailure)
+            assert results[0].error == "watchdog"
+            assert getattr(results[1], "ok", False)
+            release.set()
+            deadline = time.monotonic() + 10.0  # repro: noqa REP001 — observation timeout
+            while time.monotonic() < deadline:  # repro: noqa REP001 — observation timeout
+                names = [e["name"] for e in coordinator.drain_events()]
+                if "dist.conflict" in names:
+                    break
+                time.sleep(0.05)
+            coordinator.drain()
+            for worker in workers:
+                worker.join(timeout=20.0)
+        finally:
+            release.set()
+            coordinator.stop()
+        events = coordinator.drain_events()
+        thp_spec = runner.cell_spec(*cells[0])
+        grants = [
+            e for e in events
+            if e["name"] == "dist.lease.grant" and e["spec"] == thp_spec
+        ]
+        assert len(grants) == 1  # never re-leased
+        settled = [
+            e for e in events
+            if e["name"] == "dist.result" and e["spec"] == thp_spec
+        ]
+        assert [e["worker"] for e in settled] == ["watchdog"]
+        assert any(
+            e["name"] == "dist.conflict" and e["spec"] == thp_spec
+            for e in events
+        )
+        assert not any(worker.is_alive() for worker in workers)
+
+    def test_stop_with_a_request_cut_off_logs_nothing(self, tmp_path, caplog):
+        """A worker terminated mid-request (local ``--workers`` kills its
+        workers once the batch settles) leaves a handler waiting on a
+        half-sent request; stopping the coordinator must not make loop
+        shutdown log the cancelled handler."""
+        import logging
+
+        sock = str(tmp_path / "coord.sock")
+        coordinator = DistCoordinator(
+            _runner(), DistConfig(socket_path=sock)
+        ).start()
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            conn.connect(sock)
+            conn.sendall(b"POST /v1/dist/lease HTTP/1.1\r\n")
+            time.sleep(0.2)  # the loop accepts and starts reading
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                coordinator.stop()
+        finally:
+            conn.close()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
 
     def test_execute_batch_requires_running_loop(self):
         runner = _runner()

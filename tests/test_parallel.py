@@ -1,9 +1,10 @@
-"""Parallel sweep engine tests (docs/performance.md).
+"""``--workers N`` tests (docs/performance.md).
 
-The contract under test: a figure batch run with ``workers=N`` produces
-byte-identical saved output and identical journal record payloads to
-the serial path — including under armed fault plans, mid-sweep resume,
-and hung or crashed workers.
+The contract under test: a figure batch run with ``workers=N`` (N local
+lease workers, :mod:`repro.dist.localbatch`) produces byte-identical
+saved output and identical journal record payloads to the serial path —
+including under armed fault plans, mid-sweep resume, and hung or crashed
+workers.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.figures import fig07_pressure_alloc_order
-from repro.experiments.harness import CellFailure, ExperimentRunner
+from repro.experiments.harness import (
+    CellFailure,
+    ExperimentRunner,
+    resolve_workers,
+)
 from repro.experiments.policies import POLICIES
 from repro.experiments.runconfig import RunConfig
 from repro.experiments.scenarios import fresh
 from repro.faults import FaultPlan
 from repro.graph.reorder import ORDERINGS
-from repro.parallel.pool import resolve_workers
 from repro.runstate import RunJournal
 
 WORKLOADS = ("bfs",)
@@ -41,7 +45,7 @@ def many_cpus(monkeypatch):
     ``resolve_workers`` clamps to ``os.cpu_count()`` (the 1-CPU 0.82x
     regression guard), which on a small CI host would silently reroute
     every ``workers=N`` test through the serial path.  These tests are
-    *about* the pool, so lift the ceiling."""
+    *about* the fan-out, so lift the ceiling."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
 
@@ -165,7 +169,7 @@ class TestSerialParallelEquivalence:
         assert serial_result.to_json() == parallel_result.to_json()
 
     def test_resumed_cells_never_dispatched(self, tmp_path, monkeypatch):
-        """Journal-completed cells must not reach the pool at all."""
+        """Journal-completed cells must not reach dispatch at all."""
         path = str(tmp_path / "run.jsonl")
         cells = fig07_cells()
         serial = ExperimentRunner(
@@ -175,15 +179,15 @@ class TestSerialParallelEquivalence:
             serial.run_cell(*cell)
 
         dispatched: list = []
-        import repro.parallel.pool as pool
+        import repro.dist.localbatch as localbatch
 
-        real_execute = pool.execute_cells
+        real_execute = localbatch.run_local_batch
 
         def spying(runner, batch, workers):
             dispatched.extend(batch)
             return real_execute(runner, batch, workers)
 
-        monkeypatch.setattr(pool, "execute_cells", spying)
+        monkeypatch.setattr(localbatch, "run_local_batch", spying)
         resumed = ExperimentRunner(run_config=RunConfig(
             workers=4, journal=RunJournal(path), resume=True
         ))
@@ -202,12 +206,12 @@ class TestRunCellsSemantics:
         assert results[0] is results[1] is results[2]
 
     def test_strict_mode_never_reaches_the_pool(self, monkeypatch):
-        import repro.parallel.pool as pool
+        import repro.dist.localbatch as localbatch
 
         def forbidden(*args, **kwargs):
             raise AssertionError("strict mode must stay serial")
 
-        monkeypatch.setattr(pool, "execute_cells", forbidden)
+        monkeypatch.setattr(localbatch, "run_local_batch", forbidden)
         runner = ExperimentRunner(
             run_config=RunConfig(workers=4), capture_failures=False
         )
@@ -220,7 +224,7 @@ class TestRunCellsSemantics:
         assert all(getattr(r, "ok", True) for r in results)
 
     def test_cached_cells_short_circuit(self, monkeypatch):
-        import repro.parallel.pool as pool
+        import repro.dist.localbatch as localbatch
 
         runner = ExperimentRunner(run_config=RunConfig(workers=4))
         cells = fig07_cells()
@@ -229,7 +233,7 @@ class TestRunCellsSemantics:
         def forbidden(*args, **kwargs):
             raise AssertionError("cached batch must not re-dispatch")
 
-        monkeypatch.setattr(pool, "execute_cells", forbidden)
+        monkeypatch.setattr(localbatch, "run_local_batch", forbidden)
         again = runner.run_cells(cells)
         assert [id(r) for r in again] == [id(r) for r in warm]
 
@@ -238,8 +242,9 @@ class TestRunCellsSemantics:
 @pytest.mark.usefixtures("many_cpus")
 class TestPoolAdversity:
     def test_hung_worker_absorbed_as_watchdog_failure(self, monkeypatch):
-        """A wedged worker is terminated by the parent, its cell
-        absorbed as ``FAILED(watchdog)``, and the batch completes."""
+        """A wedged worker's lease is refused renewal past the deadline
+        grace, its cell settled as ``FAILED(watchdog)`` and never
+        re-leased, and the batch completes."""
         hang_policy = "thp"
         original = ExperimentRunner._execute_cell
 
@@ -264,8 +269,9 @@ class TestPoolAdversity:
         assert all(getattr(r, "ok", True) for r in results[1:])
 
     def test_crashed_worker_cell_reruns_in_parent(self, monkeypatch):
-        """A worker that dies without reporting loses nothing: the
-        parent reclaims the in-flight cell and runs it locally."""
+        """A worker that dies without reporting loses nothing: its lease
+        expires, the cell is re-leased, and once its attempts are spent
+        it runs in the parent."""
         parent_pid = os.getpid()
         crash_policy = "thp"
         original = ExperimentRunner._execute_cell

@@ -249,6 +249,8 @@ def test_every_kernel_stream_equals_argsort(name, monkeypatch):
 
     def both(self, frontier, edge_positions, targets, **kwargs):
         got = scatter(self, frontier, edge_positions, targets, **kwargs)
+        if edge_positions is None:  # PageRank's whole-array sweep
+            edge_positions = np.arange(targets.size, dtype=np.int64)
         want = argsort_edge_phase_stream(
             self.graph, frontier, edge_positions, targets, **kwargs
         )

@@ -27,11 +27,14 @@ ownership of the journal and the figure pipeline:
   mode switch is one-way: a batch never flaps between dispatch
   strategies.
 - **Wedged workers.**  With a ``cell_deadline_seconds`` in the run
-  config, a lease older than the deadline plus ``max(1, deadline)`` is
+  config, a lease whose cell has run (since its worker reported it
+  ``started``) for longer than the deadline plus ``max(1, deadline)`` is
   refused renewal; when it expires the cell is settled as
   ``FAILED(watchdog)`` (a ``dist.result`` from the ``watchdog``
   pseudo-worker) and never re-leased.  A result that arrives later for
-  it is a ``dist.conflict``.
+  it is a ``dist.conflict``.  A refused renewal is not worker contact,
+  so once every worker is wedged the ``local_grace_seconds`` fallback
+  finishes the batch here.
 
 Integrity: every streamed result carries
 :func:`~repro.runstate.serialize.integrity_hash` over its payload; a
@@ -486,9 +489,7 @@ class DistCoordinator:
         if batch is None:
             return idle
         assert self._loop is not None
-        lease = batch.table.lease(
-            worker, self._loop.time()
-        )
+        lease = batch.table.lease(worker, self._loop.time())
         if lease is None:
             return idle
         self._emit(
@@ -506,16 +507,18 @@ class DistCoordinator:
     def _handle_renew(self, payload: dict) -> Response:
         worker = str(payload.get("worker") or "anonymous")
         lease_id = str(payload.get("lease_id") or "")
-        self._touch()
         batch = self._batch
         if batch is None:
             return Response(status=200, body={"ok": False})
         assert self._loop is not None
         lease = batch.table.renew(
-            lease_id, self._loop.time()
+            lease_id, self._loop.time(), started=bool(payload.get("started"))
         )
         if lease is None:
+            # Not contact: a wedged worker heartbeating a refused lease
+            # must not hold off the no-worker-contact fallback.
             return Response(status=200, body={"ok": False})
+        self._touch()
         self._emit("dist.lease.renew", spec=lease.spec, worker=worker)
         return Response(status=200, body={"ok": True})
 

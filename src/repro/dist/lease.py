@@ -12,11 +12,15 @@ Lifecycle of one cell::
        '---expire(now)-----'        (attempts capped; the coordinator
                                      claims exhausted cells local)
 
-A lease older than ``max_age`` (the cell deadline plus a grace window)
-is refused renewal and marked ``overdue``: its worker is alive but
-wedged.  When it expires the spec is *not* re-queued — the coordinator
-settles it as ``FAILED(watchdog)`` instead of handing the same hang to
-the next worker.
+A lease whose cell has run for longer than ``max_age`` (the cell
+deadline plus a grace window) is refused renewal and marked
+``overdue``: its worker is alive but wedged.  The age counts from the
+first renewal that reports the cell ``started`` (its graph is prepared
+and the simulation, with its in-worker watchdog, begins), so loading
+or reordering a large dataset never eats the grace.  When it expires
+the spec is *not* re-queued — the coordinator settles it as
+``FAILED(watchdog)`` instead of handing the same hang to the next
+worker.
 
 Invariants the table maintains:
 
@@ -49,7 +53,7 @@ class Lease:
     deadline: float
     attempt: int
     task: dict
-    granted: float = 0.0
+    started: Optional[float] = None
     overdue: bool = False
 
 
@@ -101,21 +105,27 @@ class LeaseTable:
                 deadline=now + self.lease_seconds,
                 attempt=self.attempts[spec],
                 task=self.tasks[spec],
-                granted=now,
             )
             self.active[lease.lease_id] = lease
             self._lease_by_spec[spec] = lease.lease_id
             return lease
         return None
 
-    def renew(self, lease_id: str, now: float) -> Optional[Lease]:
+    def renew(
+        self, lease_id: str, now: float, started: bool = False
+    ) -> Optional[Lease]:
         """Extend a live lease's deadline; None when it is not live
-        (expired and re-queued, completed, or never granted) or older
-        than ``max_age`` (then it is marked ``overdue``)."""
+        (expired and re-queued, completed, or never granted) or its
+        cell has run for longer than ``max_age`` (then it is marked
+        ``overdue``).  The first renewal with ``started`` starts that
+        clock."""
         lease = self.active.get(lease_id)
         if lease is None or lease.overdue:
             return None
-        if self.max_age is not None and now - lease.granted > self.max_age:
+        if started and lease.started is None:
+            lease.started = now
+        age = 0.0 if lease.started is None else now - lease.started
+        if self.max_age is not None and age > self.max_age:
             lease.overdue = True
             return None
         lease.deadline = now + self.lease_seconds

@@ -18,6 +18,7 @@ import shutil
 import tempfile
 from typing import Any, Sequence
 
+from ..errors import DistError
 from ..graph.datasets import load_dataset
 from ..workloads.registry import workload_needs_weights
 from .config import DistConfig
@@ -73,7 +74,11 @@ def run_local_batch(
     try:
         for proc in procs:
             proc.start()
-        coordinator.start()
+        try:
+            coordinator.start()
+        except DistError:
+            # No socket (say, TMPDIR too long for a UNIX path): serial.
+            return [runner._execute_cell(*cell) for cell in cells]
         return coordinator.execute_batch(cells)
     finally:
         # Every cell is settled (or the batch failed): a worker still

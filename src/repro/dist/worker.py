@@ -52,6 +52,7 @@ from ..runstate.serialize import (
     encode_result,
     integrity_hash,
 )
+from ..workloads.registry import workload_needs_weights
 from .config import parse_connect
 from .http import SweepClient
 from .netchaos import ChaosClient, NetChaos
@@ -116,10 +117,12 @@ def _build_runner(settings: dict[str, Any]):
 
 
 class _Heartbeat:
-    """Renews one lease on a daemon thread until stopped.
+    """Renews one lease on a daemon thread until stopped or refused.
 
     A renewal is a single-shot request — a missed one *is* the signal
     the lease protocol exists to detect, so there is nothing to retry.
+    A refused one means the lease is gone for good (expired, settled,
+    or overdue), so the thread stops asking.
     """
 
     def __init__(
@@ -130,12 +133,18 @@ class _Heartbeat:
         self._worker_id = worker_id
         self._lease_id = lease_id
         self._interval = interval
+        self._started = False
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def start(self) -> "_Heartbeat":
         self._thread.start()
         return self
+
+    def mark_started(self) -> None:
+        """The cell's graph is prepared and its simulation begins; the
+        renewals from here on start the coordinator's deadline clock."""
+        self._started = True
 
     def stop(self) -> None:
         self._stop.set()
@@ -144,18 +153,22 @@ class _Heartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self._interval):
             try:
-                self._client.request(
+                response = self._client.request(
                     "POST", "/v1/dist/renew",
                     {
                         "lease_id": self._lease_id,
                         "worker": self._worker_id,
+                        "started": self._started,
                     },
                 )
             except (OSError, ReproError):
                 # Unreachable coordinator: the lease will expire and the
                 # cell will be re-leased; our local journal still wins
                 # exactly-once through merge dedupe.
-                pass
+                continue
+            body = response.body if isinstance(response.body, dict) else {}
+            if response.ok and body.get("ok") is False:
+                return
 
 
 def work_loop(config: WorkerConfig) -> int:
@@ -248,6 +261,13 @@ def _run_task(
         client, config.worker_id, str(task.get("lease_id")), interval
     ).start()
     try:
+        # Load and reorder (cached on the runner) before the deadline
+        # clock starts, as the in-worker watchdog does.
+        runner._prepared_graph(
+            task["dataset"], policy.plan.reorder,
+            weighted=workload_needs_weights(task["workload"]),
+        )
+        heartbeat.mark_started()
         outcome = runner._execute_cell(
             task["workload"], task["dataset"], policy, scenario
         )

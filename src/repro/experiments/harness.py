@@ -396,6 +396,8 @@ class ExperimentRunner:
             journal.begin(spec, cell_coords)
 
         result = self._execute_cell(workload_name, dataset_name, policy, scenario)
+        if isinstance(result, CellFailure):
+            self.failures.append(result)
 
         if journal is not None:
             # Journal append failures propagate: a sweep whose journal
@@ -544,8 +546,6 @@ class ExperimentRunner:
         requested = self.run_config.workers
         workers = resolve_workers(requested)
         if requested > 0 and workers < requested:
-            # Clamped to available CPUs: oversubscription would be
-            # pure overhead (the BENCH_sweep 0.82x regression).
             self.metrics.count("pool.autosize")
             if not self._autosize_emitted:
                 self._autosize_emitted = True
@@ -680,8 +680,9 @@ class ExperimentRunner:
         scenario: Scenario,
     ) -> CellResult:
         """Simulate one cell (retries, fault injection, capture) without
-        touching the cache or the journal — the part of :meth:`run_cell`
-        that is safe to run in a worker process."""
+        touching the cache, the journal or ``failures`` — the part of
+        :meth:`run_cell` that is safe to run in a worker process or on
+        a batch executor's behalf."""
         plan = self.effective_fault_plan
         graph, preprocess_accesses = self._prepared_graph(
             dataset_name, policy.plan.reorder,
@@ -852,7 +853,6 @@ class ExperimentRunner:
             site=getattr(error, "site", None),
             fault_hit=getattr(error, "hit", None),
         )
-        self.failures.append(failure)
         return failure
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ file:
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from ..errors import ReproError
 from ..runstate.atomic import atomic_write_text
@@ -202,30 +202,3 @@ def summarize(records: Iterable[dict[str, Any]]) -> str:
     if not lines:
         return "empty trace"
     return "\n".join(lines)
-
-
-def phase_timeline(
-    records: Iterable[dict[str, Any]], cell: Optional[str] = None
-) -> list[tuple[str, int, int]]:
-    """``(phase, begin_cycles, end_cycles)`` triples for one cell.
-
-    ``cell`` selects by the :func:`summarize`-style label; ``None``
-    takes the first cell in the trace.
-    """
-    open_phases: dict[str, int] = {}
-    timeline: list[tuple[str, int, int]] = []
-    target = cell
-    for record in records:
-        label = _cell_label(record)
-        if target is None:
-            target = label
-        if label != target:
-            continue
-        name = record.get("name")
-        if name == "phase.begin":
-            open_phases[record.get("phase", "?")] = record.get("cycles", 0)
-        elif name == "phase.end":
-            phase = record.get("phase", "?")
-            begin = open_phases.pop(phase, 0)
-            timeline.append((phase, begin, record.get("cycles", 0)))
-    return timeline

@@ -21,14 +21,6 @@ WORKLOADS: dict[str, Callable[..., Workload]] = {
 """Name -> workload factory (the paper's three applications plus the
 BFS-derived Connected Components extension)."""
 
-PAPER_WORKLOAD_NAMES = {
-    "bfs": "Breadth First Search (BFS)",
-    "sssp": "Single Source Shortest Paths (SSSP)",
-    "pagerank": "PageRank (PR)",
-}
-"""Registry name -> the paper's Table 2 label."""
-
-
 def workload_names() -> tuple[str, ...]:
     """All registered workload names."""
     return tuple(WORKLOADS)

@@ -232,18 +232,24 @@ class TestLeaseTable:
 
     def test_renewal_past_max_age_is_refused_and_never_requeued(self):
         """A live worker wedged in its cell: renewal is refused once the
-        lease is older than ``max_age``, and when it expires the spec is
-        left for the coordinator to settle, not handed out again."""
+        cell has run for longer than ``max_age``, and when the lease
+        expires the spec is left for the coordinator to settle, not
+        handed out again."""
         table = _table(("a", "b"), lease_seconds=1.0, max_age=1.5)
         lease = table.lease("w1", now=0.0)
-        assert lease.spec == "a" and lease.granted == 0.0
+        assert lease.spec == "a" and lease.started is None
+        # Graph preparation: no age clock yet, however long it takes.
         assert table.renew(lease.lease_id, now=0.9) is lease
+        assert table.renew(lease.lease_id, now=1.8) is lease
+        assert table.renew(lease.lease_id, now=2.0, started=True) is lease
+        assert lease.started == 2.0
+        assert table.renew(lease.lease_id, now=3.4, started=True) is lease
         assert not lease.overdue
-        assert table.renew(lease.lease_id, now=1.6) is None
+        assert table.renew(lease.lease_id, now=3.6, started=True) is None
         assert lease.overdue
-        assert table.renew(lease.lease_id, now=1.7) is None
-        assert table.expire(now=1.8) == []
-        assert table.expire(now=1.9) == [lease]
+        assert table.renew(lease.lease_id, now=3.7, started=True) is None
+        assert table.expire(now=4.3) == []
+        assert table.expire(now=4.5) == [lease]
         assert "a" not in table.pending
         assert table.lease("w2", now=2.0).spec == "b"
         assert table.lease("w3", now=100.0) is None
@@ -258,7 +264,8 @@ class TestLeaseTable:
         renewing (its worker died) is re-leased as usual."""
         table = _table(("a",), lease_seconds=5.0, max_age=1.5)
         lease = table.lease("w1", now=0.0)
-        assert table.expire(now=5.0) == [lease]
+        assert table.renew(lease.lease_id, now=1.0, started=True) is lease
+        assert table.expire(now=6.0) == [lease]
         assert not lease.overdue
         again = table.lease("w2", now=5.0)
         assert again.spec == "a" and again.attempt == 2
@@ -1000,6 +1007,69 @@ class TestCoordinatorEndToEnd:
             for e in events
         )
         assert not any(worker.is_alive() for worker in workers)
+
+    def test_slow_graph_preparation_is_not_cell_time(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker whose graph build outlasts the deadline grace keeps
+        its lease: the age clock starts when the worker reports the cell
+        started, where its in-worker watchdog starts too."""
+        import threading
+
+        from repro.dist import WorkerConfig, work_loop
+
+        original = ExperimentRunner._prepared_graph
+
+        def slow(self, dataset_name, reorder, weighted):
+            if (dataset_name, reorder, weighted) not in self._graph_cache:
+                time.sleep(2.5)
+            return original(self, dataset_name, reorder, weighted)
+
+        monkeypatch.setattr(ExperimentRunner, "_prepared_graph", slow)
+        sock = str(tmp_path / "coord.sock")
+        runner = ExperimentRunner(
+            config=get_profile("scaled"),
+            run_config=RunConfig(cell_deadline_seconds=1.0),
+        )
+        coordinator = DistCoordinator(
+            runner,
+            DistConfig(
+                socket_path=sock, lease_seconds=0.6,
+                local_grace_seconds=60.0, max_lease_attempts=5,
+            ),
+        ).start()
+        worker = threading.Thread(
+            target=work_loop,
+            args=(WorkerConfig(
+                connect=sock, journal_path=str(tmp_path / "w.jsonl"),
+                worker_id="w0", poll_interval=0.05, idle_exit_seconds=20.0,
+            ),),
+            daemon=True,
+        )
+        worker.start()
+        cells = [
+            ("bfs", "test-small", parse_policy("thp"),
+             parse_scenario("fresh"))
+        ]
+        outcome: list = []
+        sweep = threading.Thread(
+            target=lambda: outcome.append(coordinator.execute_batch(cells)),
+            daemon=True,
+        )
+        try:
+            sweep.start()
+            sweep.join(timeout=20.0)
+            assert not sweep.is_alive(), "the sweep hung"
+            coordinator.drain()
+            worker.join(timeout=20.0)
+        finally:
+            coordinator.stop()
+        assert getattr(outcome[0][0], "ok", False)
+        settled = [
+            e["worker"] for e in coordinator.drain_events()
+            if e["name"] == "dist.result"
+        ]
+        assert settled == ["w0"]
 
     def test_stop_with_a_request_cut_off_logs_nothing(self, tmp_path, caplog):
         """A worker terminated mid-request (local ``--workers`` kills its

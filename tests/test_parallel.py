@@ -9,8 +9,11 @@ workers.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import tempfile
 import time
 
 import pytest
@@ -47,6 +50,22 @@ def many_cpus(monkeypatch):
     every ``workers=N`` test through the serial path.  These tests are
     *about* the fan-out, so lift the ceiling."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail (instead of hanging the suite) when the block overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_fig07(runner: ExperimentRunner):
@@ -292,6 +311,83 @@ class TestPoolAdversity:
         assert all(getattr(r, "ok", True) for r in results)
         reference = ExperimentRunner().run_cell(*cells[0])
         assert results[0].kernel_cycles == reference.kernel_cycles
+
+    def test_every_worker_wedged_finishes_in_parent(self, monkeypatch):
+        """Both workers wedge on their first cell: those cells settle as
+        ``FAILED(watchdog)``, and since a refused renewal is not worker
+        contact the rest of the batch runs in the parent instead of
+        waiting forever on workers that will never ask again."""
+        parent_pid = os.getpid()
+        original = ExperimentRunner._execute_cell
+
+        def hanging(self, workload, dataset, policy, scenario):
+            if os.getpid() != parent_pid:
+                time.sleep(300.0)
+            return original(self, workload, dataset, policy, scenario)
+
+        monkeypatch.setattr(ExperimentRunner, "_execute_cell", hanging)
+        runner = ExperimentRunner(run_config=RunConfig(
+            workers=2, cell_deadline_seconds=0.5
+        ))
+        cells = [
+            ("bfs", "test-small", POLICIES[name], fresh())
+            for name in ("thp", "base4k", "thp-opt", "dbg")
+        ]
+        with time_limit(30):
+            results = runner.run_cells(cells)
+        wedged = [r for r in results if isinstance(r, CellFailure)]
+        assert [r.error for r in wedged] == ["watchdog", "watchdog"]
+        assert runner.failures == wedged
+        serial = ExperimentRunner()
+        for cell, result in zip(cells, results):
+            if not isinstance(result, CellFailure):
+                reference = serial.run_cell(*cell)
+                assert result.kernel_cycles == reference.kernel_cycles
+
+    def test_slow_graph_preparation_is_not_cell_time(self, monkeypatch):
+        """Building the graph outlasts the deadline grace plus a lease,
+        the simulation itself does not: the cell is ok, as it is
+        serially."""
+        original = ExperimentRunner._prepared_graph
+
+        def slow(self, dataset_name, reorder, weighted):
+            if (dataset_name, reorder, weighted) not in self._graph_cache:
+                time.sleep(4.5)
+            return original(self, dataset_name, reorder, weighted)
+
+        monkeypatch.setattr(ExperimentRunner, "_prepared_graph", slow)
+        runner = ExperimentRunner(run_config=RunConfig(
+            workers=2, cell_deadline_seconds=0.5
+        ))
+        cells = [
+            ("bfs", "test-small", POLICIES[name], fresh())
+            for name in ("thp", "base4k")
+        ]
+        with time_limit(30):
+            results = runner.run_cells(cells)
+        assert all(getattr(r, "ok", False) for r in results)
+        assert runner.failures == []
+
+    def test_unbindable_socket_runs_the_batch_serially(
+        self, monkeypatch, tmp_path
+    ):
+        """A temp dir too deep for a UNIX socket path: the batch runs in
+        this process, with results and failures equal to a serial run."""
+        deep = tmp_path / ("d" * 120)
+        deep.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(deep))
+        plan = FaultPlan.parse("compaction:1.0", seed=0)
+        cells = fig07_cells()
+        serial = ExperimentRunner(run_config=RunConfig(faults=plan))
+        expected = serial.run_cells(cells)
+        runner = ExperimentRunner(run_config=RunConfig(workers=2, faults=plan))
+        with time_limit(30):
+            results = runner.run_cells(cells)
+        assert serial.failures
+        assert runner.failures == serial.failures
+        assert [getattr(r, "kernel_cycles", r) for r in results] == [
+            getattr(r, "kernel_cycles", r) for r in expected
+        ]
 
 
 class TestPlanningPass:

@@ -3,10 +3,10 @@
 Captures the TLB traces (and flush boundaries) of representative
 experiment cells once, then replays the identical trace sequence
 through a fresh exact hierarchy and a fresh batch hierarchy, timing
-only the ``simulate`` calls.  Both engines are single-threaded numpy,
-so the measured per-cell kernel seconds are CPU-count-independent —
-unlike the sweep-level wall-clock benches, this entry is comparable
-across hosts with different core counts.
+only the ``simulate`` calls.  The exact engine is single-threaded; the
+batch engine runs its STLB pass on a second thread on long streams when
+more than one CPU is usable, so its seconds depend on the CPU count
+the entry records as ``cpus``.
 
 Cells (full mode):
 

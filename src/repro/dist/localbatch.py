@@ -3,7 +3,9 @@
 The coordinator and worker agent of ``--distribute`` / ``repro work``
 (docs/service.md, "Local workers"), on this host.  A private temp dir
 holds the coordinator's UNIX socket and the workers' journal shards and
-is removed with the batch.  The workers are forked before the
+is removed with the batch, also when SIGTERM ends the figure process
+(on its main thread the signal raises ``SystemExit`` while the batch
+runs, so the cleanup runs).  The workers are forked before the
 coordinator's loop thread starts, so no fork copies a running thread;
 :func:`~repro.dist.worker.work_loop` retries until the socket exists.
 The figure process stays the single owner of the cache and the journal:
@@ -15,11 +17,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 import shutil
+import signal
 import tempfile
+import threading
 from typing import Any, Sequence
 
 from ..errors import DistError
 from ..graph.datasets import load_dataset
+from ..tlb.engine import share_cpus
 from ..workloads.registry import workload_needs_weights
 from .config import DistConfig
 from .coordinator import DistCoordinator
@@ -39,6 +44,17 @@ POLL_SECONDS = 0.05
 """Worker poll interval while the socket is not up or no cell is free."""
 
 
+def _local_worker(config: WorkerConfig, siblings: int) -> None:
+    # With the CPUs shared among the workers, a second thread per
+    # worker for the STLB stage only competes with the other workers.
+    share_cpus(siblings)
+    work_loop(config)
+
+
+def _exit_on_sigterm(signum: int, frame: Any) -> None:
+    raise SystemExit(128 + signum)
+
+
 def run_local_batch(
     runner: Any, cells: Sequence[tuple], workers: int
 ) -> list[Any]:
@@ -51,19 +67,20 @@ def run_local_batch(
     tmp = tempfile.mkdtemp(prefix="repro-workers-")
     socket_path = os.path.join(tmp, "coordinator.sock")
     context = multiprocessing.get_context()
+    count = max(1, min(workers, len(cells)))
     procs = [
         context.Process(
-            target=work_loop,
+            target=_local_worker,
             args=(WorkerConfig(
                 connect=socket_path,
                 journal_path=os.path.join(tmp, f"w{i}.jsonl"),
                 worker_id=f"local{i}",
                 poll_interval=POLL_SECONDS,
                 idle_exit_seconds=LOCAL_GRACE_SECONDS,
-            ),),
+            ), count),
             daemon=True,
         )
-        for i in range(max(1, min(workers, len(cells))))
+        for i in range(count)
     ]
     coordinator = DistCoordinator(runner, DistConfig(
         socket_path=socket_path,
@@ -71,9 +88,15 @@ def run_local_batch(
         max_lease_attempts=MAX_LEASE_ATTEMPTS,
         local_grace_seconds=LOCAL_GRACE_SECONDS,
     ))
+    # Only the main thread may set a handler (the chaos harness runs
+    # figures on another), and only after the forks, which must keep
+    # the default: terminate() below is how a wedged worker stops.
+    previous = None
     try:
         for proc in procs:
             proc.start()
+        if threading.current_thread() is threading.main_thread():
+            previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
         try:
             coordinator.start()
         except DistError:
@@ -89,3 +112,5 @@ def run_local_batch(
                 proc.join()
         coordinator.stop()
         shutil.rmtree(tmp, ignore_errors=True)
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)

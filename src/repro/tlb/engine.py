@@ -60,6 +60,11 @@ split, because the carried state replays between chunks.
 
 from __future__ import annotations
 
+import os
+import queue
+import sys
+import threading
+
 import numpy as np
 
 from ..config import TlbConfig, TlbGeometry
@@ -71,17 +76,51 @@ _CHUNK = 1 << 17
 """Lookups per internal batch: large enough to amortize pass setup,
 small enough that a chunk's working arrays stay cache-resident."""
 
+_QUEUE_DEPTH = 2
+"""Chunks of L1 misses the L1 stage may run ahead of the STLB stage."""
+
+
+def _inline_chunks(processes: int = 1) -> int:
+    """Stream length, in chunks, up to which the STLB stage runs inline.
+
+    One chunk of overlap does not pay for a thread.  Without a CPU to
+    spare per process no overlap does: pinned to one CPU, perfbench
+    ``scale-1m`` ran 14% slower pipelined (docs/performance.md)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask outside Linux
+        cpus = os.cpu_count() or 1
+    return 2 if cpus // processes > 1 else sys.maxsize
+
+
+_INLINE_CHUNKS = _inline_chunks()
+"""Streams of at most this many chunks run the STLB stage inline on
+the calling thread; longer ones pipeline it on a second thread."""
+
+
+def share_cpus(processes: int) -> None:
+    """Declare this process one of ``processes`` that keep the same CPUs
+    busy (the lease workers of a local batch): the STLB stage runs
+    pipelined only if each of them still has a CPU to spare."""
+    global _INLINE_CHUNKS
+    _INLINE_CHUNKS = _inline_chunks(processes)
+
+
 _iota_cache = np.empty(0, dtype=np.int32)
 
 
 def _iota(n: int) -> np.ndarray:
-    """Cached ``arange(n, dtype=int32)`` view (read-only use only)."""
+    """Cached ``arange(n, dtype=int32)`` view (read-only use only).
+
+    Both pipeline stages call it: the cache is read once into a local,
+    so a concurrent rebind can only cost an extra allocation."""
     global _iota_cache
-    if _iota_cache.size < n:
-        _iota_cache = np.arange(
+    cache = _iota_cache
+    if cache.size < n:
+        cache = _iota_cache = np.arange(
             max(n, _CHUNK + 8192), dtype=np.int32
         )
-    return _iota_cache[:n]
+    return cache[:n]
 
 
 class _BatchLru:
@@ -571,6 +610,15 @@ class BatchTranslationHierarchy:
         L1-miss sub-stream, per-array attribution — so every
         intermediate array stays cache-resident, with LRU state carried
         across chunks exactly.
+
+        On streams longer than :data:`_INLINE_CHUNKS` chunks the STLB
+        stage runs pipelined: the calling thread runs the L1 over chunk
+        *i+1* while one worker thread runs the STLB and the walk
+        attribution over chunk *i*'s L1 misses, handed over in order
+        through a bounded queue.  The STLB sees exactly the L1-miss
+        sub-stream, in program order, so the counts are unchanged; the
+        worker alone touches ``self.l2`` until it is joined, which
+        happens before anything reads the results.
         """
         stats.accesses += trace.access_totals()
         lookup_keys, lookup_array_ids = trace.lookup_view()
@@ -578,6 +626,16 @@ class BatchTranslationHierarchy:
 
         l1m = np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
         wlk = np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
+
+        def stlb_stage(miss_keys: np.ndarray, miss_aids: np.ndarray) -> None:
+            walk_mask = self.l2.simulate(miss_keys)
+            if bool(walk_mask.any()):
+                np.add(
+                    wlk,
+                    np.bincount(miss_aids[walk_mask], minlength=MAX_ARRAY_IDS),
+                    out=wlk,
+                )
+
         fp = None
         if n:
             kmax = int(lookup_keys.max())
@@ -589,11 +647,7 @@ class BatchTranslationHierarchy:
             if fp.size:
                 miss_aids = lookup_array_ids[fp]
                 l1m += np.bincount(miss_aids, minlength=MAX_ARRAY_IDS)
-                walk_mask = self.l2.simulate(lookup_keys[fp])
-                if bool(walk_mask.any()):
-                    wlk += np.bincount(
-                        miss_aids[walk_mask], minlength=MAX_ARRAY_IDS
-                    )
+                stlb_stage(lookup_keys[fp], miss_aids)
             n = 0  # chunk loop skipped
         elif n:
             if kmax < 1 << 16 and lookup_keys.dtype != np.uint16:
@@ -603,29 +657,58 @@ class BatchTranslationHierarchy:
                 and lookup_keys.dtype.itemsize > 4
             ):
                 lookup_keys = lookup_keys.astype(np.int32)
-        for lo in range(0, n, _CHUNK):
-            keys = lookup_keys[lo : lo + _CHUNK]
-            aids = lookup_array_ids[lo : lo + _CHUNK]
-            if self.l1_fused is not None:
-                miss = self.l1_fused.simulate(keys)
-            else:
-                huge = (keys & 1) != 0
-                miss = np.empty(keys.size, dtype=bool)
-                for structure, mask in (
-                    (self.l1_base, ~huge),
-                    (self.l1_huge, huge),
-                ):
-                    if bool(mask.any()):
-                        miss[mask] = structure.simulate(keys[mask])
-            if not bool(miss.any()):
-                continue
-            miss_aids = aids[miss]
-            l1m += np.bincount(miss_aids, minlength=MAX_ARRAY_IDS)
-            walk_mask = self.l2.simulate(keys[miss])
-            if bool(walk_mask.any()):
-                wlk += np.bincount(
-                    miss_aids[walk_mask], minlength=MAX_ARRAY_IDS
-                )
+
+        handoff: "queue.Queue | None" = None
+        failed: list[BaseException] = []
+        if n > _INLINE_CHUNKS * _CHUNK:
+            handoff = queue.Queue(maxsize=_QUEUE_DEPTH)
+
+            def drain(chunks: queue.Queue) -> None:
+                # Keep taking chunks after a failure, so the caller can
+                # never block on a full queue; only the sentinel ends it.
+                # Any exception is kept: the caller re-raises it.
+                while (item := chunks.get()) is not None:
+                    if not failed:
+                        try:
+                            stlb_stage(*item)
+                        except BaseException as exc:
+                            failed.append(exc)
+
+            worker = threading.Thread(
+                target=drain, args=(handoff,), name="stlb-stage"
+            )
+            worker.start()
+        try:
+            for lo in range(0, n, _CHUNK):
+                if failed:
+                    break
+                keys = lookup_keys[lo : lo + _CHUNK]
+                aids = lookup_array_ids[lo : lo + _CHUNK]
+                if self.l1_fused is not None:
+                    miss = self.l1_fused.simulate(keys)
+                else:
+                    huge = (keys & 1) != 0
+                    miss = np.empty(keys.size, dtype=bool)
+                    for structure, mask in (
+                        (self.l1_base, ~huge),
+                        (self.l1_huge, huge),
+                    ):
+                        if bool(mask.any()):
+                            miss[mask] = structure.simulate(keys[mask])
+                if not bool(miss.any()):
+                    continue
+                miss_aids = aids[miss]
+                l1m += np.bincount(miss_aids, minlength=MAX_ARRAY_IDS)
+                if handoff is None:
+                    stlb_stage(keys[miss], miss_aids)
+                else:
+                    handoff.put((keys[miss], miss_aids))
+        finally:
+            if handoff is not None:
+                handoff.put(None)
+                worker.join()
+        if failed:
+            raise failed[0]
         stats.l1_misses += l1m
         stats.walks += wlk
 

@@ -13,6 +13,8 @@ import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -388,6 +390,52 @@ class TestPoolAdversity:
         assert [getattr(r, "kernel_cycles", r) for r in results] == [
             getattr(r, "kernel_cycles", r) for r in expected
         ]
+
+    @fork_only
+    def test_sigterm_removes_the_worker_dir(self, tmp_path):
+        """SIGTERM to a figure process whose batch is wedged in its
+        workers: the process exits through the batch's cleanup, and
+        no ``repro-workers-*`` dir is left in its temp dir."""
+        script = (
+            "import os, time\n"
+            "os.cpu_count = lambda: 8\n"
+            "from repro.experiments.harness import ExperimentRunner\n"
+            "from repro.experiments.policies import POLICIES\n"
+            "from repro.experiments.runconfig import RunConfig\n"
+            "from repro.experiments.scenarios import fresh\n"
+            "parent = os.getpid()\n"
+            "original = ExperimentRunner._execute_cell\n"
+            "def hanging(self, *cell):\n"
+            "    if os.getpid() != parent:\n"
+            "        time.sleep(300.0)\n"
+            "    return original(self, *cell)\n"
+            "ExperimentRunner._execute_cell = hanging\n"
+            "runner = ExperimentRunner(run_config=RunConfig(workers=2))\n"
+            "runner.run_cells([('bfs', 'test-small', POLICIES[name], fresh())\n"
+            "                  for name in ('thp', 'base4k')])\n"
+        )
+        src_root = os.path.dirname(os.path.dirname(os.path.abspath(
+            __import__("repro").__file__
+        )))
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_root, env.get("PYTHONPATH", "")]
+        ).rstrip(os.pathsep)
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            # The socket exists once the coordinator serves, after the
+            # workers are forked and the handler is set.
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("repro-workers-*/*.sock")):
+                assert proc.poll() is None, "figure exited early"
+                assert time.monotonic() < deadline, "batch never started"
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        assert not list(tmp_path.glob("repro-workers-*"))
 
 
 class TestPlanningPass:

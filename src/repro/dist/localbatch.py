@@ -45,6 +45,9 @@ POLL_SECONDS = 0.05
 
 
 def _local_worker(config: WorkerConfig, siblings: int) -> None:
+    # terminate() is how the batch stops a wedged worker, so a SIGTERM
+    # handler the fork copied from the caller must not outlive it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # With the CPUs shared among the workers, a second thread per
     # worker for the STLB stage only competes with the other workers.
     share_cpus(siblings)
@@ -89,14 +92,14 @@ def run_local_batch(
         local_grace_seconds=LOCAL_GRACE_SECONDS,
     ))
     # Only the main thread may set a handler (the chaos harness runs
-    # figures on another), and only after the forks, which must keep
-    # the default: terminate() below is how a wedged worker stops.
-    previous = None
+    # figures on another).
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.getsignal(signal.SIGTERM) if on_main else None
     try:
         for proc in procs:
             proc.start()
-        if threading.current_thread() is threading.main_thread():
-            previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+        if on_main:
+            signal.signal(signal.SIGTERM, _exit_on_sigterm)
         try:
             coordinator.start()
         except DistError:
@@ -104,6 +107,10 @@ def run_local_batch(
             return [runner._execute_cell(*cell) for cell in cells]
         return coordinator.execute_batch(cells)
     finally:
+        if on_main:
+            # Ignored until the dir is gone, so a second SIGTERM cannot
+            # cut the cleanup short; then the caller's handler is back.
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
         # Every cell is settled (or the batch failed): a worker still
         # alive holds nothing worth waiting for, wedged or idle.
         for proc in procs:
@@ -112,5 +119,8 @@ def run_local_batch(
                 proc.join()
         coordinator.stop()
         shutil.rmtree(tmp, ignore_errors=True)
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
+        if on_main:
+            signal.signal(
+                signal.SIGTERM,
+                signal.SIG_DFL if previous is None else previous,
+            )

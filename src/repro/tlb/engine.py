@@ -83,14 +83,16 @@ _QUEUE_DEPTH = 2
 def _inline_chunks(processes: int = 1) -> int:
     """Stream length, in chunks, up to which the STLB stage runs inline.
 
-    One chunk of overlap does not pay for a thread.  Without a CPU to
-    spare per process no overlap does: pinned to one CPU, perfbench
+    Streams of up to ten chunks on the ``scaled`` geometry (every stream
+    of perfbench ``tournament`` and ``oneshot``) ran 5% slower pipelined,
+    so only streams longer than 16 chunks get the thread.  Without a CPU
+    to spare per process none do: pinned to one CPU, perfbench
     ``scale-1m`` ran 14% slower pipelined (docs/performance.md)."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity mask outside Linux
         cpus = os.cpu_count() or 1
-    return 2 if cpus // processes > 1 else sys.maxsize
+    return 16 if cpus // processes > 1 else sys.maxsize
 
 
 _INLINE_CHUNKS = _inline_chunks()
@@ -674,8 +676,11 @@ class BatchTranslationHierarchy:
                         except BaseException as exc:
                             failed.append(exc)
 
+            # A daemon: should an interrupt cut off the sentinel, the
+            # thread cannot hold up interpreter exit.  Every other path
+            # sends the sentinel and joins it below.
             worker = threading.Thread(
-                target=drain, args=(handoff,), name="stlb-stage"
+                target=drain, args=(handoff,), name="stlb-stage", daemon=True
             )
             worker.start()
         try:

@@ -437,6 +437,32 @@ class TestPoolAdversity:
             proc.wait()
         assert not list(tmp_path.glob("repro-workers-*"))
 
+    @fork_only
+    def test_batch_restores_the_sigterm_handler(self, many_cpus):
+        """The batch's own SIGTERM handler lasts only as long as the
+        batch: the caller's handler is back once it returns.  The
+        workers, forked under the caller's handler, still stop on the
+        batch's terminate()."""
+
+        received: list[int] = []
+
+        def callers(signum, frame):
+            received.append(signum)
+
+        previous = signal.signal(signal.SIGTERM, callers)
+        try:
+            runner = ExperimentRunner(run_config=RunConfig(workers=2))
+            with time_limit(60):
+                results = runner.run_cells([
+                    ("bfs", "test-small", POLICIES[name], fresh())
+                    for name in ("thp", "base4k")
+                ])
+            assert not any(isinstance(r, CellFailure) for r in results)
+            assert signal.getsignal(signal.SIGTERM) is callers
+            assert not received
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
 
 class TestPlanningPass:
     @pytest.mark.parametrize(

@@ -8,6 +8,14 @@ batch engine runs its STLB pass on a second thread on long streams when
 more than one CPU is usable, so its seconds depend on the CPU count
 the entry records as ``cpus``.
 
+The captured traces of PageRank's repeated sweeps are the process's
+held, read-only traces, so the batch engine replays them: from the
+second iteration on, a sweep stops simulating at the first chunk
+boundary where the hierarchy's state matches the previous full run's,
+and takes the rest from that run's checkpoints.  The batch seconds of
+the ``kron-m`` cell include that replay; each entry records its
+``chunks`` (of every captured stream) and the ``chunks_replayed``.
+
 Cells (full mode):
 
 - ``road-m/pagerank/paper-x86/hugetlb-all`` — the million-vertex
@@ -37,7 +45,7 @@ from repro.config import paper_x86, scaled_1m, tiny
 from repro.core.plan import PlacementPlan
 from repro.graph.datasets import clear_dataset_cache, load_dataset
 from repro.machine import machine as machine_mod
-from repro.tlb.engine import BatchTranslationHierarchy
+from repro.tlb.engine import _CHUNK, BatchTranslationHierarchy
 from repro.tlb.hierarchy import TranslationHierarchy, TranslationStats
 from repro.workloads.registry import create_workload
 
@@ -73,9 +81,11 @@ def _capture_cell(config, dataset, workload_kwargs, plan, hugetlb_regions):
 
 def _replay(engine_cls, config, events, reps=1):
     """Replay a captured event sequence through a fresh hierarchy per
-    rep; returns (stats of the first rep, best-of-reps sim_seconds)."""
+    rep; returns (stats of the first rep, best-of-reps sim_seconds,
+    chunks the last rep's batch engine replayed from checkpoints)."""
     stats = None
     best = None
+    replayed = 0
     for _ in range(max(reps, 1)):
         hierarchy = engine_cls(config.tlb)
         rep_stats = TranslationStats()
@@ -90,7 +100,8 @@ def _replay(engine_cls, config, events, reps=1):
         if stats is None:
             stats = rep_stats
         best = sim_seconds if best is None else min(best, sim_seconds)
-    return stats, best
+        replayed = getattr(hierarchy, "chunks_replayed", 0)
+    return stats, best, replayed
 
 
 def _cells():
@@ -140,14 +151,14 @@ def test_translation_kernel(sweep_record):
     results: dict[str, dict] = {}
     for label, config, dataset, wl_kwargs, plan, hugetlb in _cells():
         events = _capture_cell(config, dataset, wl_kwargs, plan, hugetlb)
-        lookups = sum(
-            e[1].lookup_view()[0].size for e in events if e[0] == "trace"
-        )
+        sizes = [e[1].lookup_view()[0].size for e in events if e[0] == "trace"]
+        lookups = sum(sizes)
+        chunks = sum(-(-size // _CHUNK) for size in sizes)
         reps = 1 if QUICK else 2
-        exact_stats, exact_seconds = _replay(
+        exact_stats, exact_seconds, _ = _replay(
             TranslationHierarchy, config, events, reps=reps
         )
-        batch_stats, batch_seconds = _replay(
+        batch_stats, batch_seconds, replayed = _replay(
             BatchTranslationHierarchy, config, events, reps=reps + 1
         )
         identical = (
@@ -170,10 +181,13 @@ def test_translation_kernel(sweep_record):
             "batch_ns_per_lookup": 1e9 * batch_seconds / max(lookups, 1),
             "speedup": speedup,
             "identical": identical,
+            "chunks": chunks,
+            "chunks_replayed": replayed,
         }
         print(
             f"\n{label}: {lookups} lookups, exact {exact_seconds:.3f}s, "
-            f"batch {batch_seconds:.3f}s -> {speedup:.2f}x"
+            f"batch {batch_seconds:.3f}s -> {speedup:.2f}x; "
+            f"{replayed} of {chunks} chunks replayed"
         )
         # Million-vertex traces are hundreds of MB; drop each cell's
         # graph and traces before capturing the next.

@@ -833,6 +833,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    import shutil
     import tempfile
 
     from .chaos.dist_scenarios import DIST_SCENARIOS
@@ -850,7 +851,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
-    reports = run_scenarios(names, workdir, log=log)
+    try:
+        reports = run_scenarios(names, workdir, log=log)
+    except BaseException:
+        print(f"chaos workdir kept: {workdir}", file=sys.stderr)
+        raise
+    if args.workdir is None:
+        # Every scenario passed: the directory made here holds nothing
+        # worth keeping.
+        shutil.rmtree(workdir, ignore_errors=True)
     for report in reports:
         detail = " ".join(
             f"{key}={value}"

@@ -56,6 +56,14 @@ and flushed on promotions) is carried by replaying each set's resident
 keys, LRU-first, as uncounted warm-up lookups prepended to the batch.
 Large batches are split into cache-sized chunks — exact under any
 split, because the carried state replays between chunks.
+
+A held (read-only) trace is simulated again on every iteration that
+repeats its stream.  A structure's outcomes on the chunks after a
+boundary depend only on its state at that boundary and on those
+lookups, so once a run's states at a chunk boundary equal those an
+earlier run over the same trace had there, the rest of the run is
+known: its counts are the earlier run's remainder and its final state
+is the earlier run's (:class:`_Checkpoint`).
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ import os
 import queue
 import sys
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -421,6 +430,27 @@ class _BatchLru:
         self.state_keys = keys_ss[take].astype(np.int64)
 
 
+class _Checkpoint(NamedTuple):
+    """A run over a read-only trace at the boundary after one chunk.
+
+    ``states`` references the carried arrays, which are only ever
+    rebound, so a checkpoint copies nothing but the two count arrays.
+    """
+
+    states: tuple[np.ndarray, ...]
+    """Each L1 structure's ``state_keys``, then the STLB's."""
+    l1_misses: np.ndarray
+    """Per-array L1 misses through this chunk."""
+    walks: np.ndarray
+    """Per-array walks through this chunk."""
+
+
+def _same_states(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
+) -> bool:
+    return all(x is y or np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class BatchTranslationHierarchy:
     """Split L1 DTLB + unified STLB over batched NumPy passes.
 
@@ -455,6 +485,9 @@ class BatchTranslationHierarchy:
         self.l2 = _BatchLru(config.l2)
         self.tracer = None
         self._stream = 0
+        # Chunks whose outcome a converged run took from its checkpoints
+        # instead of simulating them.
+        self.chunks_replayed = 0
 
     def flush(self) -> None:
         """Full shootdown of every level."""
@@ -621,6 +654,17 @@ class BatchTranslationHierarchy:
         sub-stream, in program order, so the counts are unchanged; the
         worker alone touches ``self.l2`` until it is joined, which
         happens before anything reads the results.
+
+        A read-only trace (a stream the process holds and hands out
+        again, ``SimProcess.translate``) gets a :class:`_Checkpoint` at
+        every chunk boundary, taken by the STLB stage after its pass:
+        the L1 stage sends each chunk's L1 state along with its misses,
+        even when there are none.  A run that simulates every chunk
+        leaves its checkpoints on the trace.  The next run of this
+        hierarchy over the trace compares its states with them at each
+        boundary; at the first match it stops (the L1 stage at its next
+        chunk, discarding any run-ahead counts), adds the recorded
+        remainder of the counts and takes the recorded final state.
         """
         stats.accesses += trace.access_totals()
         lookup_keys, lookup_array_ids = trace.lookup_view()
@@ -628,15 +672,40 @@ class BatchTranslationHierarchy:
 
         l1m = np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
         wlk = np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
+        # Checkpoints of this run, and the record it replays from: only
+        # for read-only traces, which nobody can change between runs.
+        history: "list[_Checkpoint] | None" = None
+        record: "list[_Checkpoint] | None" = None
+        converged: list[int] = []
 
-        def stlb_stage(miss_keys: np.ndarray, miss_aids: np.ndarray) -> None:
-            walk_mask = self.l2.simulate(miss_keys)
-            if bool(walk_mask.any()):
-                np.add(
-                    wlk,
-                    np.bincount(miss_aids[walk_mask], minlength=MAX_ARRAY_IDS),
-                    out=wlk,
-                )
+        def stlb_stage(
+            miss_keys: np.ndarray,
+            miss_aids: np.ndarray,
+            l1_state: "tuple[np.ndarray, ...] | None" = None,
+            l1m_now: "np.ndarray | None" = None,
+        ) -> None:
+            if miss_keys.size:
+                walk_mask = self.l2.simulate(miss_keys)
+                if bool(walk_mask.any()):
+                    np.add(
+                        wlk,
+                        np.bincount(
+                            miss_aids[walk_mask], minlength=MAX_ARRAY_IDS
+                        ),
+                        out=wlk,
+                    )
+            if l1_state is None:
+                return
+            assert history is not None and l1m_now is not None
+            states = (*l1_state, self.l2.state_keys)
+            i = len(history)
+            history.append(_Checkpoint(states, l1m_now, wlk.copy()))
+            if (
+                record is not None
+                and i < len(record) - 1
+                and _same_states(states, record[i].states)
+            ):
+                converged.append(i)
 
         fp = None
         if n:
@@ -652,6 +721,11 @@ class BatchTranslationHierarchy:
                 stlb_stage(lookup_keys[fp], miss_aids)
             n = 0  # chunk loop skipped
         elif n:
+            if not lookup_keys.flags.writeable:
+                history = []
+                held = trace._checkpoints
+                if held is not None and held[0] is self:
+                    record = held[1]
             if kmax < 1 << 16 and lookup_keys.dtype != np.uint16:
                 lookup_keys = lookup_keys.astype(np.uint16)
             elif (
@@ -666,11 +740,12 @@ class BatchTranslationHierarchy:
             handoff = queue.Queue(maxsize=_QUEUE_DEPTH)
 
             def drain(chunks: queue.Queue) -> None:
-                # Keep taking chunks after a failure, so the caller can
-                # never block on a full queue; only the sentinel ends it.
-                # Any exception is kept: the caller re-raises it.
+                # Keep taking chunks after a failure or convergence, so
+                # the caller can never block on a full queue; only the
+                # sentinel ends it.  Any exception is kept: the caller
+                # re-raises it.
                 while (item := chunks.get()) is not None:
-                    if not failed:
+                    if not failed and not converged:
                         try:
                             stlb_stage(*item)
                         except BaseException as exc:
@@ -685,7 +760,7 @@ class BatchTranslationHierarchy:
             worker.start()
         try:
             for lo in range(0, n, _CHUNK):
-                if failed:
+                if failed or converged:
                     break
                 keys = lookup_keys[lo : lo + _CHUNK]
                 aids = lookup_array_ids[lo : lo + _CHUNK]
@@ -700,20 +775,37 @@ class BatchTranslationHierarchy:
                     ):
                         if bool(mask.any()):
                             miss[mask] = structure.simulate(keys[mask])
-                if not bool(miss.any()):
-                    continue
                 miss_aids = aids[miss]
-                l1m += np.bincount(miss_aids, minlength=MAX_ARRAY_IDS)
+                if miss_aids.size:
+                    l1m += np.bincount(miss_aids, minlength=MAX_ARRAY_IDS)
+                elif history is None:
+                    continue
+                item: tuple = (keys[miss], miss_aids)
+                if history is not None:
+                    item += (
+                        tuple(s.state_keys for s in self._l1_structures),
+                        l1m.copy(),
+                    )
                 if handoff is None:
-                    stlb_stage(keys[miss], miss_aids)
+                    stlb_stage(*item)
                 else:
-                    handoff.put((keys[miss], miss_aids))
+                    handoff.put(item)
         finally:
             if handoff is not None:
                 handoff.put(None)
                 worker.join()
         if failed:
             raise failed[0]
+        if converged:
+            assert history is not None and record is not None
+            j = converged[0]
+            final = record[-1]
+            l1m = history[j].l1_misses + final.l1_misses - record[j].l1_misses
+            wlk = history[j].walks + final.walks - record[j].walks
+            self.restore(final.states)
+            self.chunks_replayed += len(record) - 1 - j
+        elif history is not None:
+            trace._checkpoints = (self, history)
         stats.l1_misses += l1m
         stats.walks += wlk
 
@@ -722,7 +814,6 @@ class BatchTranslationHierarchy:
             int(l1m.sum()),
             int(wlk.sum()),
         )
-
 
 # ----------------------------------------------------------------------
 # Engine selection

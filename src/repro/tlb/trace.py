@@ -18,7 +18,7 @@ loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 import numpy as np
 
@@ -164,6 +164,13 @@ class TlbTrace:
     _lookup_array_ids: Optional[np.ndarray] = field(default=None, repr=False)
     # Per-array access totals (see :meth:`access_totals`), same policy.
     _access_totals: Optional[np.ndarray] = field(default=None, repr=False)
+    # The batch engine's checkpoints of its last full run over this
+    # trace when read-only, as ``(hierarchy, checkpoints)`` (see
+    # ``BatchTranslationHierarchy.simulate``).  Held here so that they
+    # die with the trace.
+    _checkpoints: Optional[tuple[Any, list]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def total_accesses(self) -> int:

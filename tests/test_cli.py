@@ -218,3 +218,64 @@ class TestAdvise:
         out = capsys.readouterr().out
         assert "advise fraction" in out
         assert "budget fraction" in out
+
+
+class TestChaosWorkdir:
+    """``repro chaos`` without ``--workdir`` removes the temporary
+    directory it made once every scenario passes, and keeps it (naming
+    it on stderr) when one fails.  The scenarios are stubbed."""
+
+    @pytest.fixture
+    def tmpdir_env(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        return tmp_path
+
+    @staticmethod
+    def _stub(monkeypatch, fail: bool) -> list[str]:
+        from repro.chaos import harness
+        from repro.errors import ChaosError
+
+        seen: list[str] = []
+
+        def run_scenarios(names, workdir, log):
+            seen.append(workdir)
+            with open(os.path.join(workdir, "journal.jsonl"), "w") as out:
+                out.write("{}\n")
+            if fail:
+                raise ChaosError("invariant broken")
+            return [{"scenario": name, "ok": True} for name in names]
+
+        monkeypatch.setattr(harness, "run_scenarios", run_scenarios)
+        return seen
+
+    def test_passing_run_removes_its_workdir(
+        self, tmpdir_env, monkeypatch, capsys
+    ):
+        seen = self._stub(monkeypatch, fail=False)
+        assert main(["chaos", "dist-local-degrade"]) == 0
+        assert len(seen) == 1
+        assert os.path.dirname(seen[0]) == str(tmpdir_env)
+        assert not os.path.exists(seen[0])
+        assert list(tmpdir_env.iterdir()) == []
+        assert "1/1 scenario(s) passed" in capsys.readouterr().out
+
+    def test_failing_run_keeps_its_workdir(
+        self, tmpdir_env, monkeypatch, capsys
+    ):
+        seen = self._stub(monkeypatch, fail=True)
+        assert main(["chaos", "dist-local-degrade"]) == 2
+        assert os.path.isfile(os.path.join(seen[0], "journal.jsonl"))
+        err = capsys.readouterr().err
+        assert f"chaos workdir kept: {seen[0]}" in err
+        assert "invariant broken" in err
+
+    def test_given_workdir_is_left_alone(self, tmp_path, monkeypatch):
+        seen = self._stub(monkeypatch, fail=False)
+        workdir = tmp_path / "mine"
+        workdir.mkdir()
+        assert main(["chaos", "dist-local-degrade", "--workdir", str(workdir)]) == 0
+        assert seen == [str(workdir)]
+        assert (workdir / "journal.jsonl").is_file()

@@ -296,7 +296,7 @@ class Machine:
             outcome = cursor.lookup() if cursor is not None else None
             if outcome is None:
                 trace = process.translate(stream)
-                stream = None  # free the columns before simulating
+                stream = None  # and any columns a caller read
                 ins = 0
                 if check_swap:
                     ins, _ = process.service_swap(trace)

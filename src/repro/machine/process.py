@@ -16,7 +16,7 @@ from ..config import MachineConfig
 from ..core.plan import PlacementPlan
 from ..mem.thp import ThpMode
 from ..mem.vmm import VirtualMemoryManager, Vma
-from ..tlb.trace import MAX_ARRAY_IDS, AccessStream, TlbTrace
+from ..tlb.trace import MAX_ARRAY_IDS, AccessStream, TlbTrace, trace_dtypes
 from ..workloads.base import ARRAY_NAMES, Workload
 from ..workloads.layout import MemoryLayout
 
@@ -170,67 +170,77 @@ class SimProcess:
         return trace
 
     def _translate(self, stream: AccessStream) -> TlbTrace:
-        """Translate ``stream``'s columns, checking every access.
+        """Translate ``stream``'s blocks, checking every access.
 
-        One pass over fixed chunks of the stream gathers each access's
-        element size and start VPN from per-array tables, reads its key
-        from one map over the whole mapped range, and run-length
-        compresses the keys on the spot.  The run in progress carries
-        across chunk boundaries, and runs go straight into arrays sized
-        for the worst case (one run per access) that are shrunk in place
-        at the end, so the only stream-length allocations are the
-        trace's own.  Mappings are disjoint and huge-aligned, so a key
-        names its array: runs split exactly where keys change, which is
-        also where :func:`~repro.tlb.trace.compress_trace` would split
-        them on array ids, and no two adjacent runs share a key.
+        One pass over the stream's blocks, each cut into chunks of at
+        most :data:`_CHUNK` accesses, gathers each access's element size
+        and start VPN from per-array tables, reads its key from one map
+        over the whole mapped range, and run-length compresses the keys
+        on the spot.  The run in progress carries across chunk and block
+        boundaries, and runs go straight into arrays sized for the worst
+        case (one run per access) that are shrunk in place at the end,
+        so the only stream-length allocations are the trace's own, in
+        :func:`~repro.tlb.trace.trace_dtypes`.  Mappings are disjoint and
+        huge-aligned, so a key names its array: runs split exactly where
+        keys change, which is also where
+        :func:`~repro.tlb.trace.compress_trace` would split them on array
+        ids, and no two adjacent runs share a key.
         """
         base_shift = self.config.pages.base_shift
         key_map, map_base = self._key_map()
         elem_table = self._elem_table
         start_table = self._start_table - map_base
         count_table = self._count_table
-        aids = stream.array_ids
-        indices = stream.indices
-        n = aids.size
-        run_keys = np.empty(n, dtype=np.int64)
-        run_counts = np.empty(n, dtype=np.int64)
+        n = len(stream)
+        # The map's largest key bounds the trace's.
+        key_dtype, count_dtype = trace_dtypes(int(key_map.max(initial=0)), n)
+        key_map = key_map.astype(key_dtype)
+        run_keys = np.empty(n, dtype=key_dtype)
+        run_counts = np.empty(n, dtype=count_dtype)
         run_aids = np.empty(n, dtype=np.uint8)
         totals = np.zeros(MAX_ARRAY_IDS, dtype=np.int64)
         runs = 0
         last_key = -1  # keys are non-negative: the first access starts a run
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            size = hi - lo
-            a = aids[lo:hi]
-            idx = indices[lo:hi].astype(np.int64, copy=False)
-            # One unsigned compare catches negative indices, indices
-            # past the end and ids of unmapped (zero-length) arrays.
-            if np.any(idx.view(np.uint64) >= count_table[a]):
-                self._reject(a, idx)
-            totals += np.bincount(a, minlength=MAX_ARRAY_IDS)
-            page = idx * elem_table[a]
-            page >>= base_shift
-            page += start_table[a]  # now the VPN's offset into key_map
-            keys = key_map[page]
-            change = np.empty(size, dtype=bool)
-            change[0] = int(keys[0]) != last_key
-            np.not_equal(keys[1:], keys[:-1], out=change[1:])
-            starts = np.flatnonzero(change)
-            lead = int(starts[0]) if starts.size else size
-            if lead:  # the chunk opens inside the carried run
-                run_counts[runs - 1] += lead
-            if starts.size:
-                new = runs + starts.size
-                run_keys[runs:new] = keys[starts]
-                run_aids[runs:new] = a[starts]
-                np.subtract(
-                    starts[1:], starts[:-1], out=run_counts[runs : new - 1]
+        for block_aids, block_indices in stream.blocks():
+            for lo in range(0, block_aids.size, _CHUNK):
+                a = block_aids[lo : lo + _CHUNK]
+                idx = block_indices[lo : lo + _CHUNK].astype(
+                    np.int64, copy=False
                 )
-                run_counts[new - 1] = size - int(starts[-1])
-                runs = new
-            last_key = int(keys[-1])
+                size = a.size
+                # One unsigned compare catches negative indices, indices
+                # past the end and ids of unmapped (zero-length) arrays.
+                if np.any(idx.view(np.uint64) >= count_table[a]):
+                    self._reject(a, idx)
+                totals += np.bincount(a, minlength=MAX_ARRAY_IDS)
+                page = idx * elem_table[a]
+                page >>= base_shift
+                page += start_table[a]  # now the VPN's offset into key_map
+                keys = key_map[page]
+                change = np.empty(size, dtype=bool)
+                change[0] = int(keys[0]) != last_key
+                np.not_equal(keys[1:], keys[:-1], out=change[1:])
+                starts = np.flatnonzero(change)
+                lead = int(starts[0]) if starts.size else size
+                if lead:  # the chunk opens inside the carried run
+                    run_counts[runs - 1] += lead
+                if starts.size:
+                    new = runs + starts.size
+                    run_keys[runs:new] = keys[starts]
+                    run_aids[runs:new] = a[starts]
+                    np.subtract(
+                        starts[1:], starts[:-1], out=run_counts[runs : new - 1]
+                    )
+                    run_counts[new - 1] = size - int(starts[-1])
+                    runs = new
+                last_key = int(keys[-1])
         for run_array in (run_keys, run_counts, run_aids):
             run_array.resize(runs, refcheck=False)
+        if key_dtype is not np.int32:
+            # A mapped range past 2**31 keys: narrow by the trace's own.
+            run_keys = run_keys.astype(
+                trace_dtypes(int(run_keys.max(initial=0)), n)[0]
+            )
         # Every run leads its own lookup group, so the runs are the
         # lookup view.
         return TlbTrace(

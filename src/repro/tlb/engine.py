@@ -664,7 +664,10 @@ class BatchTranslationHierarchy:
         hierarchy over the trace compares its states with them at each
         boundary; at the first match it stops (the L1 stage at its next
         chunk, discarding any run-ahead counts), adds the recorded
-        remainder of the counts and takes the recorded final state.
+        remainder of the counts and takes the recorded final state.  Its
+        own checkpoints through the match, followed by the rest of the
+        record with the counts rebased, become the record, so a run that
+        starts from the state this one started from stops after chunk 0.
         """
         stats.accesses += trace.access_totals()
         lookup_keys, lookup_array_ids = trace.lookup_view()
@@ -799,11 +802,21 @@ class BatchTranslationHierarchy:
         if converged:
             assert history is not None and record is not None
             j = converged[0]
-            final = record[-1]
-            l1m = history[j].l1_misses + final.l1_misses - record[j].l1_misses
-            wlk = history[j].walks + final.walks - record[j].walks
-            self.restore(final.states)
+            # This run's own record: its checkpoints through j, then the
+            # old record's tail with the counts rebased onto them, so a
+            # run from this run's start state stops after chunk 0.
+            l1m_shift = history[j].l1_misses - record[j].l1_misses
+            wlk_shift = history[j].walks - record[j].walks
+            spliced = history[: j + 1] + [
+                _Checkpoint(
+                    c.states, c.l1_misses + l1m_shift, c.walks + wlk_shift
+                )
+                for c in record[j + 1 :]
+            ]
+            l1m, wlk = spliced[-1].l1_misses, spliced[-1].walks
+            self.restore(spliced[-1].states)
             self.chunks_replayed += len(record) - 1 - j
+            trace._checkpoints = (self, spliced)
         elif history is not None:
             trace._checkpoints = (self, history)
         stats.l1_misses += l1m

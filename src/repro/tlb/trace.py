@@ -3,9 +3,12 @@
 Workloads emit *logical* access streams: parallel arrays of
 ``(array_id, element_index)`` in program order, exactly following the
 paper's Fig. 4 pseudocode (sequential vertex/edge array reads interleaved
-with pointer-indirect property accesses).  The machine translates a
-stream against the process's memory layout into a *TLB trace*: page keys
-annotated with page-size class, run-length compressed.
+with pointer-indirect property accesses).  A stream comes as a sequence
+of column blocks, built as the machine reads them, so it never has to
+exist whole.  The machine translates a stream against the process's
+memory layout into a *TLB trace*: page keys annotated with page-size
+class, run-length compressed, with keys and run lengths held in 32 bits
+wherever they fit (:func:`trace_dtypes`).
 
 Page keys pack the page number and size class into one integer::
 
@@ -17,8 +20,9 @@ loop.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -26,7 +30,7 @@ MAX_ARRAY_IDS = 8
 """Upper bound on distinct data-structure ids in one workload."""
 
 Columns = tuple[np.ndarray, np.ndarray]
-"""An access stream's ``(array_ids, indices)``."""
+"""An access stream's ``(array_ids, indices)``, or one block of them."""
 
 
 class AccessStream:
@@ -46,14 +50,17 @@ class AccessStream:
             Frontier streams, whose content depends on the data, have
             none.
 
-    A stream made by :meth:`deferred` knows its length up front and
-    builds both columns on the first read of either.  A cross-cell
-    replay hit (:mod:`repro.machine.replay`) never reads them, so it
-    never pays for them, and neither does a stream whose translation
-    the process reuses.
+    The process reads a stream through :meth:`blocks`, one ``(array_ids,
+    indices)`` block at a time.  A stream made by :meth:`deferred` knows
+    its length up front and builds each block only as it is read, so
+    translating it never holds a stream-length column.  Reading
+    :attr:`array_ids` or :attr:`indices` concatenates the blocks once
+    and keeps the columns, for callers that want them whole.  A
+    cross-cell replay hit (:mod:`repro.machine.replay`) reads neither,
+    and neither does a stream whose translation the process reuses.
     """
 
-    __slots__ = ("_array_ids", "_indices", "_length", "_build", "identity")
+    __slots__ = ("_array_ids", "_indices", "_length", "_blocks", "identity")
 
     def __init__(self, array_ids: np.ndarray, indices: np.ndarray) -> None:
         if array_ids.shape != indices.shape:
@@ -61,83 +68,98 @@ class AccessStream:
         self._array_ids = array_ids
         self._indices = indices
         self._length = int(array_ids.size)
-        self._build: Optional[Callable[[], Columns]] = None
+        self._blocks: Optional[Callable[[], Iterable[Columns]]] = None
         self.identity: Optional[Hashable] = None
 
     @classmethod
     def deferred(
         cls,
         length: int,
-        build: Callable[[], Columns],
+        blocks: Callable[[], Iterable[Columns]],
         identity: Optional[Hashable] = None,
     ) -> "AccessStream":
-        """A stream of ``length`` accesses whose ``(array_ids,
-        indices)`` columns ``build`` returns when first read.  ``build``
-        must capture only arrays nobody writes to afterwards; it is
-        dropped, with everything it captured, once it has run."""
+        """A stream of ``length`` accesses whose ``(array_ids, indices)``
+        blocks ``blocks()`` yields in program order, building each as it
+        goes.  ``blocks`` is called once per read of the stream, so it
+        must capture only arrays nobody writes to afterwards."""
         stream = cls.__new__(cls)
         stream._array_ids = stream._indices = None
         stream._length = length
-        stream._build = build
+        stream._blocks = blocks
         stream.identity = identity
         return stream
 
-    def _materialize(self) -> None:
-        """Run the deferred build function (once)."""
-        assert self._build is not None
-        array_ids, indices = self._build()
-        self._build = None
-        if array_ids.size != self._length or indices.shape != array_ids.shape:
+    def blocks(self) -> Iterator[Columns]:
+        """The stream's ``(array_ids, indices)`` blocks in program order:
+        the deferred blocks as they are built, or the stream's own
+        columns as one block.
+
+        Raises:
+            ValueError: once the blocks add up to more accesses than the
+                stream's length, or at the end to fewer.
+        """
+        if self._blocks is None:
+            yield self._array_ids, self._indices
+            return
+        seen = 0
+        for array_ids, indices in self._blocks():
+            if indices.shape != array_ids.shape:
+                raise ValueError(
+                    f"deferred stream built a block of {array_ids.size} "
+                    f"array ids and {indices.size} indices"
+                )
+            seen += array_ids.size
+            if seen > self._length:
+                raise ValueError(
+                    f"deferred stream built more than {self._length} "
+                    f"accesses"
+                )
+            yield array_ids, indices
+        if seen != self._length:
             raise ValueError(
-                f"deferred stream built {array_ids.size} array ids and "
-                f"{indices.size} indices, not {self._length}"
+                f"deferred stream built {seen} accesses, not {self._length}"
             )
-        self._array_ids = array_ids
-        self._indices = indices
+
+    def _materialize(self) -> None:
+        """Concatenate the deferred blocks into the stream's columns."""
+        parts = list(self.blocks())
+        if len(parts) == 1:
+            self._array_ids, self._indices = parts[0]
+        else:
+            self._array_ids = np.concatenate(
+                [p[0] for p in parts] or [np.empty(0, dtype=np.uint8)]
+            )
+            self._indices = np.concatenate(
+                [p[1] for p in parts] or [np.empty(0, dtype=np.int64)]
+            )
+        self._blocks = None
 
     @property
     def array_ids(self) -> np.ndarray:
-        if self._build is not None:
+        if self._blocks is not None:
             self._materialize()
         return self._array_ids
 
     @property
     def indices(self) -> np.ndarray:
-        if self._build is not None:
+        if self._blocks is not None:
             self._materialize()
         return self._indices
 
     def __len__(self) -> int:
         return self._length
 
-    def _columns(self) -> Columns:
-        """Both columns, from the deferred build function without keeping
-        them (for a stream read once, as a concatenation's part)."""
-        if self._build is not None:
-            return self._build()
-        return self._array_ids, self._indices
-
     @staticmethod
     def concatenate(
         streams: list["AccessStream"], identity: Optional[Hashable] = None
     ) -> "AccessStream":
-        """Concatenate streams in order, deferring the copy until the
-        result's columns are read.  Deferred parts are built straight
-        into the result, once, and never hold columns of their own.
-        The parts' identities do not carry over; ``identity`` names the
-        result."""
-
-        def build() -> Columns:
-            if not streams:
-                return np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)
-            parts = [s._columns() for s in streams]
-            return (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-            )
-
+        """Concatenate streams in order: the result yields each part's
+        blocks in turn, copying nothing.  The parts' identities do not
+        carry over; ``identity`` names the result."""
         return AccessStream.deferred(
-            sum(len(s) for s in streams), build, identity
+            sum(len(s) for s in streams),
+            lambda: itertools.chain.from_iterable(s.blocks() for s in streams),
+            identity,
         )
 
 
@@ -149,7 +171,8 @@ class TlbTrace:
         keys: packed page keys (``(page << 1) | size``).
         counts: run length of each key (consecutive repeats collapsed;
             hits after the first access in a run are L1 hits by
-            construction).
+            construction).  Keys and counts are ``int32`` where they
+            fit (:func:`trace_dtypes`).
         array_ids: data-structure id of each run (runs never span
             array-id changes).
     """
@@ -245,6 +268,21 @@ def _coalesce_lookups(
     return keys[lead], array_ids[lead]
 
 
+def trace_dtypes(max_key: int, accesses: int) -> tuple[type, type]:
+    """The ``(keys, counts)`` dtypes of a trace whose largest page key
+    is ``max_key`` and which represents ``accesses`` accesses: ``int32``
+    where the values fit, ``int64`` otherwise.
+
+    Keys stay signed even when they would fit 16 bits, so key arithmetic
+    such as the profiler's ``(k >> 1) - start`` cannot wrap around.  No
+    run is longer than the stream, so the stream's length bounds every
+    count.
+    """
+    key = np.int32 if max_key < 1 << 31 else np.int64
+    count = np.int32 if accesses < 1 << 31 else np.int64
+    return key, count
+
+
 def compress_trace(
     keys: np.ndarray,
     array_ids: np.ndarray,
@@ -260,16 +298,17 @@ def compress_trace(
     ``access_totals`` is ``np.bincount(array_ids, minlength=MAX_ARRAY_IDS)``
     when the caller already has it; it is computed otherwise.  Counting
     raw ids equals weighting runs by their lengths, because runs never
-    span array ids.
+    span array ids.  Run keys and counts take :func:`trace_dtypes`.
     """
     if access_totals is None:
         access_totals = np.bincount(array_ids, minlength=MAX_ARRAY_IDS)
     access_totals = access_totals.astype(np.int64, copy=False)
     n = keys.size
+    key_dtype, count_dtype = trace_dtypes(int(keys.max(initial=0)), n)
     if n == 0:
         return TlbTrace(
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=key_dtype),
+            np.empty(0, dtype=count_dtype),
             np.empty(0, dtype=np.uint8),
             _access_totals=access_totals,
         )
@@ -279,9 +318,9 @@ def compress_trace(
     change[1:] |= array_ids[1:] != array_ids[:-1]
     starts = np.flatnonzero(change)
     counts = np.diff(np.append(starts, n))
-    run_keys = keys[starts].astype(np.int64)
+    run_keys = keys[starts].astype(key_dtype)
     run_array_ids = array_ids[starts].astype(np.uint8)
-    run_counts = counts.astype(np.int64)
+    run_counts = counts.astype(count_dtype)
     lookup_keys, lookup_array_ids = _coalesce_lookups(run_keys, run_array_ids)
     return TlbTrace(
         run_keys,

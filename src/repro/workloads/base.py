@@ -17,10 +17,12 @@ Streams are deferred (:meth:`AccessStream.deferred
 <repro.tlb.trace.AccessStream.deferred>`): a kernel advances its own
 state (frontier, distances, labels, ranks) eagerly at every step, but
 the stream's columns are only built when the machine reads them to
-translate.  A stream whose outcome the machine replays from another cell
-is never built.  The build functions capture the kernel's frontier, edge
-position and target arrays without copying, which is sound because no
-kernel writes to those arrays after yielding them.
+translate, one block of about :data:`_BLOCK` accesses at a time, so no
+stream-length column exists on the way to the trace.  A stream whose
+outcome the machine replays from another cell is never built.  The block
+builders capture the kernel's frontier, edge position and target arrays
+without copying, which is sound because no kernel writes to those arrays
+after yielding them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ ARRAY_NAMES = {
     ARRAY_RANK: "rank_array",
 }
 """Array id -> report name."""
+
+_BLOCK = 1 << 17
+"""Accesses a deferred stream builds per block, about as many as the
+process translates per pass: a block's columns are a few MB however
+long the stream is."""
 
 
 class Workload(ABC):
@@ -116,7 +123,8 @@ class Workload(ABC):
         source_rank_reads: bool = False,
     ) -> AccessStream:
         """One frontier pass's interleaved access stream, deferred: its
-        length is known at once, its columns are built on first read.
+        length is known at once, its columns are built block by block as
+        they are read.
 
         Every access is written straight to its program-order slot.
         Edge ``e`` contributes ``per_edge`` consecutive slots (edge,
@@ -154,7 +162,7 @@ class Workload(ABC):
         return AccessStream.deferred(
             total,
             partial(
-                _edge_phase_columns,
+                _edge_phase_blocks,
                 self.graph.indptr,
                 frontier,
                 edge_positions,
@@ -187,15 +195,21 @@ class Workload(ABC):
         if count is None:
             count = self.array_elements(array_id)
         return AccessStream.deferred(
-            count,
-            lambda: (
-                np.full(count, array_id, dtype=np.uint8),
-                np.arange(count, dtype=np.int64),
-            ),
+            count, partial(_sequential_blocks, array_id, count)
         )
 
 
-def _edge_phase_columns(
+def _sequential_blocks(array_id: int, count: int) -> Iterator[Columns]:
+    """The blocks of :meth:`Workload.sequential_pass_stream`."""
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        yield (
+            np.full(hi - lo, array_id, dtype=np.uint8),
+            np.arange(lo, hi, dtype=np.int64),
+        )
+
+
+def _edge_phase_blocks(
     indptr: np.ndarray,
     frontier: np.ndarray,
     edge_positions: Optional[np.ndarray],
@@ -203,11 +217,78 @@ def _edge_phase_columns(
     with_values: bool,
     with_source_property: bool,
     source_rank_reads: bool,
-) -> Columns:
-    """The columns of :meth:`Workload.edge_phase_stream`."""
+) -> Iterator[Columns]:
+    """The blocks of :meth:`Workload.edge_phase_stream`, in order.
+
+    The frontier's degree offsets are computed once.  The frontier is
+    cut only before a vertex whose clamped offset rises, so the block
+    before the cut ends exactly where that vertex's reads begin: it
+    holds every earlier vertex's reads and every edge below the cut's
+    offset.  A group of vertices sharing one offset is never split, and
+    the last block takes every remaining edge (offsets taken from
+    another graph can leave edges after the last vertex).  Cuts are
+    placed greedily, each at the last candidate at most
+    :data:`_BLOCK` accesses past the previous one; a vertex whose edge
+    burst alone is longer makes one oversized block.
+    """
     num_edges = int(property_targets.size)
+    per_edge = 3 if with_values else 2
+    kv = 2 + int(with_source_property) + int(source_rank_reads)
+    n = frontier.size
+    total = num_edges * per_edge + n * kv
+    offsets = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.diff(indptr)[frontier[:-1]], out=offsets[1:])
+    clamped = np.minimum(offsets, num_edges)
+    # Candidate cuts: vertices whose clamped offset rises, with the
+    # stream position of their first read.
+    rise = np.flatnonzero(clamped[1:] != clamped[:-1]) + 1
+    rise_at = clamped[rise] * per_edge + kv * rise
+    cuts, at = [0], 0
+    while total - at > _BLOCK:
+        k = int(np.searchsorted(rise_at, at + _BLOCK, side="right")) - 1
+        if k < 0 or rise_at[k] <= at:  # one burst fills the block
+            k = int(np.searchsorted(rise_at, at, side="right"))
+            if k == rise.size:
+                break
+        cuts.append(int(rise[k]))
+        at = int(rise_at[k])
+    edge_cuts = [0] + [int(clamped[c]) for c in cuts[1:]] + [num_edges]
+    cuts.append(n)
+    for i in range(len(cuts) - 1):
+        lo, hi = cuts[i], cuts[i + 1]
+        yield _edge_phase_block(
+            frontier[lo:hi],
+            offsets[lo:hi],
+            edge_cuts[i],
+            edge_cuts[i + 1],
+            edge_positions,
+            property_targets,
+            with_values,
+            with_source_property,
+            source_rank_reads,
+        )
+
+
+def _edge_phase_block(
+    frontier: np.ndarray,
+    offsets: np.ndarray,
+    edge_lo: int,
+    edge_hi: int,
+    edge_positions: Optional[np.ndarray],
+    property_targets: np.ndarray,
+    with_values: bool,
+    with_source_property: bool,
+    source_rank_reads: bool,
+) -> Columns:
+    """The columns of one block: ``frontier``'s vertex reads, at the
+    frontier-wide degree ``offsets``, woven into edges ``[edge_lo,
+    edge_hi)`` (see :meth:`Workload.edge_phase_stream`)."""
+    num_edges = edge_hi - edge_lo
     if edge_positions is None:
-        edge_positions = np.arange(num_edges, dtype=np.int64)
+        edge_positions = np.arange(edge_lo, edge_hi, dtype=np.int64)
+    else:
+        edge_positions = edge_positions[edge_lo:edge_hi]
+    property_targets = property_targets[edge_lo:edge_hi]
     per_edge = 3 if with_values else 2
     vertex_ids = frontier.astype(np.int64)
     vertex_reads = [
@@ -224,8 +305,7 @@ def _edge_phase_columns(
     array_ids = np.empty(total, dtype=np.uint8)
     indices = np.empty(total, dtype=np.int64)
 
-    offsets = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.diff(indptr)[frontier[:-1]], out=offsets[1:])
+    offsets = offsets - edge_lo
     clamped = np.minimum(offsets, num_edges)
 
     # Edge slots: shifted by the vertex reads placed before them.

@@ -96,7 +96,10 @@ class PageRank(Workload):
             )
             edges.identity = EDGE_SWEEP
             yield edges
-            del edges  # or its built columns outlive the translation
+            # The machine translates the sweep block by block and never
+            # reads its columns; a caller that did (perfbench's traced
+            # stream hash) made the stream keep them, so drop it here.
+            del edges
             contributions = np.where(
                 out_degrees > 0, self.scores / np.maximum(out_degrees, 1), 0.0
             )

@@ -102,18 +102,26 @@ def _sparse_trace(chunks: int, kmin: int, grow: bool, seed: int):
     later chunks' keys still resident — as a repeat run does, because
     the sets never evict — differs from the first at every boundary but
     the last, like huge-page keys in a ``thp`` cell."""
+    return _sparse_chunks(
+        [range(kmin, kmin + (c + 1 if grow else chunks)) for c in range(chunks)],
+        seed,
+    )
+
+
+def _sparse_chunks(ks, seed: int):
+    """Chunk ``c`` draws base pages ``s + 128 * k`` for every STLB set
+    ``s`` and every ``k`` in ``ks[c]``, with no lookups coalescing."""
     rng = np.random.default_rng(seed)
     sets = np.arange(128, dtype=np.int64)
     parts = [np.array([-1])]
-    for c in range(chunks):
-        top = kmin + (c + 1 if grow else chunks)
-        pool = (sets[None, :] + 128 * np.arange(kmin, top)[:, None]).ravel()
+    for k in ks:
+        pool = (sets[None, :] + 128 * np.asarray(k)[:, None]).ravel()
         parts.append(_no_repeats(rng, pool, engine._CHUNK, parts[-1][-1]))
     del parts[0]
     keys = np.concatenate(parts) << 1
     aids = rng.integers(0, 4, size=keys.size).astype(np.uint8)
     trace = compress_trace(keys, aids)
-    assert trace.lookup_view()[0].size == chunks * engine._CHUNK
+    assert trace.lookup_view()[0].size == len(ks) * engine._CHUNK
     return _freeze(trace)
 
 
@@ -230,8 +238,9 @@ def test_stale_sparse_sets_do_not_converge(config, path, monkeypatch):
 
 def test_latest_full_run_replaces_the_record(config, path, monkeypatch):
     """The run that did not converge becomes the record, so the
-    third run converges with the second; a converged run leaves the
-    record in place."""
+    third run converges with the second; a converged run keeps the
+    record's tail, states shared and counts unchanged when it converged
+    after chunk 0 from the record's own start state."""
     monkeypatch.setattr(engine, "_CHUNK", SMALL_CHUNK)
     other = _sparse_trace(2, kmin=4, grow=False, seed=3)
     held = _sparse_trace(4, kmin=0, grow=True, seed=4)
@@ -251,7 +260,39 @@ def test_latest_full_run_replaces_the_record(config, path, monkeypatch):
     assert len(second) == 4
     hierarchy.simulate(held, stats)
     assert hierarchy.chunks_replayed == 3
-    assert held._checkpoints[1] is second
+    third = held._checkpoints[1]
+    assert third is not second and len(third) == 4
+    assert all(
+        a.states is b.states
+        and np.array_equal(a.l1_misses, b.l1_misses)
+        and np.array_equal(a.walks, b.walks)
+        for a, b in zip(third[1:], second[1:])
+    )
+
+
+def test_a_converged_run_becomes_the_record(config, path, monkeypatch):
+    """The second run over the held trace cannot converge, and the
+    third, which starts from another state, converges only after a
+    later chunk.  The fourth and fifth start where the third did, so
+    they must stop after chunk 0 against the third run's own
+    checkpoints, not again after the third's chunk.
+
+    The held trace's first chunk reaches one key per STLB set and its
+    later chunks all four; ``before`` and ``between`` leave two stale
+    keys each in every set, which the sets never evict.  The third run
+    starts with ``between``'s keys older than the held keys, the record
+    (the second run) with them newer: the two agree once the held keys
+    are all used again, not after chunk 0."""
+    monkeypatch.setattr(engine, "_CHUNK", SMALL_CHUNK)
+    before = _sparse_trace(2, kmin=4, grow=False, seed=3)
+    between = _sparse_trace(2, kmin=6, grow=False, seed=5)
+    chunks = 6
+    held = _sparse_chunks([range(1)] + [range(4)] * (chunks - 1), seed=4)
+    steps = [before, held, between, held, held, held, held]
+    replayed = _check_against_references(config, steps, monkeypatch)
+    assert replayed[:4] == [0, 0, 0, 0]
+    assert 0 < replayed[4] < chunks - 1
+    assert replayed[5:] == [chunks - 1, chunks - 1]
 
 
 def test_records_of_another_hierarchy_are_ignored(config):

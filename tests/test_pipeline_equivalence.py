@@ -5,15 +5,16 @@ computed with one; each property pins the new form to the old:
 
 - ``Workload.edge_phase_stream`` writes every access to its slot
   directly; it must equal the stable argsort merge (:func:`merge_streams`,
-  kept here as the oracle) over the fractional program positions;
+  kept here as the oracle) over the fractional program positions, and so
+  must its blocks, concatenated, at any block size;
 - ``NodeMemory`` keeps free counters incrementally; after any sequence
   of allocator operations they must equal a recount of the frame map;
 - ``SimProcess.translate`` takes a trace's per-array access totals from
   the raw array ids; they must equal the run-length-weighted totals;
 - ``SimProcess.translate`` translates and run-length compresses a stream
-  in one chunked pass; its trace must equal the per-array masked
-  translation followed by :func:`compress_trace` (:func:`masked_translate`,
-  kept here as the oracle).
+  in one chunked pass over the stream's blocks; its trace must equal the
+  per-array masked translation followed by :func:`compress_trace`
+  (:func:`masked_translate`, kept here as the oracle), dtypes included.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.tlb.trace import (
     _access_totals,
     compress_trace,
 )
+from repro.workloads import base as base_module
 from repro.workloads.base import (
     ARRAY_EDGE,
     ARRAY_PROPERTY,
@@ -262,6 +264,169 @@ def test_every_kernel_stream_equals_argsort(name, monkeypatch):
     for _ in create_workload(name, graph).run():
         pass
     assert checked
+
+
+# ----------------------------------------------------------------------
+# Block-built streams == argsort merge
+# ----------------------------------------------------------------------
+
+BLOCKS = [1, 3, 64, None]  # None: the module's own block target
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda b: f"block={b or 'default'}")
+def block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(base_module, "_BLOCK", request.param)
+    return request.param or base_module._BLOCK
+
+
+def _check_blocks(graph, frontier, edge_positions, targets, flags, target):
+    """The stream's blocks, concatenated, equal the argsort merge; every
+    block but the first opens with a vertex's first read, and no block
+    but the last runs past ``target`` accesses by more than the longest
+    burst of one offset's vertex reads and edges.  Returns the block
+    lengths."""
+    with_values, with_source_property, source_rank_reads = flags
+    kwargs = dict(
+        with_values=with_values,
+        with_source_property=with_source_property,
+        source_rank_reads=source_rank_reads,
+    )
+    stream = _Probe(graph).edge_phase_stream(
+        frontier, edge_positions, targets, **kwargs
+    )
+    blocks = list(stream.blocks())
+    joined = AccessStream(
+        np.concatenate([b[0] for b in blocks]),
+        np.concatenate([b[1] for b in blocks]),
+    )
+    want = argsort_edge_phase_stream(
+        graph, frontier, edge_positions, targets, **kwargs
+    )
+    _assert_streams_equal(joined, want)
+    # The longest burst: one group of vertices sharing a clamped offset,
+    # with the edges up to the next group's.
+    kv = 2 + int(with_source_property) + int(source_rank_reads)
+    per_edge = 3 if with_values else 2
+    num_edges = int(targets.size)
+    degrees = np.diff(graph.indptr)[frontier]
+    offsets = np.minimum(np.cumsum(degrees) - degrees, num_edges)
+    starts, count = np.unique(offsets, return_counts=True)
+    edges = np.diff(np.append(starts, num_edges))
+    burst = int((kv * count + per_edge * edges).max(initial=0))
+    for i, (aids, idx) in enumerate(blocks):
+        assert aids.dtype == np.uint8 and idx.dtype == np.int64
+        if i:
+            assert aids.size and aids[0] == ARRAY_VERTEX
+        if i < len(blocks) - 1:
+            assert aids.size <= target + burst
+    if target == 1 and frontier.size:  # a cut before every group
+        assert len(blocks) == starts.size
+    return [b[0].size for b in blocks]
+
+
+@pytest.mark.parametrize("flags", FLAGS)
+def test_blocks_equal_argsort_with_zero_degree_runs(flags, block):
+    """Runs of zero-degree vertices share one offset, so with small
+    blocks every cut candidate borders one: no group may straddle a
+    cut."""
+    rng = np.random.default_rng(200 + sum(f << i for i, f in enumerate(flags)))
+    for _ in range(10):
+        graph = _graph_with_zero_degree_runs(rng)
+        frontier = np.sort(
+            rng.permutation(graph.num_vertices)[
+                : int(rng.integers(1, graph.num_vertices + 1))
+            ]
+        )
+        edge_positions, targets = _Probe(graph).gather_frontier_edges(frontier)
+        _check_blocks(graph, frontier, edge_positions, targets, flags, block)
+
+
+@pytest.mark.parametrize("flags", FLAGS)
+def test_blocks_equal_argsort_with_a_hub_burst(flags, block):
+    """A hub whose edges alone outnumber a block makes one oversized
+    block; the blocks around it stay cut at vertex reads."""
+    rng = np.random.default_rng(300 + sum(f << i for i, f in enumerate(flags)))
+    num_vertices = 40
+    src = np.concatenate([np.full(300, 7), rng.integers(0, num_vertices, 200)])
+    dst = rng.integers(0, num_vertices, size=src.size)
+    graph = CsrGraph.from_edges(src, dst, num_vertices)
+    frontier = np.arange(num_vertices, dtype=np.int64)
+    edge_positions, targets = _Probe(graph).gather_frontier_edges(frontier)
+    sizes = _check_blocks(graph, frontier, edge_positions, targets, flags, block)
+    if block == 64:
+        assert max(sizes) > 600  # the hub's block
+
+
+@pytest.mark.parametrize("flags", FLAGS)
+def test_blocks_equal_argsort_with_mismatched_degrees(flags, block):
+    """CC's layout: edges from the symmetrized graph, offsets from the
+    input graph, so offsets land inside other vertices' edges or past
+    the last edge, and the last block takes every remaining edge."""
+    rng = np.random.default_rng(400 + sum(f << i for i, f in enumerate(flags)))
+    for _ in range(10):
+        degree_graph = _graph_with_zero_degree_runs(
+            rng, num_edges=int(rng.integers(0, 400))
+        )
+        edge_graph = _graph_with_zero_degree_runs(rng)
+        frontier = rng.permutation(degree_graph.num_vertices)[
+            : int(rng.integers(1, degree_graph.num_vertices + 1))
+        ]
+        edge_positions, targets = _Probe(edge_graph).gather_frontier_edges(
+            frontier
+        )
+        _check_blocks(degree_graph, frontier, edge_positions, targets, flags, block)
+
+
+@pytest.mark.parametrize("flags", FLAGS)
+def test_blocks_of_an_empty_frontier(flags, block):
+    graph = uniform_graph(num_vertices=32, num_edges=128, seed=5)
+    empty = np.empty(0, dtype=np.int64)
+    assert sum(_check_blocks(graph, empty, empty, empty, flags, block)) == 0
+
+
+def test_blocks_of_a_whole_array_sweep(block):
+    """PageRank's sweep passes no edge positions: each block makes its
+    own slice of the edge column from a range."""
+    graph = uniform_graph(num_vertices=256, num_edges=1024, seed=9)
+    frontier = np.arange(graph.num_vertices, dtype=np.int64)
+    stream = _Probe(graph).edge_phase_stream(
+        frontier, None, graph.indices, source_rank_reads=True
+    )
+    want = argsort_edge_phase_stream(
+        graph,
+        frontier,
+        np.arange(graph.num_edges, dtype=np.int64),
+        graph.indices,
+        source_rank_reads=True,
+    )
+    _assert_streams_equal(stream, want)
+
+
+@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank", "cc"])
+def test_unread_stream_translates_like_its_materialized_twin(name, block):
+    """A stream translated straight from its blocks, its columns never
+    read, gives the masked translation of the same stream made whole,
+    dtypes included."""
+    size = 4096 if block >= 64 else 256
+    graph = uniform_graph(
+        num_vertices=size, num_edges=4 * size, seed=5, weighted=True
+    )
+    machine = Machine(tiny(), ThpPolicy.always())
+    workload = create_workload(name, graph)
+    twins = create_workload(name, graph).run()
+    vmm = VirtualMemoryManager(machine.app_node, machine.thp, machine.config)
+    process = SimProcess(vmm, workload, MemoryLayout(workload), machine.config)
+    process.allocate_and_touch(PlacementPlan.none())
+    seen = 0
+    for stream in workload.run():
+        twin = next(twins)
+        twin = AccessStream(twin.array_ids, twin.indices)
+        trace = process._translate(stream)
+        assert stream._array_ids is None  # translated unread
+        _assert_traces_equal(trace, masked_translate(process, twin))
+        seen += 1
+    assert seen
 
 
 # ----------------------------------------------------------------------
@@ -568,6 +733,27 @@ def test_fused_equals_masked_on_random_streams(seed, chunk):
     _assert_traces_equal(
         process.translate(stream), masked_translate(process, stream)
     )
+
+
+def test_fused_narrows_by_the_trace_keys_not_the_map(monkeypatch):
+    """A key map reaching past ``2**31`` (an entry no access reads)
+    makes translate work in ``int64``; the trace still narrows by its
+    own largest key, as :func:`compress_trace` does."""
+    key_map = SimProcess._key_map
+
+    def wide(self):
+        keys, first = key_map(self)
+        return np.append(keys, 1 << 33), first
+
+    monkeypatch.setattr(SimProcess, "_key_map", wide)
+    process, _ = _half_huge(tiny())
+    stream = AccessStream(
+        np.full(5, ARRAY_PROPERTY, dtype=np.uint8),
+        np.array([0, 0, 3, 9000, 9000], dtype=np.int64),
+    )
+    trace = process.translate(stream)
+    assert trace.keys.dtype == np.int32
+    _assert_traces_equal(trace, masked_translate(process, stream))
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 6, 7])

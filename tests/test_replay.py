@@ -132,10 +132,29 @@ def test_warm_runner_matches_fresh_runners(
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count column builds, translations, held-trace reuses, backfills
-    and profile folds."""
-    counts = {"build": 0, "translate": 0, "reuse": 0, "backfill": 0,
-              "observe": 0, "replay": 0}
+    """Count stream builds (reads of a stream's blocks, not counting the
+    parts of a concatenated stream, which its own read reads), whole
+    column builds, translations, held-trace reuses, backfills and
+    profile folds."""
+    counts = {"build": 0, "materialize": 0, "translate": 0, "reuse": 0,
+              "backfill": 0, "observe": 0, "replay": 0}
+    parts = []  # held, so that no part's id is reused
+    concatenate = AccessStream.concatenate
+    blocks = AccessStream.blocks
+
+    def concatenate_spy(streams, identity=None):
+        parts.extend(streams)
+        return concatenate(streams, identity)
+
+    def blocks_spy(self):
+        if not any(self is part for part in parts):
+            counts["build"] += 1
+        return blocks(self)
+
+    monkeypatch.setattr(
+        AccessStream, "concatenate", staticmethod(concatenate_spy)
+    )
+    monkeypatch.setattr(AccessStream, "blocks", blocks_spy)
 
     def spy(owner, name, key):
         original = getattr(owner, name)
@@ -146,7 +165,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(AccessStream, "_materialize", "build")
+    spy(AccessStream, "_materialize", "materialize")
     spy(SimProcess, "translate", "translate")
     spy(SimProcess, "_reuse", "reuse")
     spy(ReplayCursor, "backfill", "backfill")
@@ -174,6 +193,7 @@ def test_hits_build_and_translate_nothing(tmp_path, calls):
     assert warm_calls["translate"] == memo.misses + warm_calls["backfill"]
     assert warm_calls["reuse"] > 0, "no translation reused a held trace"
     assert warm_calls["build"] == warm_calls["translate"] - warm_calls["reuse"]
+    assert warm_calls["materialize"] == 0, "a stream was built whole"
     _, fresh_results, fresh_journal, fresh_trace = _sweep(
         tmp_path, "batch", "transient", warm=False
     )

@@ -6,6 +6,7 @@ import pytest
 from repro.tlb.trace import (
     AccessStream,
     compress_trace,
+    trace_dtypes,
 )
 from test_pipeline_equivalence import merge_streams
 
@@ -29,7 +30,68 @@ class TestAccessStream:
         assert c.indices.tolist() == [1, 2]
 
     def test_concatenate_empty(self):
-        assert len(AccessStream.concatenate([])) == 0
+        empty = AccessStream.concatenate([])
+        assert len(empty) == 0
+        assert list(empty.blocks()) == []
+        assert empty.array_ids.dtype == np.uint8 and empty.array_ids.size == 0
+        assert empty.indices.dtype == np.int64 and empty.indices.size == 0
+
+    @staticmethod
+    def _deferred(sizes, length):
+        def blocks():
+            for size in sizes:
+                yield np.zeros(size, dtype=np.uint8), np.arange(size)
+
+        return AccessStream.deferred(length, blocks)
+
+    def test_deferred_blocks_are_built_per_read(self):
+        stream = self._deferred([2, 3], 5)
+        assert [b[0].size for b in stream.blocks()] == [2, 3]
+        assert [b[0].size for b in stream.blocks()] == [2, 3]
+        assert stream.indices.tolist() == [0, 1, 0, 1, 2]
+        # Read whole once, the stream keeps its columns as one block.
+        (only,) = stream.blocks()
+        assert only[1] is stream.indices
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [2, 4], [6]])
+    def test_deferred_wrong_length(self, sizes):
+        with pytest.raises(ValueError):
+            list(self._deferred(sizes, 5).blocks())
+        with pytest.raises(ValueError):
+            self._deferred(sizes, 5).array_ids
+
+    def test_deferred_unequal_block(self):
+        stream = AccessStream.deferred(
+            2, lambda: iter([(np.zeros(2, np.uint8), np.zeros(1, np.int64))])
+        )
+        with pytest.raises(ValueError):
+            list(stream.blocks())
+
+    def test_concatenate_chains_blocks_without_copying(self):
+        a = AccessStream(
+            np.array([0], dtype=np.uint8), np.array([1], dtype=np.int64)
+        )
+        b = self._deferred([2, 1], 3)
+        blocks = list(AccessStream.concatenate([a, b]).blocks())
+        assert [x[0].size for x in blocks] == [1, 2, 1]
+        assert blocks[0][1] is a.indices
+
+
+class TestTraceDtypes:
+    def test_int32_up_to_the_boundary(self):
+        top = (1 << 31) - 1
+        assert trace_dtypes(top, top) == (np.int32, np.int32)
+        assert trace_dtypes(top + 1, top) == (np.int64, np.int32)
+        assert trace_dtypes(top, top + 1) == (np.int32, np.int64)
+
+    def test_compress_trace_narrows_by_its_largest_key(self):
+        aids = np.zeros(3, dtype=np.uint8)
+        small = compress_trace(np.array([2, 2, 4], dtype=np.int64), aids)
+        assert small.keys.dtype == small.counts.dtype == np.int32
+        large = compress_trace(np.array([2, 2, 1 << 32], dtype=np.int64), aids)
+        assert large.keys.dtype == np.int64
+        assert large.keys.tolist() == [2, 1 << 32]
+        assert large.counts.dtype == np.int32
 
 
 class TestMergeStreams:

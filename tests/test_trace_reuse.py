@@ -71,8 +71,8 @@ def _trace_bytes(trace):
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Per-identity counts of column builds, fresh translations and
-    held-trace reuses."""
+    """Per-identity counts of stream builds (reads of a stream's
+    blocks), fresh translations and held-trace reuses."""
     counts = {key: collections.Counter() for key in ("build", "fresh", "reuse")}
 
     def spy(owner, name, key, stream_of):
@@ -84,7 +84,7 @@ def spies(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(AccessStream, "_materialize", "build", lambda stream: stream)
+    spy(AccessStream, "blocks", "build", lambda stream: stream)
     spy(SimProcess, "_translate", "fresh", lambda process, stream: stream)
     spy(SimProcess, "_reuse", "reuse", lambda process, stream, trace: stream)
     return counts

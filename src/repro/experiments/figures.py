@@ -1,10 +1,16 @@
 """One function per paper table/figure.
 
-Each function drives the :class:`~repro.experiments.harness
-.ExperimentRunner` through the cells behind one figure and returns a
-:class:`FigureResult` whose rows mirror the paper's bars/series.  The
-``benchmarks/`` directory wraps these functions one-to-one; EXPERIMENTS.md
-records the paper-vs-measured comparison.
+Each function declares the cells behind one figure — (workload,
+dataset, policy, scenario) tuples, in journal order — runs them as one
+:meth:`~repro.experiments.harness.ExperimentRunner.run_cells` batch
+(serial, ``--workers`` or ``--distribute``: the batch decides), and
+computes a :class:`FigureResult` from the results, which line up with
+the cells.  Its rows mirror the paper's bars/series.  A value derived
+from a failed cell is that cell's
+:class:`~repro.experiments.harness.CellFailure` (see :func:`derive`),
+which renders as ``FAILED(site)``.  The ``benchmarks/`` directory wraps
+these functions one-to-one; EXPERIMENTS.md records the
+paper-vs-measured comparison.
 
 Speedups are kernel-time ratios against the 4KB baseline in the *same*
 scenario (the paper normalizes each figure to its baseline bars; the 4KB
@@ -14,12 +20,11 @@ baseline is unaffected by pressure/fragmentation, which
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..workloads.base import ARRAY_NAMES
-from .harness import CellFailure, ExperimentRunner
+from .harness import CellFailure, CellResult, ExperimentRunner
 from .policies import POLICIES, Policy, selective_policy
 from .reporting import format_table, geomean, save_figure_result
 from .scenarios import (
@@ -60,8 +65,8 @@ class FigureResult:
 
     def failed_cells(self) -> list[CellFailure]:
         """Distinct :class:`~repro.experiments.harness.CellFailure`
-        records embedded in the rows (graceful degradation leaves the
-        failure object where the metric value would be)."""
+        records embedded in the rows (a value derived from a failed
+        cell is the failure itself; see :func:`derive`)."""
         failed: list[CellFailure] = []
         for row in self.rows:
             for value in row.values():
@@ -109,84 +114,47 @@ class FigureResult:
         return out
 
 
-def _cells(
+def derive(compute: Callable[[], Any], *results: CellResult) -> Any:
+    """``compute()``, unless a cell it reads failed.
+
+    ``results`` are the cells the value comes from, in the order their
+    failures show through: the first failed one is returned in place of
+    the value, and ``compute`` is not called."""
+    for result in results:
+        if not result.ok:
+            return result
+    return compute()
+
+
+def speedup(run: CellResult, base: CellResult) -> Any:
+    """``run``'s speedup over ``base``, or the failed one of the two
+    (the baseline first)."""
+    return derive(lambda: run.speedup_over(base), base, run)
+
+
+def _run_grid(
     runner: ExperimentRunner,
     workloads: Sequence[str],
     datasets: Optional[Sequence[str]],
-):
+    variants: Sequence[tuple[Policy, Scenario]],
+) -> list[tuple[str, str, list[CellResult]]]:
+    """Run every (workload, dataset) pair under each (policy, scenario)
+    of ``variants`` as one batch.
+
+    The cells run pair by pair, variants in order (the journal order).
+    Returns ``(workload, dataset, results)`` per pair, with ``results``
+    aligned with ``variants``."""
     datasets = runner.datasets if datasets is None else datasets
-    for workload in workloads:
-        for dataset in datasets:
-            yield workload, dataset
-
-
-class _PlanningRunner:
-    """Shim runner for the parallel prefetch planning pass.
-
-    Figure functions enumerate their cells implicitly, through inline
-    ``run_cell`` calls.  To batch those cells onto the local workers
-    without duplicating each figure's enumeration logic, the decorated
-    figure body runs once against this shim: every ``run_cell`` call is
-    *recorded* (in exact body order, which is what makes the parallel
-    journal byte-identical to a serial one) and answered with an
-    absorbing :class:`~repro.experiments.harness.CellFailure` dummy, so
-    the body's derived arithmetic degrades instead of crashing.  All
-    other attributes delegate to the real runner; nothing is simulated,
-    cached, journaled or recorded as a failure.
-    """
-
-    def __init__(self, runner: ExperimentRunner) -> None:
-        self._runner = runner
-        self.cells: list[tuple] = []
-
-    def __getattr__(self, name: str):
-        return getattr(self._runner, name)
-
-    def run_cell(self, workload, dataset, policy, scenario) -> CellFailure:
-        self.cells.append((workload, dataset, policy, scenario))
-        return CellFailure(
-            workload=workload,
-            dataset=dataset,
-            policy=policy.name,
-            scenario=scenario.name,
-            error="planning",
-            message="parallel prefetch planning pass",
-        )
-
-
-def _parallel_figure(func: Callable) -> Callable:
-    """Give a figure function a parallel fast path.
-
-    With ``runner.run_config.workers`` at the default ``1`` (and no
-    ``dist_executor``) this is a no-op.  With fan-out enabled, the
-    figure body first runs against a :class:`_PlanningRunner` to
-    discover its cells, the batch executes on the local lease workers
-    (or the ``--distribute`` coordinator) via
-    :meth:`~repro.experiments.harness.ExperimentRunner.run_cells`
-    (which owns dedupe, journal order and the deterministic merge),
-    and the body then re-runs for real with
-    every cell already cached.  A planning-pass surprise degrades to
-    plain serial execution — parallelism is an accelerator, never a
-    correctness dependency.
-    """
-
-    @functools.wraps(func)
-    def wrapper(runner: ExperimentRunner, *args, **kwargs):
-        if (
-            runner.run_config.workers != 1
-            or runner.dist_executor is not None
-        ):
-            planner = _PlanningRunner(runner)
-            try:
-                func(planner, *args, **kwargs)
-                cells = planner.cells
-            except Exception:
-                cells = []
-            if cells:
-                runner.run_cells(cells)
-        return func(runner, *args, **kwargs)
-
-    return wrapper
+    pairs = [(w, d) for w in workloads for d in datasets]
+    results = runner.run_cells(
+        [(w, d, policy, scenario) for w, d in pairs
+         for policy, scenario in variants]
+    )
+    n = len(variants)
+    return [
+        (workload, dataset, results[i * n:(i + 1) * n])
+        for i, (workload, dataset) in enumerate(pairs)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +162,6 @@ def _parallel_figure(func: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-@_parallel_figure
 def fig01_thp_speedup(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -208,25 +175,24 @@ def fig01_thp_speedup(
         notes="paper: large gains fresh, near-none under pressure",
     )
     pressured = constrained(0.5)
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], fresh())
-        thp_fresh = runner.run_cell(workload, dataset, POLICIES["thp"], fresh())
-        thp_press = runner.run_cell(workload, dataset, POLICIES["thp"], pressured)
-        base_press = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], pressured
-        )
+    grid = _run_grid(runner, workloads, datasets, [
+        (POLICIES["base4k"], fresh()),
+        (POLICIES["thp"], fresh()),
+        (POLICIES["thp"], pressured),
+        (POLICIES["base4k"], pressured),
+    ])
+    for workload, dataset, (base, thp_fresh, thp_press, base_press) in grid:
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "thp_fresh_speedup": thp_fresh.speedup_over(base),
-                "thp_pressured_speedup": thp_press.speedup_over(base_press),
+                "thp_fresh_speedup": speedup(thp_fresh, base),
+                "thp_pressured_speedup": speedup(thp_press, base_press),
             }
         )
     return result
 
 
-@_parallel_figure
 def fig02_translation_overhead(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -240,21 +206,24 @@ def fig02_translation_overhead(
         notes="paper: translation overheads are a significant runtime share",
     )
     cost = runner.config.cost
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], fresh())
-        translation = base.translation.translation_cycles(cost)
+    grid = _run_grid(
+        runner, workloads, datasets, [(POLICIES["base4k"], fresh())]
+    )
+    for workload, dataset, (base,) in grid:
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "translation_fraction": translation
-                / max(1, base.compute_cycles),
+                "translation_fraction": derive(
+                    lambda: base.translation.translation_cycles(cost)
+                    / max(1, base.compute_cycles),
+                    base,
+                ),
             }
         )
     return result
 
 
-@_parallel_figure
 def fig03_tlb_miss_rates(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -269,17 +238,19 @@ def fig03_tlb_miss_rates(
             "4-26.7% (avg 11.5%) with THP; most DTLB misses walk"
         ),
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], fresh())
-        thp = runner.run_cell(workload, dataset, POLICIES["thp"], fresh())
+    grid = _run_grid(runner, workloads, datasets, [
+        (POLICIES["base4k"], fresh()),
+        (POLICIES["thp"], fresh()),
+    ])
+    for workload, dataset, (base, thp) in grid:
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "dtlb_miss_4k": base.dtlb_miss_rate,
-                "walk_rate_4k": base.walk_rate,
-                "dtlb_miss_thp": thp.dtlb_miss_rate,
-                "walk_rate_thp": thp.walk_rate,
+                "dtlb_miss_4k": derive(lambda: base.dtlb_miss_rate, base),
+                "walk_rate_4k": derive(lambda: base.walk_rate, base),
+                "dtlb_miss_thp": derive(lambda: thp.dtlb_miss_rate, thp),
+                "walk_rate_thp": derive(lambda: thp.walk_rate, thp),
             }
         )
     return result
@@ -290,7 +261,6 @@ def fig03_tlb_miss_rates(
 # ---------------------------------------------------------------------------
 
 
-@_parallel_figure
 def fig04_access_breakdown(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -306,8 +276,22 @@ def fig04_access_breakdown(
             "pointer-indirect property array dominates TLB misses"
         ),
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], fresh())
+    grid = _run_grid(
+        runner, workloads, datasets, [(POLICIES["base4k"], fresh())]
+    )
+    for workload, dataset, (base,) in grid:
+        if not base.ok:
+            # One row per failed cell: its arrays are not known.
+            result.rows.append(
+                {
+                    "workload": workload,
+                    "dataset": dataset,
+                    "array": "-",
+                    "access_share": base,
+                    "walk_share": base,
+                }
+            )
+            continue
         per = base.per_array_translation()
         total_acc = max(1, base.translation.total_accesses)
         total_walks = max(1, base.translation.total_walks)
@@ -324,7 +308,6 @@ def fig04_access_breakdown(
     return result
 
 
-@_parallel_figure
 def fig05_data_structure_thp(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -341,14 +324,14 @@ def fig05_data_structure_thp(
         ),
     )
     policies = ["madv-vertex", "madv-edge", "madv-property", "thp"]
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], fresh())
+    grid = _run_grid(
+        runner, workloads, datasets,
+        [(POLICIES[name], fresh()) for name in ["base4k", *policies]],
+    )
+    for workload, dataset, (base, *runs) in grid:
         row: dict = {"workload": workload, "dataset": dataset}
-        for policy_name in policies:
-            run = runner.run_cell(
-                workload, dataset, POLICIES[policy_name], fresh()
-            )
-            row[policy_name] = run.speedup_over(base)
+        for policy_name, run in zip(policies, runs):
+            row[policy_name] = speedup(run, base)
         result.rows.append(row)
     return result
 
@@ -399,7 +382,6 @@ def table2_datasets(
 # ---------------------------------------------------------------------------
 
 
-@_parallel_figure
 def fig07_pressure_alloc_order(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -417,32 +399,28 @@ def fig07_pressure_alloc_order(
         ),
     )
     scenario = constrained(pressure_gb)
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base_fresh = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], fresh()
-        )
-        base_press = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], scenario
-        )
-        thp_fresh = runner.run_cell(workload, dataset, POLICIES["thp"], fresh())
-        thp_nat = runner.run_cell(workload, dataset, POLICIES["thp"], scenario)
-        thp_opt = runner.run_cell(
-            workload, dataset, POLICIES["thp-opt"], scenario
-        )
+    grid = _run_grid(runner, workloads, datasets, [
+        (POLICIES["base4k"], fresh()),
+        (POLICIES["base4k"], scenario),
+        (POLICIES["thp"], fresh()),
+        (POLICIES["thp"], scenario),
+        (POLICIES["thp-opt"], scenario),
+    ])
+    for workload, dataset, results in grid:
+        base_fresh, base_press, thp_fresh, thp_nat, thp_opt = results
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "base4k_pressured": base_press.speedup_over(base_fresh),
-                "thp_ideal": thp_fresh.speedup_over(base_fresh),
-                "thp_natural": thp_nat.speedup_over(base_press),
-                "thp_property_first": thp_opt.speedup_over(base_press),
+                "base4k_pressured": speedup(base_press, base_fresh),
+                "thp_ideal": speedup(thp_fresh, base_fresh),
+                "thp_natural": speedup(thp_nat, base_press),
+                "thp_property_first": speedup(thp_opt, base_press),
             }
         )
     return result
 
 
-@_parallel_figure
 def fig07b_pressure_sweep(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -458,35 +436,29 @@ def fig07b_pressure_sweep(
             "oversubscription slows 4KB/THP by 24.6x/23.6x"
         ),
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base_fresh = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], fresh()
-        )
-        for level in levels:
-            scenario = (
-                oversubscribed(-level) if level < 0 else constrained(level)
-            )
-            base = runner.run_cell(
-                workload, dataset, POLICIES["base4k"], scenario
-            )
-            thp = runner.run_cell(workload, dataset, POLICIES["thp"], scenario)
-            opt = runner.run_cell(
-                workload, dataset, POLICIES["thp-opt"], scenario
-            )
+    variants = [(POLICIES["base4k"], fresh())]
+    for level in levels:
+        scenario = oversubscribed(-level) if level < 0 else constrained(level)
+        variants += [
+            (POLICIES[name], scenario) for name in ("base4k", "thp", "thp-opt")
+        ]
+    grid = _run_grid(runner, workloads, datasets, variants)
+    for workload, dataset, (base_fresh, *runs) in grid:
+        for i, level in enumerate(levels):
+            base, thp, opt = runs[3 * i:3 * i + 3]
             result.rows.append(
                 {
                     "workload": workload,
                     "dataset": dataset,
                     "free_gb": level,
-                    "base4k": base.speedup_over(base_fresh),
-                    "thp_natural": thp.speedup_over(base_fresh),
-                    "thp_property_first": opt.speedup_over(base_fresh),
+                    "base4k": speedup(base, base_fresh),
+                    "thp_natural": speedup(thp, base_fresh),
+                    "thp_property_first": speedup(opt, base_fresh),
                 }
             )
     return result
 
 
-@_parallel_figure
 def page_cache_interference(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -514,24 +486,24 @@ def page_cache_interference(
             "huge pages needed; tmpfs-remote staging avoids it"
         ),
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], constrained(pressure_gb)
-        )
-        remote = runner.run_cell(
-            workload, dataset, thp_defer, constrained(pressure_gb)
-        )
-        local = runner.run_cell(
-            workload, dataset, thp_defer, local_cache(pressure_gb)
-        )
+    grid = _run_grid(runner, workloads, datasets, [
+        (POLICIES["base4k"], constrained(pressure_gb)),
+        (thp_defer, constrained(pressure_gb)),
+        (thp_defer, local_cache(pressure_gb)),
+    ])
+    for workload, dataset, (base, remote, local) in grid:
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "thp_tmpfs_remote": remote.speedup_over(base),
-                "thp_local_cache": local.speedup_over(base),
-                "huge_frac_remote": remote.huge_footprint_fraction,
-                "huge_frac_local": local.huge_footprint_fraction,
+                "thp_tmpfs_remote": speedup(remote, base),
+                "thp_local_cache": speedup(local, base),
+                "huge_frac_remote": derive(
+                    lambda: remote.huge_footprint_fraction, remote
+                ),
+                "huge_frac_local": derive(
+                    lambda: local.huge_footprint_fraction, local
+                ),
             }
         )
     return result
@@ -542,7 +514,6 @@ def page_cache_interference(
 # ---------------------------------------------------------------------------
 
 
-@_parallel_figure
 def fig08_fragmentation(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -561,32 +532,28 @@ def fig08_fragmentation(
         ),
     )
     scenario = fragmented(frag_level, pressure_gb)
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base_fresh = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], fresh()
-        )
-        base_frag = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], scenario
-        )
-        thp_fresh = runner.run_cell(workload, dataset, POLICIES["thp"], fresh())
-        thp_nat = runner.run_cell(workload, dataset, POLICIES["thp"], scenario)
-        thp_opt = runner.run_cell(
-            workload, dataset, POLICIES["thp-opt"], scenario
-        )
+    grid = _run_grid(runner, workloads, datasets, [
+        (POLICIES["base4k"], fresh()),
+        (POLICIES["base4k"], scenario),
+        (POLICIES["thp"], fresh()),
+        (POLICIES["thp"], scenario),
+        (POLICIES["thp-opt"], scenario),
+    ])
+    for workload, dataset, results in grid:
+        base_fresh, base_frag, thp_fresh, thp_nat, thp_opt = results
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "base4k_fragmented": base_frag.speedup_over(base_fresh),
-                "thp_ideal": thp_fresh.speedup_over(base_fresh),
-                "thp_natural": thp_nat.speedup_over(base_frag),
-                "thp_property_first": thp_opt.speedup_over(base_frag),
+                "base4k_fragmented": speedup(base_frag, base_fresh),
+                "thp_ideal": speedup(thp_fresh, base_fresh),
+                "thp_natural": speedup(thp_nat, base_frag),
+                "thp_property_first": speedup(thp_opt, base_frag),
             }
         )
     return result
 
 
-@_parallel_figure
 def fig09_frag_sweep(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -603,31 +570,28 @@ def fig09_frag_sweep(
             "retains gains even at 75%"
         ),
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base_fresh = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], fresh()
+    variants = [(POLICIES["base4k"], fresh())]
+    for level in levels:
+        scenario = (
+            constrained(pressure_gb)
+            if level == 0.0
+            else fragmented(level, pressure_gb)
         )
-        for level in levels:
-            scenario = (
-                constrained(pressure_gb)
-                if level == 0.0
-                else fragmented(level, pressure_gb)
-            )
-            base = runner.run_cell(
-                workload, dataset, POLICIES["base4k"], scenario
-            )
-            thp = runner.run_cell(workload, dataset, POLICIES["thp"], scenario)
-            opt = runner.run_cell(
-                workload, dataset, POLICIES["thp-opt"], scenario
-            )
+        variants += [
+            (POLICIES[name], scenario) for name in ("base4k", "thp", "thp-opt")
+        ]
+    grid = _run_grid(runner, workloads, datasets, variants)
+    for workload, dataset, (base_fresh, *runs) in grid:
+        for i, level in enumerate(levels):
+            base, thp, opt = runs[3 * i:3 * i + 3]
             result.rows.append(
                 {
                     "workload": workload,
                     "dataset": dataset,
                     "frag_level": level,
-                    "base4k": base.speedup_over(base_fresh),
-                    "thp_natural": thp.speedup_over(base_fresh),
-                    "thp_property_first": opt.speedup_over(base_fresh),
+                    "base4k": speedup(base, base_fresh),
+                    "thp_natural": speedup(thp, base_fresh),
+                    "thp_property_first": speedup(opt, base_fresh),
                 }
             )
     return result
@@ -638,7 +602,6 @@ def fig09_frag_sweep(
 # ---------------------------------------------------------------------------
 
 
-@_parallel_figure
 def fig10_selective_thp(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -664,17 +627,19 @@ def fig10_selective_thp(
         ("selective_50_dbg", selective_policy(0.5)),
         ("selective_100_dbg", selective_policy(1.0)),
     ]
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], scenario)
+    grid = _run_grid(
+        runner, workloads, datasets,
+        [(POLICIES["base4k"], scenario)]
+        + [(policy, scenario) for _, policy in policies],
+    )
+    for workload, dataset, (base, *runs) in grid:
         row: dict = {"workload": workload, "dataset": dataset}
-        for label, policy in policies:
-            run = runner.run_cell(workload, dataset, policy, scenario)
-            row[label] = run.speedup_over(base)
+        for (label, _), run in zip(policies, runs):
+            row[label] = speedup(run, base)
         result.rows.append(row)
     return result
 
 
-@_parallel_figure
 def fig11_selectivity_sweep(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -694,26 +659,36 @@ def fig11_selectivity_sweep(
         ),
     )
     scenario = fragmented(frag_level, pressure_gb)
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], scenario)
-        for reorder in ("original", "dbg"):
-            for fraction in fractions:
-                policy = selective_policy(fraction, reorder=reorder)
-                run = runner.run_cell(workload, dataset, policy, scenario)
-                result.rows.append(
-                    {
-                        "workload": workload,
-                        "dataset": dataset,
-                        "reorder": reorder,
-                        "s": fraction,
-                        "speedup": run.speedup_over(base),
-                        "huge_frac_of_footprint": run.huge_footprint_fraction,
-                    }
-                )
+    points = [
+        (reorder, fraction)
+        for reorder in ("original", "dbg")
+        for fraction in fractions
+    ]
+    grid = _run_grid(
+        runner, workloads, datasets,
+        [(POLICIES["base4k"], scenario)]
+        + [
+            (selective_policy(fraction, reorder=reorder), scenario)
+            for reorder, fraction in points
+        ],
+    )
+    for workload, dataset, (base, *runs) in grid:
+        for (reorder, fraction), run in zip(points, runs):
+            result.rows.append(
+                {
+                    "workload": workload,
+                    "dataset": dataset,
+                    "reorder": reorder,
+                    "s": fraction,
+                    "speedup": speedup(run, base),
+                    "huge_frac_of_footprint": derive(
+                        lambda: run.huge_footprint_fraction, run
+                    ),
+                }
+            )
     return result
 
 
-@_parallel_figure
 def dbg_overhead(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -728,14 +703,18 @@ def dbg_overhead(
             "for short-running BFS (avg 13%)"
         ),
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        run = runner.run_cell(workload, dataset, POLICIES["dbg"], fresh())
+    grid = _run_grid(
+        runner, workloads, datasets, [(POLICIES["dbg"], fresh())]
+    )
+    for workload, dataset, (run,) in grid:
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
-                "preprocess_fraction": run.preprocess_cycles
-                / max(1, run.kernel_cycles),
+                "preprocess_fraction": derive(
+                    lambda: run.preprocess_cycles / max(1, run.kernel_cycles),
+                    run,
+                ),
             }
         )
     return result
@@ -753,7 +732,6 @@ def recommended_reorder(runner: ExperimentRunner, dataset: str) -> str:
     return report.plan.reorder
 
 
-@_parallel_figure
 def headline_summary(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ALL_WORKLOADS,
@@ -778,28 +756,40 @@ def headline_summary(
         ),
     )
     scenario = fragmented(frag_level, pressure_gb)
+    datasets = runner.datasets if datasets is None else datasets
+    pairs = [(w, d) for w in workloads for d in datasets]
+    policies = [
+        selective_policy(fraction, reorder=recommended_reorder(runner, d))
+        for _, d in pairs
+    ]
+    cells = []
+    for (workload, dataset), policy in zip(pairs, policies):
+        cells += [
+            (workload, dataset, POLICIES["base4k"], scenario),
+            (workload, dataset, POLICIES["thp"], fresh()),
+            (workload, dataset, POLICIES["base4k"], fresh()),
+            (workload, dataset, policy, scenario),
+        ]
+    results = runner.run_cells(cells)
     speedups = []
-    for workload, dataset in _cells(runner, workloads, datasets):
-        policy = selective_policy(
-            fraction, reorder=recommended_reorder(runner, dataset)
-        )
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], scenario)
-        ideal = runner.run_cell(workload, dataset, POLICIES["thp"], fresh())
-        base_fresh = runner.run_cell(
-            workload, dataset, POLICIES["base4k"], fresh()
-        )
-        run = runner.run_cell(workload, dataset, policy, scenario)
-        speedup = run.speedup_over(base)
-        speedups.append(speedup)
+    for i, ((workload, dataset), policy) in enumerate(zip(pairs, policies)):
+        base, ideal, base_fresh, run = results[4 * i:4 * i + 4]
+        selective = speedup(run, base)
+        speedups.append(selective)
         result.rows.append(
             {
                 "workload": workload,
                 "dataset": dataset,
                 "reorder": policy.plan.reorder,
-                "selective_speedup": speedup,
-                "pct_of_unbounded": run.speedup_over(base)
-                / max(1e-12, ideal.speedup_over(base_fresh)),
-                "huge_budget_frac": run.huge_footprint_fraction,
+                "selective_speedup": selective,
+                "pct_of_unbounded": derive(
+                    lambda: run.speedup_over(base)
+                    / max(1e-12, ideal.speedup_over(base_fresh)),
+                    base, run, base_fresh, ideal,
+                ),
+                "huge_budget_frac": derive(
+                    lambda: run.huge_footprint_fraction, run
+                ),
             }
         )
     result.notes += f" | measured geomean speedup: {geomean(speedups):.3f}"
@@ -811,7 +801,6 @@ def headline_summary(
 # ---------------------------------------------------------------------------
 
 
-@_parallel_figure
 def ablation_alloc_order_census(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -825,24 +814,30 @@ def ablation_alloc_order_census(
         "Huge-page census per array under pressure (natural vs optimized)",
     )
     scenario = constrained(pressure_gb)
-    for workload, dataset in _cells(runner, workloads, datasets):
-        for policy_name in ("thp", "thp-opt"):
-            run = runner.run_cell(
-                workload, dataset, POLICIES[policy_name], scenario
-            )
+    policies = ("thp", "thp-opt")
+    grid = _run_grid(
+        runner, workloads, datasets,
+        [(POLICIES[name], scenario) for name in policies],
+    )
+    for workload, dataset, runs in grid:
+        for policy_name, run in zip(policies, runs):
             row: dict = {
                 "workload": workload,
                 "dataset": dataset,
                 "policy": policy_name,
             }
-            for name in ARRAY_NAMES.values():
-                if name in run.huge_fraction_per_array:
-                    row[name] = run.huge_fraction_per_array[name]
+            if run.ok:
+                fractions = run.huge_fraction_per_array
+                for name in ARRAY_NAMES.values():
+                    if name in fractions:
+                        row[name] = fractions[name]
+            else:
+                # Which arrays a failed cell has is not known: mark all.
+                row.update(dict.fromkeys(ARRAY_NAMES.values(), run))
             result.rows.append(row)
     return result
 
 
-@_parallel_figure
 def ablation_promotion_path(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -879,20 +874,23 @@ def ablation_promotion_path(
         noise_nonmovable_gb=1.0,
         noise_movable_gb=64.0,
     )
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], scenario)
+    grid = _run_grid(
+        runner, workloads, datasets,
+        [(POLICIES["base4k"], scenario)]
+        + [(policy, scenario) for _, policy in variants],
+    )
+    for workload, dataset, (base, *runs) in grid:
         row: dict = {"workload": workload, "dataset": dataset}
-        for label, policy in variants:
-            run = runner.run_cell(workload, dataset, policy, scenario)
-            row[label] = run.speedup_over(base)
-            row[f"{label}_prop_huge"] = run.huge_fraction_per_array.get(
-                "property_array", 0.0
+        for (label, _), run in zip(variants, runs):
+            row[label] = speedup(run, base)
+            row[f"{label}_prop_huge"] = derive(
+                lambda: run.huge_fraction_per_array.get("property_array", 0.0),
+                run,
             )
         result.rows.append(row)
     return result
 
 
-@_parallel_figure
 def ablation_reorder(
     runner: ExperimentRunner,
     workloads: Sequence[str] = ("bfs",),
@@ -907,13 +905,19 @@ def ablation_reorder(
         f"Selective THP (s={fraction:.0%}) under alternative orderings",
     )
     scenario = fragmented(frag_level)
-    for workload, dataset in _cells(runner, workloads, datasets):
-        base = runner.run_cell(workload, dataset, POLICIES["base4k"], scenario)
+    reorders = ("original", "dbg", "degree-sort", "random")
+    grid = _run_grid(
+        runner, workloads, datasets,
+        [(POLICIES["base4k"], scenario)]
+        + [
+            (selective_policy(fraction, reorder=reorder), scenario)
+            for reorder in reorders
+        ],
+    )
+    for workload, dataset, (base, *runs) in grid:
         row: dict = {"workload": workload, "dataset": dataset}
-        for reorder in ("original", "dbg", "degree-sort", "random"):
-            policy = selective_policy(fraction, reorder=reorder)
-            run = runner.run_cell(workload, dataset, policy, scenario)
-            row[reorder] = run.speedup_over(base)
+        for reorder, run in zip(reorders, runs):
+            row[reorder] = speedup(run, base)
         result.rows.append(row)
     return result
 

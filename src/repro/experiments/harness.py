@@ -95,15 +95,14 @@ def retry_backoff_cycles(attempt: int) -> int:
 class CellFailure:
     """Structured record of one cell that could not produce metrics.
 
-    Stored in the cell cache and placed into figure rows where a
-    :class:`~repro.machine.metrics.RunMetrics` would normally go.  To
-    keep figure code free of per-cell error handling, a failure is
-    *absorbing*: any metric attribute, call or arithmetic involving it
-    yields the failure itself, comparisons rank it *after* every number
-    (failures always sort last, ordered among themselves by cell
-    coordinates), and it renders as ``FAILED(site)`` — so derived
-    columns degrade to an explicit failure marker instead of crashing
-    the batch.
+    Stored in the cell cache and returned where a
+    :class:`~repro.machine.metrics.RunMetrics` would normally go.  A
+    figure reads its batch's results and puts the failure itself into
+    every value derived from a failed cell
+    (:func:`~repro.experiments.figures.derive`), where it renders as
+    ``FAILED(site)``.  It carries no metrics: reading one raises
+    ``AttributeError``, and comparing it (``failure > 0.9``) raises
+    ``TypeError``.
     """
 
     workload: str
@@ -125,11 +124,6 @@ class CellFailure:
         cause = self.site.value if self.site is not None else self.error
         return f"FAILED({cause})"
 
-    @property
-    def huge_fraction_per_array(self) -> dict:
-        """Empty — a failed cell backed nothing with huge pages."""
-        return {}
-
     def speedup_over(self, baseline) -> "CellFailure":
         """A failed cell has no speedup; propagate the failure."""
         return baseline if isinstance(baseline, CellFailure) else self
@@ -148,70 +142,6 @@ class CellFailure:
                 f"  site     : {self.site.value} (fire #{self.fault_hit})"
             )
         return "\n".join(lines)
-
-    # -- absorbing protocol -------------------------------------------
-    # Figure code computes `run.speedup_over(base)`, divides counters,
-    # feeds values to max()/geomean()/round(): all of it must degrade
-    # to the failure marker, never crash.
-
-    def __getattr__(self, name: str) -> "CellFailure":
-        if name.startswith("__"):  # keep copy/pickle/introspection sane
-            raise AttributeError(name)
-        return self
-
-    def __call__(self, *args, **kwargs) -> "CellFailure":
-        return self
-
-    def __iter__(self):
-        return iter(())
-
-    def __contains__(self, item) -> bool:
-        return False
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __add__
-    __truediv__ = __rtruediv__ = __neg__ = __add__
-
-    def __round__(self, ndigits: Optional[int] = None) -> "CellFailure":
-        return self
-
-    # -- ordering ------------------------------------------------------
-    # Failures sort deterministically *last*: against anything that is
-    # not a failure, `failure > x` is True and `failure < x` is False
-    # (so sorted() pushes failures past every number); among failures,
-    # the cell-coordinate key keeps the order stable across runs.
-
-    def _order_key(self) -> tuple[str, str, str, str, str, str]:
-        return (
-            self.workload,
-            self.dataset,
-            self.policy,
-            self.scenario,
-            self.error,
-            self.message,
-        )
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, CellFailure):
-            return self._order_key() < other._order_key()
-        return False
-
-    def __le__(self, other) -> bool:
-        if isinstance(other, CellFailure):
-            return self._order_key() <= other._order_key()
-        return False
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, CellFailure):
-            return self._order_key() > other._order_key()
-        return True
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, CellFailure):
-            return self._order_key() >= other._order_key()
-        return True
 
     def __str__(self) -> str:
         return self.label
@@ -956,14 +886,16 @@ class ExperimentRunner:
     ) -> float:
         """Kernel-time speedup of (policy, scenario) over the baseline
         cell for the same workload and dataset (a :class:`CellFailure`
-        if either cell failed)."""
+        if either cell failed, the baseline first)."""
+        from .figures import speedup
+
         if baseline_scenario is None:
             baseline_scenario = scenario
         run = self.run_cell(workload_name, dataset_name, policy, scenario)
         base = self.run_cell(
             workload_name, dataset_name, baseline_policy, baseline_scenario
         )
-        return run.speedup_over(base)
+        return speedup(run, base)
 
     def clear_cache(self) -> None:
         """Drop all cached cells, prepared graphs and replayable

@@ -63,11 +63,10 @@ def format_table(
 def geomean(values: Iterable[float]) -> float:
     """Geometric mean (the paper's cross-configuration aggregate).
 
-    Failed cells are excluded explicitly: a ``CellFailure`` carries
-    ``ok=False`` (and — because failures sort *after* every number —
-    would otherwise pass a bare ``v > 0`` filter), so the ``ok`` check
-    drops it and the aggregate covers the cells that did produce
-    data."""
+    Failed cells are skipped: a ``CellFailure`` carries ``ok=False``,
+    and the ``ok`` check drops it before the ``v > 0`` comparison (which
+    a failure would fail with ``TypeError``), so the aggregate covers
+    the cells that did produce data."""
     values = [v for v in values if getattr(v, "ok", True) and v > 0]
     if not values:
         return 0.0

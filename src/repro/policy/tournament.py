@@ -8,18 +8,21 @@ scenario (the paper's convention), and emits a leaderboard
 :class:`~repro.experiments.figures.FigureResult`: one row per policy,
 one speedup-geomean column per scenario, ranked by overall geomean.
 
-The sweep reuses the experiment harness unchanged — cells are batched
-through :meth:`~repro.experiments.harness.ExperimentRunner.run_cells`,
-so journaling, resume, dedupe, ``--workers`` fan-out and distributed
-execution all apply, and the journal (hence the leaderboard) is
-byte-identical serial vs parallel.  Policy parameters fold into cell
+The sweep reuses the experiment harness unchanged: like a figure, it
+declares its cells, runs them as one
+:meth:`~repro.experiments.harness.ExperimentRunner.run_cells` batch
+and reads the leaderboard off the results, so journaling, resume,
+dedupe, ``--workers`` fan-out and distributed execution all apply, and
+the journal (hence the leaderboard) is byte-identical serial vs
+parallel.  Policy parameters fold into cell
 fingerprints via the registry's canonical naming, so two
 parameterizations of one entry are distinct journal cells.
 
 Ranking is deterministic: overall geomean descending, ties broken by
-policy spec.  Cells that fail degrade per the
-:class:`~repro.experiments.harness.CellFailure` absorbing protocol —
-:func:`~repro.experiments.reporting.geomean` skips them, and a policy
+policy spec.  A speedup with a failed cell behind it is that
+:class:`~repro.experiments.harness.CellFailure`
+(:func:`~repro.experiments.figures.speedup`);
+:func:`~repro.experiments.reporting.geomean` skips it, and a policy
 whose every cell failed scores 0.0 and sinks to the bottom.
 """
 
@@ -84,7 +87,7 @@ def run_tournament(
         ReproError: unknown policy/scenario specs, or colliding
             scenario display names.
     """
-    from ..experiments.figures import FigureResult
+    from ..experiments.figures import FigureResult, speedup
     from ..experiments.parse import parse_scenario
     from ..experiments.reporting import geomean
 
@@ -123,43 +126,39 @@ def run_tournament(
         for spec in policies
     }
 
+    # Each (scenario, workload, dataset) runs its baseline, then every
+    # contender; ``outcome`` keys the baseline's result by spec None.
+    keys = []
     cells = []
     for scenario in resolved_scenarios:
         for workload in workloads:
             for dataset in dataset_names:
-                cells.append(
-                    (workload, dataset, baseline[dataset], scenario)
-                )
-                for spec in policies:
-                    cells.append(
-                        (
-                            workload,
-                            dataset,
-                            contenders[spec][dataset],
-                            scenario,
-                        )
-                    )
-    runner.run_cells(cells)
+                for spec in (None, *policies):
+                    keys.append((scenario.name, workload, dataset, spec))
+                    cells.append((
+                        workload,
+                        dataset,
+                        baseline[dataset]
+                        if spec is None
+                        else contenders[spec][dataset],
+                        scenario,
+                    ))
+    outcome = dict(zip(keys, runner.run_cells(cells)))
 
     standings = []
     for spec in policies:
         per_scenario = {}
         all_speedups = []
-        for scenario in resolved_scenarios:
-            speedups = []
-            for workload in workloads:
-                for dataset in dataset_names:
-                    base = runner.run_cell(
-                        workload, dataset, baseline[dataset], scenario
-                    )
-                    run = runner.run_cell(
-                        workload,
-                        dataset,
-                        contenders[spec][dataset],
-                        scenario,
-                    )
-                    speedups.append(run.speedup_over(base))
-            per_scenario[scenario.name] = geomean(speedups)
+        for name in scenario_names:
+            speedups = [
+                speedup(
+                    outcome[(name, workload, dataset, spec)],
+                    outcome[(name, workload, dataset, None)],
+                )
+                for workload in workloads
+                for dataset in dataset_names
+            ]
+            per_scenario[name] = geomean(speedups)
             all_speedups.extend(speedups)
         standings.append((geomean(all_speedups), spec, per_scenario))
     standings.sort(key=lambda item: (-item[0], item[1]))

@@ -14,7 +14,7 @@ watchdog completes the story with two further bounds:
 
 The machine's compute loop calls :meth:`CellWatchdog.check` once per
 access stream — the same cadence as the access-budget check — so a
-runaway cell is converted into an absorbing ``FAILED(watchdog)``
+runaway cell is converted into a ``FAILED(watchdog)`` record
 within one workload iteration instead of wedging the whole sweep.
 """
 

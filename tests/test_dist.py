@@ -345,23 +345,26 @@ class TestEncodeCell:
         from repro.experiments import figures
         from repro.policy.tournament import DEFAULT_POLICIES
 
-        class Planner(figures._PlanningRunner):
-            def run_cells(self, cells):
-                return [self.run_cell(*cell) for cell in cells]
+        class Declared(Exception):
+            pass
+
+        declared: list[tuple] = []
+
+        def record(batch):
+            declared.extend(batch)
+            raise Declared  # the figure's cells, without running them
 
         runner = _runner()
-        planner = Planner(runner)
+        runner.run_cells = record
         for figure_id, func in figures.FIGURES.items():
             if figure_id == "table2":
                 continue
+            kwargs = {"datasets": ("test-small",)}
             if figure_id == "tournament":
-                func(
-                    planner, datasets=("test-small",),
-                    policies=DEFAULT_POLICIES + ("advisor",),
-                )
-            else:
-                func.__wrapped__(planner, datasets=("test-small",))
-        cells = {runner.cell_spec(*cell): cell for cell in planner.cells}
+                kwargs["policies"] = DEFAULT_POLICIES + ("advisor",)
+            with pytest.raises(Declared):
+                func(runner, **kwargs)
+        cells = {runner.cell_spec(*cell): cell for cell in declared}
         assert len(cells) > 100
         names = {cell[2].name for cell in cells.values()}
         assert {"thp-direct", "ingens(u=90%)", "advisor(s=100%)"} <= names

@@ -13,7 +13,13 @@ from repro.errors import (
     OutOfMemoryError,
 )
 from repro.faults import FaultPlan
-from repro.experiments.figures import fig07_pressure_alloc_order
+from repro.experiments.figures import (
+    ablation_alloc_order_census,
+    ablation_promotion_path,
+    fig04_access_breakdown,
+    fig07_pressure_alloc_order,
+    speedup,
+)
 from repro.experiments.harness import (
     RETRY_BACKOFF_BASE_CYCLES,
     CellFailure,
@@ -175,34 +181,20 @@ class TestCellFailureAbsorption:
             scenario="fresh", error="InjectedFaultError", message="boom",
         )
 
-    def test_metric_access_absorbs(self):
+    def test_speedup_over_propagates(self):
         failure = self.make_failure()
-        assert failure.kernel_cycles is failure
         assert failure.speedup_over(failure) is failure
-        assert failure.summary() is failure
-        assert failure.huge_fraction_per_array == {}
 
-    def test_arithmetic_and_comparisons(self):
+    def test_metrics_and_comparisons_raise(self):
+        """A failure carries no metrics: a reduce that reads one off it,
+        or compares it with a number, fails loudly."""
         failure = self.make_failure()
-        assert (failure / 3) is failure
-        assert (2.0 * failure) is failure
-        assert round(failure, 3) is failure
-        # Failures rank after every number: sorted() pushes them last.
-        assert failure > 1 and not failure < 1
-        assert failure >= 10**12 and not failure <= -(10**12)
-        assert sorted([failure, 2.0, 1.0])[-1] is failure
-        assert list(failure) == []
-
-    def test_failures_sort_last_and_deterministically(self):
-        a = self.make_failure()
-        b = CellFailure(
-            workload="sssp", dataset="web-l", policy="thp",
-            scenario="fresh", error="OutOfMemoryError", message="oom",
-        )
-        # Among failures: stable cell-coordinate ordering, both ways.
-        assert (a < b) == (b > a) and (a < b) != (a > b)
-        assert sorted([b, 3.5, a, 1.0])[:2] == [1.0, 3.5]
-        assert sorted([b, 3.5, a, 1.0])[2:] == sorted([a, b], key=lambda f: f._order_key())
+        with pytest.raises(AttributeError):
+            failure.kernel_cycles
+        with pytest.raises(TypeError):
+            failure > 0.9
+        with pytest.raises(TypeError):
+            sorted([failure, 2.0, 1.0])
 
     def test_renders_as_failed_marker(self):
         assert str(self.make_failure()) == "FAILED(InjectedFaultError)"
@@ -245,3 +237,76 @@ class TestGracefulFigureBatch:
             base.per_array_translation()
             == base_faulted.per_array_translation()
         )
+
+    def test_census_marks_its_failed_cells(self):
+        """Both census cells fail under compaction:1.0; each row shows
+        the failure instead of an empty set of array columns."""
+        runner = ExperimentRunner(
+            run_config=RunConfig(faults=FaultPlan.parse("compaction:1.0"))
+        )
+        result = ablation_alloc_order_census(
+            runner, datasets=("test-small",)
+        )
+        assert len(result.failed_cells()) == 2
+        for row in result.rows:
+            assert str(row["property_array"]) == "FAILED(compaction)"
+        assert "FAILED(compaction)" in result.render()
+
+    def test_promotion_prop_huge_carries_the_failure(self):
+        runner = ExperimentRunner(
+            run_config=RunConfig(faults=FaultPlan.parse("compaction:1.0"))
+        )
+        (row,) = ablation_promotion_path(
+            runner, datasets=("test-small",)
+        ).rows
+        assert isinstance(row["fault+compact"], CellFailure)
+        assert row["fault+compact_prop_huge"] is row["fault+compact"]
+
+    def test_fig04_row_per_failed_cell(self):
+        """Every fig04 baseline fails under staging:1.0: one marked row
+        per (workload, dataset), not an empty table."""
+        runner = ExperimentRunner(
+            run_config=RunConfig(faults=FaultPlan.parse("staging:1.0"))
+        )
+        result = fig04_access_breakdown(runner, datasets=("test-small",))
+        assert [(r["workload"], r["array"]) for r in result.rows] == [
+            ("bfs", "-"), ("sssp", "-"), ("pagerank", "-"),
+        ]
+        assert len(result.failed_cells()) == 3
+        for row in result.rows:
+            assert str(row["access_share"]) == "FAILED(staging)"
+            assert row["walk_share"] is row["access_share"]
+
+
+class TestSpeedupHelper:
+    """``figures.speedup``: a failed baseline shows through before the
+    run, which ``RunMetrics.speedup_over`` alone cannot do."""
+
+    def failure(self, policy):
+        return CellFailure(
+            workload="bfs", dataset="test-small", policy=policy,
+            scenario="fresh", error="InjectedFaultError", message="boom",
+        )
+
+    def test_failed_baseline_first(self, runner):
+        run = run_bfs(runner, policy="thp")
+        base = self.failure("base4k")
+        assert speedup(run, base) is base
+        assert speedup(self.failure("thp"), base) is base
+
+    def test_failed_run(self, runner):
+        run = self.failure("thp")
+        assert speedup(run, run_bfs(runner)) is run
+
+    def test_both_ok(self, runner):
+        run, base = run_bfs(runner, policy="thp"), run_bfs(runner)
+        assert speedup(run, base) == run.speedup_over(base)
+
+    def test_runner_speedup_with_failed_baseline(self, runner):
+        base = self.failure("base4k")
+        runner._cache[
+            runner._cell_key("bfs", "test-small", POLICIES["base4k"], fresh())
+        ] = base
+        assert runner.speedup(
+            "bfs", "test-small", POLICIES["thp"], fresh(), POLICIES["base4k"]
+        ) is base

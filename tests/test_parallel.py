@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.config import tiny
 from repro.experiments import figures
 from repro.experiments.figures import fig07_pressure_alloc_order
 from repro.experiments.harness import (
@@ -76,13 +77,32 @@ def run_fig07(runner: ExperimentRunner):
     )
 
 
+class _Declared(Exception):
+    """Stops a figure once it has handed its batch to ``run_cells``."""
+
+
+def declared_cells(figure, runner: ExperimentRunner, **kwargs) -> list:
+    """The cells ``figure`` hands to ``runner.run_cells``, in order,
+    recorded without running them (``runner`` stays stubbed)."""
+    batches: list[list[tuple]] = []
+
+    def record(cells):
+        batches.append(list(cells))
+        raise _Declared
+
+    runner.run_cells = record
+    with pytest.raises(_Declared):
+        figure(runner, **kwargs)
+    (cells,) = batches
+    return cells
+
+
 def fig07_cells() -> list[tuple]:
-    """The fig07 batch, enumerated through the planning shim."""
-    planner = figures._PlanningRunner(ExperimentRunner())
-    fig07_pressure_alloc_order.__wrapped__(
-        planner, workloads=WORKLOADS, datasets=DATASETS
+    """The fig07 batch, as the figure declares it."""
+    return declared_cells(
+        fig07_pressure_alloc_order, ExperimentRunner(),
+        workloads=WORKLOADS, datasets=DATASETS,
     )
-    return planner.cells
 
 
 class TestResolveWorkers:
@@ -465,6 +485,9 @@ class TestPoolAdversity:
 
 
 class TestPlanningPass:
+    """A figure plans its batch up front: it declares its cells, runs
+    them with one ``run_cells`` call and reads the results."""
+
     @pytest.mark.parametrize(
         "figure",
         [
@@ -475,7 +498,7 @@ class TestPlanningPass:
         ids=lambda f: f.__name__,
     )
     def test_planned_cells_match_serial_call_order(self, figure):
-        """The planning pass must record exactly the ``run_cell`` calls
+        """The declared batch must hold exactly the ``run_cell`` calls
         a serial run makes, in the same order — that order is what makes
         the parallel journal byte-identical to the serial one."""
         runner = ExperimentRunner()
@@ -489,25 +512,51 @@ class TestPlanningPass:
         runner.run_cell = recording
         figure(runner, workloads=WORKLOADS, datasets=DATASETS)
 
-        planner = figures._PlanningRunner(ExperimentRunner())
-        figure.__wrapped__(planner, workloads=WORKLOADS, datasets=DATASETS)
         planned = [
-            (w, d, p.name, s.name) for w, d, p, s in planner.cells
+            (w, d, p.name, s.name)
+            for w, d, p, s in declared_cells(
+                figure, ExperimentRunner(),
+                workloads=WORKLOADS, datasets=DATASETS,
+            )
         ]
         assert planned == recorded
         assert planned  # the figure actually enumerates cells
 
-    def test_planning_runner_records_nothing_real(self):
-        planner = figures._PlanningRunner(ExperimentRunner())
-        outcome = planner.run_cell(
-            "bfs", "test-small", POLICIES["base4k"], fresh()
-        )
-        assert isinstance(outcome, CellFailure)
-        assert outcome.error == "planning"
-        assert planner._runner.failures == []
-        assert planner.cells == [
-            ("bfs", "test-small", POLICIES["base4k"], fresh())
-        ]
+    @pytest.mark.parametrize(
+        "figure_id",
+        [figure_id for figure_id in figures.FIGURES if figure_id != "table2"],
+    )
+    def test_one_batch_then_only_cache_hits(self, monkeypatch, figure_id):
+        """Every figure and the tournament simulate inside their one
+        ``run_cells`` batch and nowhere else: afterwards, each of the
+        batch's cells is a cache hit returning the batch's result."""
+        runner = ExperimentRunner(config=tiny(), datasets=DATASETS)
+        batches: list[tuple[list, list]] = []
+        in_batch = False
+        run_cells = runner.run_cells
+        execute = runner._execute_cell
+
+        def recording(cells):
+            nonlocal in_batch
+            in_batch = True
+            try:
+                results = run_cells(cells)
+            finally:
+                in_batch = False
+            batches.append((list(cells), results))
+            return results
+
+        def guarded(*cell):
+            assert in_batch, f"{cell[:2]} simulated outside the batch"
+            return execute(*cell)
+
+        monkeypatch.setattr(runner, "run_cells", recording)
+        monkeypatch.setattr(runner, "_execute_cell", guarded)
+        figures.FIGURES[figure_id](runner)
+        ((cells, results),) = batches
+        assert cells
+        for cell, result in zip(cells, results):
+            assert runner.run_cell(*cell) is result
 
 
 class TestPermutationCache:

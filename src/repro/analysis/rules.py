@@ -1269,7 +1269,9 @@ HOOK_METHODS = frozenset(
     {"on_fault", "on_khugepaged_scan", "on_demote_scan", "on_iteration"}
 )
 """The :class:`repro.policy.hooks.PagePolicy` decision points, plus the
-epoch step of :class:`repro.mem.heuristics.HugePageManager`."""
+epoch step of :class:`repro.mem.heuristics.HugePageManager` and
+``on_demote_scan``, the retired bloat-scan hook, so that a policy still
+defining it stays checked."""
 
 POLICY_IMPORT_ALLOWLIST = frozenset(
     {

@@ -104,7 +104,6 @@ from .machine import Machine, RunMetrics
 from .mem import HugePageManager, ThpMode, ThpPolicy
 from .policy import (
     BasePagePolicy,
-    DemoteCandidate,
     FaultContext,
     PageDecision,
     PagePolicy,
@@ -157,7 +156,6 @@ __all__ = [
     "ChaosPlan",
     "CsrGraph",
     "DATASETS",
-    "DemoteCandidate",
     "DistConfig",
     "DistCoordinator",
     "EVENT_NAMES",

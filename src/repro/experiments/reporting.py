@@ -33,15 +33,16 @@ def format_table(
     """Render rows as an aligned text table.
 
     Args:
-        rows: dictionaries sharing (a superset of) the same keys.
-        columns: column order; defaults to the first row's keys.
+        rows: dictionaries; a row without some column shows it blank.
+        columns: column order; defaults to every row's keys, in the
+            order they are first seen.
         title: optional heading line.
     """
     rows = list(rows)
     if not rows:
         return (title + "\n" if title else "") + "(no rows)"
     if columns is None:
-        columns = list(rows[0].keys())
+        columns = list(dict.fromkeys(key for row in rows for key in row))
     table = [[_format_value(row.get(col, "")) for col in columns] for row in rows]
     widths = [
         max(len(col), *(len(line[i]) for line in table))

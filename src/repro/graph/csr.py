@@ -189,13 +189,6 @@ class CsrGraph:
     # Transformations
     # ------------------------------------------------------------------
 
-    def transpose(self) -> "CsrGraph":
-        """The reverse graph (incoming edges become outgoing)."""
-        src, dst = self.edge_endpoints()
-        return CsrGraph.from_edges(
-            dst, src, self.num_vertices, weights=self.weights
-        )
-
     def relabel(self, perm: np.ndarray) -> "CsrGraph":
         """Renumber vertices: vertex ``v`` becomes ``perm[v]``.
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from ..policy.hooks import (
     BASE_PAGES,
-    DemoteCandidate,
     FaultContext,
     PageDecision,
     PromotionCandidate,
@@ -66,8 +65,8 @@ class HugePageManager(ABC):
     """Base of the run-time (epoch) policies.
 
     The kernel stays passive — base pages at fault time, nothing
-    volunteered to khugepaged, threshold splitting in demote scans — and
-    :meth:`on_iteration` makes every promotion decision.
+    volunteered to khugepaged — and :meth:`on_iteration` makes every
+    promotion decision.
     """
 
     name = "epoch"
@@ -90,15 +89,6 @@ class HugePageManager(ABC):
         view: "PolicyView",
     ) -> Sequence[PromotionCandidate]:
         return ()
-
-    def on_demote_scan(
-        self,
-        candidates: Sequence[DemoteCandidate],
-        view: "PolicyView",
-    ) -> Sequence[DemoteCandidate]:
-        return tuple(
-            c for c in candidates if c.utilization < c.threshold
-        )
 
     @abstractmethod
     def on_iteration(

@@ -11,8 +11,8 @@ Models the Linux THP machinery the paper characterizes (§2.3):
   paper attributes to huge page creation under pressure).
 - **khugepaged promotion**: a background pass that upgrades base-mapped
   eligible chunks to huge pages by copying, charged to the kernel ledger.
-- **Demotion**: splitting an underutilized huge page back into base pages
-  so unused tail pages can be reclaimed.
+- **Demotion**: splitting a huge page back into base pages, as the swap
+  path does before evicting one of its pages.
 
 The policy itself is stateless apart from its configuration; all memory
 state lives in the VMM and the physical frame map.  The one piece of
@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids cycles)
     from ..analysis.sanitizer import MemSanitizer
     from ..obs.tracer import Tracer
     from ..policy.hooks import (
-        DemoteCandidate,
         FaultContext,
         PageDecision,
         PagePolicy,
@@ -169,16 +168,6 @@ class ThpPolicy:
         """Ask the hook which eligible chunks khugepaged collapses."""
         return tuple(
             self.effective_hooks.on_khugepaged_scan(candidates, view)
-        )
-
-    def demote_selection(
-        self,
-        candidates: tuple["DemoteCandidate", ...],
-        view: "PolicyView",
-    ) -> tuple["DemoteCandidate", ...]:
-        """Ask the hook which huge chunks the bloat scan splits."""
-        return tuple(
-            self.effective_hooks.on_demote_scan(candidates, view)
         )
 
     # ------------------------------------------------------------------

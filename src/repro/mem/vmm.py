@@ -23,7 +23,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import AddressError, AllocationError, OutOfMemoryError
 from ..faults.sites import FaultSite
-from ..policy.hooks import DemoteCandidate, FaultContext, PromotionCandidate
+from ..policy.hooks import FaultContext, PromotionCandidate
 from ..policy.view import PolicyView
 from .physical import NodeMemory
 from .thp import ThpPolicy
@@ -657,47 +657,6 @@ class VirtualMemoryManager:
         if tracer is not None:
             tracer.emit("thp.demotion", vma=vma.name, chunk=chunk)
 
-    def demote_underutilized(self, vma: Vma, utilization: np.ndarray,
-                             threshold: float) -> int:
-        """Demote huge chunks whose access utilization is below
-        ``threshold`` and free their never-used tail pages.
-
-        ``utilization`` gives, per chunk, the fraction of constituent base
-        pages the workload actually uses.  Models the huge-page-bloat
-        mitigation of prior work (HawkEye-style) for the ablation benches.
-        Returns the number of demotions.
-        """
-        policy = self.policy
-        candidates = tuple(
-            DemoteCandidate(
-                vma_name=vma.name,
-                chunk=chunk,
-                utilization=float(utilization[chunk]),
-                threshold=threshold,
-            )
-            for chunk in range(vma.nchunks)
-            if vma.huge_region[chunk] >= 0 and chunk not in vma.pool_regions
-        )
-        selected = policy.demote_selection(candidates, self.policy_view)
-        if policy.hooks is not None:
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "policy.demote",
-                    policy=policy.hooks.name,
-                    candidates=len(candidates),
-                    selected=len(selected),
-                )
-        demoted = 0
-        for candidate in selected:
-            chunk = candidate.chunk
-            # Re-validate (no-op for the built-in threshold hook).
-            if vma.huge_region[chunk] < 0 or chunk in vma.pool_regions:
-                continue
-            self.demote_chunk(vma, chunk)
-            demoted += 1
-        return demoted
-
     # ------------------------------------------------------------------
     # FrameOwner protocol
     # ------------------------------------------------------------------
@@ -728,14 +687,6 @@ class VirtualMemoryManager:
             if vma.name == name:
                 return vma
         raise AddressError(f"no VMA named {name!r}")
-
-    def total_mapped_bytes(self) -> int:
-        """Sum of all mapping lengths."""
-        return sum(vma.length for vma in self.vmas)
-
-    def total_huge_bytes(self) -> int:
-        """Bytes currently backed by huge pages across all mappings."""
-        return sum(vma.huge_backed_bytes for vma in self.vmas)
 
     def iter_vmas(self) -> Iterable[Vma]:
         """All live mappings in creation order."""

@@ -66,8 +66,6 @@ EVENT_SCHEMA: dict[str, dict[str, str]] = {
                      "huge": "count"},
     "policy.khugepaged": {"policy": "name", "candidates": "count",
                           "selected": "count"},
-    "policy.demote": {"policy": "name", "candidates": "count",
-                      "selected": "count"},
     # -- physical allocator -------------------------------------------
     "mem.compaction": {"region": "index", "migrated_frames": "frames"},
     "mem.reclaim": {"frames": "frames"},

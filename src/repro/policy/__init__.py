@@ -28,7 +28,6 @@ from .builtin import BuiltinThpHook
 from .hooks import (
     BASE_PAGES,
     BasePagePolicy,
-    DemoteCandidate,
     FaultContext,
     PageDecision,
     PagePolicy,
@@ -40,7 +39,6 @@ __all__ = [
     "BASE_PAGES",
     "BasePagePolicy",
     "BuiltinThpHook",
-    "DemoteCandidate",
     "FaultContext",
     "PageDecision",
     "PagePolicy",

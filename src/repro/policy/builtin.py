@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .hooks import (
-    DemoteCandidate,
-    FaultContext,
-    PageDecision,
-    PromotionCandidate,
-)
+from .hooks import FaultContext, PageDecision, PromotionCandidate
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (avoids cycles)
     from ..mem.thp import ThpPolicy
@@ -60,15 +55,4 @@ class BuiltinThpHook:
             candidate
             for candidate in candidates
             if thp.wants_huge(candidate.advised)
-        )
-
-    def on_demote_scan(
-        self,
-        candidates: Sequence[DemoteCandidate],
-        view: "PolicyView",
-    ) -> Sequence[DemoteCandidate]:
-        return tuple(
-            candidate
-            for candidate in candidates
-            if candidate.utilization < candidate.threshold
         )

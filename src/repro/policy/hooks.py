@@ -3,7 +3,7 @@
 The paper's conclusion calls for "automatically identifying and
 exploiting the asymmetric value of huge page allocations"; in the same
 spirit as eBPF-mm's userspace memory-management hooks, this module
-exposes the simulator's three THP decision points behind a stable,
+exposes the simulator's two THP decision points behind a stable,
 deterministic callback interface:
 
 - :meth:`PagePolicy.on_fault` — first-touch of an eligible chunk:
@@ -12,10 +12,7 @@ deterministic callback interface:
   path);
 - :meth:`PagePolicy.on_khugepaged_scan` — the background daemon's scan:
   given every collapse-eligible chunk (:class:`PromotionCandidate`),
-  return the ones to promote, in order;
-- :meth:`PagePolicy.on_demote_scan` — the bloat-control scan: given the
-  huge-mapped chunks and their observed utilization
-  (:class:`DemoteCandidate`), return the ones to split.
+  return the ones to promote, in order.
 
 Determinism contract (docs/policies.md, lint rule REP013): callbacks
 receive *values* (frozen contexts plus a read-only
@@ -111,26 +108,6 @@ class PromotionCandidate:
     raw_index: int = 0
 
 
-@dataclass(frozen=True)
-class DemoteCandidate:
-    """One huge-mapped chunk offered to the demotion (bloat) scan.
-
-    Attributes:
-        vma_name: name of the owning mapping.
-        chunk: chunk index within the mapping.
-        utilization: fraction of the chunk's base pages the workload
-            actually uses (the caller's observed signal).
-        threshold: the caller's utilization threshold (the legacy
-            ``demote_underutilized`` cutoff, provided so threshold
-            policies need no out-of-band state).
-    """
-
-    vma_name: str
-    chunk: int
-    utilization: float
-    threshold: float
-
-
 @runtime_checkable
 class PagePolicy(Protocol):
     """The stable hook interface for page-size management policies.
@@ -155,20 +132,12 @@ class PagePolicy(Protocol):
         """Pick the candidates to collapse, in promotion order."""
         ...  # pragma: no cover - protocol
 
-    def on_demote_scan(
-        self,
-        candidates: Sequence[DemoteCandidate],
-        view: "PolicyView",
-    ) -> Sequence[DemoteCandidate]:
-        """Pick the huge chunks to split back to base pages."""
-        ...  # pragma: no cover - protocol
-
 
 class BasePagePolicy:
     """Convenience base: a do-nothing policy to subclass.
 
-    Defaults: base pages at fault time, no promotions, no demotions —
-    override only the decision points the policy cares about.
+    Defaults: base pages at fault time, no promotions — override only
+    the decision points the policy cares about.
     """
 
     name = "noop"
@@ -183,11 +152,4 @@ class BasePagePolicy:
         candidates: Sequence[PromotionCandidate],
         view: "PolicyView",
     ) -> Sequence[PromotionCandidate]:
-        return ()
-
-    def on_demote_scan(
-        self,
-        candidates: Sequence[DemoteCandidate],
-        view: "PolicyView",
-    ) -> Sequence[DemoteCandidate]:
         return ()

@@ -65,16 +65,6 @@ class PolicyView:
 
     # -- address space -------------------------------------------------
 
-    @property
-    def mapped_bytes(self) -> int:
-        """Sum of all live mapping lengths."""
-        return int(self._vmm.total_mapped_bytes())
-
-    @property
-    def huge_bytes(self) -> int:
-        """Bytes currently backed by huge pages across all mappings."""
-        return int(self._vmm.total_huge_bytes())
-
     def vma_names(self) -> tuple[str, ...]:
         """Live mapping names, in creation order."""
         return tuple(vma.name for vma in self._vmm.iter_vmas())

@@ -41,12 +41,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from ..mem.heuristics import HotnessManager, UtilizationManager
-from .hooks import (
-    DemoteCandidate,
-    FaultContext,
-    PageDecision,
-    PromotionCandidate,
-)
+from .hooks import FaultContext, PageDecision, PromotionCandidate
 from .registry import register_policy
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -60,8 +55,7 @@ class AdvisorHook:
     intelligence into the placement plan (which arrays/prefixes carry
     ``MADV_HUGEPAGE``), so its run-time hook is the kernel's advised
     semantics: back advised full chunks with huge pages at fault time,
-    collapse advised candidates in khugepaged passes, split
-    underutilized huge pages in demote scans.  Expressed as a
+    collapse advised candidates in khugepaged passes.  Expressed as a
     first-class hook (rather than the ``madvise`` knob) so the advisor
     participates in the policy API like any zoo member — its decisions
     surface as ``policy.*`` trace events under ``--trace``.
@@ -82,15 +76,6 @@ class AdvisorHook:
         view: "PolicyView",
     ) -> Sequence[PromotionCandidate]:
         return tuple(c for c in candidates if c.advised)
-
-    def on_demote_scan(
-        self,
-        candidates: Sequence[DemoteCandidate],
-        view: "PolicyView",
-    ) -> Sequence[DemoteCandidate]:
-        return tuple(
-            c for c in candidates if c.utilization < c.threshold
-        )
 
 
 class SampledHotnessManager(HotnessManager):

@@ -565,6 +565,14 @@ class BatchTranslationHierarchy:
         occurrences of non-carried keys, in program order), or None
         when any set can overflow — those streams go to the chunked
         engine.
+
+        No perfbench workload reaches it (0 of 87 calls across the
+        three), but ``benchmarks/bench_translation_kernel.py`` does:
+        its ``road-m/pagerank/paper-x86/hugetlb-all`` cell replays at
+        9.8-16x the exact engine with this path and 5.3-7.0x with
+        it forced to return None (identical counts both ways, 2 vCPUs),
+        below the bench's 10x gate.  The screen costs under 7 ms per
+        tournament operation.
         """
         state0 = [s.state_keys for s in self._l1_structures]
         hi = kmax

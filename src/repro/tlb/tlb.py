@@ -1,9 +1,15 @@
 """A set-associative TLB with true-LRU replacement.
 
-This class provides the reference object API used by unit and property
-tests; the batch simulation hot path in :mod:`repro.tlb.hierarchy`
-manipulates the same ``sets`` representation directly for speed (lists
-ordered MRU-first), so the two always agree.
+This class is the per-access reference the engines are checked
+against: ``tests/test_tlb_properties.py``,
+``tests/test_engine_properties.py`` and ``tests/test_hierarchy.py``
+compare the engines' ``simulate`` with :meth:`SetAssociativeTlb.access`,
+``probe``, ``insert`` and ``flush`` and with
+:meth:`TranslationHierarchy.access_one
+<repro.tlb.hierarchy.TranslationHierarchy.access_one>`.  The batch
+simulation hot path in :mod:`repro.tlb.hierarchy` manipulates the same
+``sets`` representation directly for speed (lists ordered MRU-first),
+so the two always agree.
 """
 
 from __future__ import annotations
@@ -75,14 +81,6 @@ class SetAssociativeTlb:
             return evicted
         return None
 
-    def invalidate(self, key: int) -> bool:
-        """Remove ``key`` (TLB shootdown for one page); True if present."""
-        if key in self.resident:
-            self.resident.discard(key)
-            self.sets[(key >> 1) & self.set_mask].remove(key)
-            return True
-        return False
-
     def flush(self) -> None:
         """Invalidate every entry (full shootdown)."""
         for entries in self.sets:
@@ -98,8 +96,3 @@ class SetAssociativeTlb:
     def accesses(self) -> int:
         """Total lookups through :meth:`access`."""
         return self.hits + self.misses
-
-    def reset_counters(self) -> None:
-        """Zero hit/miss counters without flushing contents."""
-        self.hits = 0
-        self.misses = 0

@@ -26,7 +26,6 @@ from .base import (
 )
 from .layout import AllocationOrder, ArraySpec, MemoryLayout
 from .bfs import Bfs
-from .cc import ConnectedComponents
 from .sssp import Sssp
 from .pagerank import PageRank
 from .registry import WORKLOADS, create_workload, workload_names
@@ -41,7 +40,6 @@ __all__ = [
     "AllocationOrder",
     "ArraySpec",
     "Bfs",
-    "ConnectedComponents",
     "MemoryLayout",
     "PageRank",
     "Sssp",

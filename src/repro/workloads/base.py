@@ -129,10 +129,8 @@ class Workload(ABC):
         Every access is written straight to its program-order slot.
         Edge ``e`` contributes ``per_edge`` consecutive slots (edge,
         [value,] property).  Vertex ``i``'s ``kv`` reads land just
-        before edge ``min(off_i, E)``, where ``off_i`` is the degree
-        prefix sum of the frontier up to ``i`` (from ``self.graph``, even
-        when ``edge_positions`` come from another graph) and ``E`` the
-        edge count.  So edge ``e``, slot ``t`` lands at ``e * per_edge +
+        before edge ``off_i``, the degree prefix sum of the frontier up
+        to ``i``.  So edge ``e``, slot ``t`` lands at ``e * per_edge +
         t + kv * #{i : off_i <= e}``.  Vertices sharing one offset (runs
         of zero-degree vertices) emit their reads kind by kind: every
         ``indptr[u]`` read, then every ``indptr[u+1]`` read, then the
@@ -221,15 +219,13 @@ def _edge_phase_blocks(
     """The blocks of :meth:`Workload.edge_phase_stream`, in order.
 
     The frontier's degree offsets are computed once.  The frontier is
-    cut only before a vertex whose clamped offset rises, so the block
-    before the cut ends exactly where that vertex's reads begin: it
-    holds every earlier vertex's reads and every edge below the cut's
-    offset.  A group of vertices sharing one offset is never split, and
-    the last block takes every remaining edge (offsets taken from
-    another graph can leave edges after the last vertex).  Cuts are
-    placed greedily, each at the last candidate at most
-    :data:`_BLOCK` accesses past the previous one; a vertex whose edge
-    burst alone is longer makes one oversized block.
+    cut only before a vertex whose offset rises, so the block before
+    the cut ends exactly where that vertex's reads begin: it holds every
+    earlier vertex's reads and every edge below the cut's offset.  A
+    group of vertices sharing one offset is never split.  Cuts are
+    placed greedily, each at the last candidate at most :data:`_BLOCK`
+    accesses past the previous one; a vertex whose edge burst alone is
+    longer makes one oversized block.
     """
     num_edges = int(property_targets.size)
     per_edge = 3 if with_values else 2
@@ -238,11 +234,10 @@ def _edge_phase_blocks(
     total = num_edges * per_edge + n * kv
     offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(np.diff(indptr)[frontier[:-1]], out=offsets[1:])
-    clamped = np.minimum(offsets, num_edges)
-    # Candidate cuts: vertices whose clamped offset rises, with the
-    # stream position of their first read.
-    rise = np.flatnonzero(clamped[1:] != clamped[:-1]) + 1
-    rise_at = clamped[rise] * per_edge + kv * rise
+    # Candidate cuts: vertices whose offset rises, with the stream
+    # position of their first read.
+    rise = np.flatnonzero(offsets[1:] != offsets[:-1]) + 1
+    rise_at = offsets[rise] * per_edge + kv * rise
     cuts, at = [0], 0
     while total - at > _BLOCK:
         k = int(np.searchsorted(rise_at, at + _BLOCK, side="right")) - 1
@@ -252,7 +247,7 @@ def _edge_phase_blocks(
                 break
         cuts.append(int(rise[k]))
         at = int(rise_at[k])
-    edge_cuts = [0] + [int(clamped[c]) for c in cuts[1:]] + [num_edges]
+    edge_cuts = [0] + [int(offsets[c]) for c in cuts[1:]] + [num_edges]
     cuts.append(n)
     for i in range(len(cuts) - 1):
         lo, hi = cuts[i], cuts[i + 1]
@@ -306,10 +301,9 @@ def _edge_phase_block(
     indices = np.empty(total, dtype=np.int64)
 
     offsets = offsets - edge_lo
-    clamped = np.minimum(offsets, num_edges)
 
     # Edge slots: shifted by the vertex reads placed before them.
-    dest = np.bincount(clamped, minlength=num_edges + 1)[:num_edges]
+    dest = np.bincount(offsets, minlength=num_edges + 1)[:num_edges]
     np.cumsum(dest, out=dest)
     dest *= kv
     dest += np.arange(0, num_edges * per_edge, per_edge)
@@ -330,7 +324,7 @@ def _edge_phase_block(
     group = np.cumsum(starts) - 1
     first = firsts[group]
     size = np.diff(np.append(firsts, n))[group]
-    vdest = clamped * per_edge + (kv - 1) * first + np.arange(n)
+    vdest = offsets * per_edge + (kv - 1) * first + np.arange(n)
     for array_id, ids in vertex_reads:
         array_ids[vdest] = array_id
         indices[vdest] = ids

@@ -8,7 +8,6 @@ from ..errors import WorkloadError
 from ..graph.csr import CsrGraph
 from .base import Workload
 from .bfs import Bfs
-from .cc import ConnectedComponents
 from .pagerank import PageRank
 from .sssp import Sssp
 
@@ -16,10 +15,8 @@ WORKLOADS: dict[str, Callable[..., Workload]] = {
     "bfs": Bfs,
     "sssp": Sssp,
     "pagerank": PageRank,
-    "cc": ConnectedComponents,
 }
-"""Name -> workload factory (the paper's three applications plus the
-BFS-derived Connected Components extension)."""
+"""Name -> workload factory (the paper's three applications)."""
 
 def workload_names() -> tuple[str, ...]:
     """All registered workload names."""

@@ -221,24 +221,6 @@ class TestDegrees:
         assert g.average_degree == pytest.approx(0.5)
 
 
-class TestTranspose:
-    def test_transpose_reverses_edges(self):
-        g = CsrGraph.from_edges(np.array([0, 1]), np.array([1, 2]), 3)
-        t = g.transpose()
-        assert t.neighbors(1).tolist() == [0]
-        assert t.neighbors(2).tolist() == [1]
-        assert t.num_edges == g.num_edges
-
-    def test_double_transpose_preserves_structure(self, small_graph):
-        tt = small_graph.transpose().transpose()
-        assert np.array_equal(tt.indptr, small_graph.indptr)
-        # Neighbor multisets per vertex must match.
-        for v in range(small_graph.num_vertices):
-            assert sorted(tt.neighbors(v).tolist()) == sorted(
-                small_graph.neighbors(v).tolist()
-            )
-
-
 class TestRelabel:
     def test_relabel_identity(self, small_graph):
         perm = np.arange(small_graph.num_vertices)

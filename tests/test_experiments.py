@@ -151,6 +151,12 @@ class TestReporting:
     def test_format_empty(self):
         assert "(no rows)" in format_table([])
 
+    def test_default_columns_are_every_rows_keys(self):
+        """A key only later rows carry still gets a column, placed in
+        first-seen order."""
+        text = format_table([{"a": 1}, {"a": 2, "b": 3}, {"c": 4, "a": 5}])
+        assert text.splitlines()[0].split() == ["a", "b", "c"]
+
     def test_missing_columns_blank(self):
         text = format_table([{"a": 1}, {"b": 2}], columns=["a", "b"])
         assert "a" in text and "b" in text

@@ -81,13 +81,6 @@ class TestHarnessIntegration:
         # chunk, so no chunk qualifies — the run must still complete.
         assert metrics.workload == "bfs"
 
-    def test_cc_workload_through_harness(self, runner):
-        metrics = runner.run_cell(
-            "cc", "test-small", POLICIES["base4k"], fresh()
-        )
-        assert metrics.workload == "cc"
-        assert metrics.translation.total_accesses > 0
-
     def test_manager_and_selective_cells_are_distinct(self, runner):
         a = runner.run_cell(
             "bfs", "test-small", get_policy("hawkeye"), fresh()

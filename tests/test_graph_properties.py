@@ -51,19 +51,6 @@ def test_from_edges_invariants(data):
     assert original == rebuilt
 
 
-@given(edge_lists())
-@settings(max_examples=100, deadline=None)
-def test_transpose_is_involution_on_edge_multiset(data):
-    n, src, dst = data
-    g = CsrGraph.from_edges(src, dst, n)
-    t = g.transpose()
-    s1, d1 = g.edge_endpoints()
-    s2, d2 = t.edge_endpoints()
-    assert sorted(zip(s1.tolist(), d1.tolist())) == sorted(
-        zip(d2.tolist(), s2.tolist())
-    )
-
-
 @given(edge_lists(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=100, deadline=None)
 def test_relabel_preserves_structure(data, seed):

@@ -195,26 +195,6 @@ def test_scatter_equals_argsort_on_random_frontiers(flags):
 
 
 @pytest.mark.parametrize("flags", FLAGS)
-def test_scatter_equals_argsort_with_mismatched_degrees(flags):
-    """Edges from one graph, degrees from another (as CC passes its
-    symmetrized edges with the input graph's degrees): offsets may fall
-    inside another vertex's edges or past the last edge."""
-    rng = np.random.default_rng(100 + sum(f << i for i, f in enumerate(flags)))
-    for _ in range(25):
-        degree_graph = _graph_with_zero_degree_runs(
-            rng, num_edges=int(rng.integers(0, 400))
-        )
-        edge_graph = _graph_with_zero_degree_runs(rng)
-        frontier = rng.permutation(degree_graph.num_vertices)[
-            : int(rng.integers(1, degree_graph.num_vertices + 1))
-        ]
-        edge_positions, targets = _Probe(edge_graph).gather_frontier_edges(
-            frontier
-        )
-        _check(degree_graph, frontier, edge_positions, targets, flags)
-
-
-@pytest.mark.parametrize("flags", FLAGS)
 def test_scatter_equals_argsort_on_empty_frontier(flags):
     graph = uniform_graph(num_vertices=32, num_edges=128, seed=5)
     empty = np.empty(0, dtype=np.int64)
@@ -241,10 +221,10 @@ def test_scatter_tie_rule_on_a_zero_degree_run():
     assert stream.indices.tolist() == [0, 1, 2, 1, 2, 3, 0, 1, 2, 0, 1, 2, 0, 0]
 
 
-@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank", "cc"])
+@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank"])
 def test_every_kernel_stream_equals_argsort(name, monkeypatch):
-    """Each kernel's real frontier passes, CC's symmetrized edges
-    included, build the same stream both ways."""
+    """Each kernel's real frontier passes build the same stream both
+    ways."""
     graph = uniform_graph(num_vertices=256, num_edges=1024, seed=9, weighted=True)
     checked = []
     scatter = Workload.edge_phase_stream
@@ -304,13 +284,13 @@ def _check_blocks(graph, frontier, edge_positions, targets, flags, target):
         graph, frontier, edge_positions, targets, **kwargs
     )
     _assert_streams_equal(joined, want)
-    # The longest burst: one group of vertices sharing a clamped offset,
-    # with the edges up to the next group's.
+    # The longest burst: one group of vertices sharing an offset, with
+    # the edges up to the next group's.
     kv = 2 + int(with_source_property) + int(source_rank_reads)
     per_edge = 3 if with_values else 2
     num_edges = int(targets.size)
     degrees = np.diff(graph.indptr)[frontier]
-    offsets = np.minimum(np.cumsum(degrees) - degrees, num_edges)
+    offsets = np.cumsum(degrees) - degrees
     starts, count = np.unique(offsets, return_counts=True)
     edges = np.diff(np.append(starts, num_edges))
     burst = int((kv * count + per_edge * edges).max(initial=0))
@@ -359,26 +339,6 @@ def test_blocks_equal_argsort_with_a_hub_burst(flags, block):
 
 
 @pytest.mark.parametrize("flags", FLAGS)
-def test_blocks_equal_argsort_with_mismatched_degrees(flags, block):
-    """CC's layout: edges from the symmetrized graph, offsets from the
-    input graph, so offsets land inside other vertices' edges or past
-    the last edge, and the last block takes every remaining edge."""
-    rng = np.random.default_rng(400 + sum(f << i for i, f in enumerate(flags)))
-    for _ in range(10):
-        degree_graph = _graph_with_zero_degree_runs(
-            rng, num_edges=int(rng.integers(0, 400))
-        )
-        edge_graph = _graph_with_zero_degree_runs(rng)
-        frontier = rng.permutation(degree_graph.num_vertices)[
-            : int(rng.integers(1, degree_graph.num_vertices + 1))
-        ]
-        edge_positions, targets = _Probe(edge_graph).gather_frontier_edges(
-            frontier
-        )
-        _check_blocks(degree_graph, frontier, edge_positions, targets, flags, block)
-
-
-@pytest.mark.parametrize("flags", FLAGS)
 def test_blocks_of_an_empty_frontier(flags, block):
     graph = uniform_graph(num_vertices=32, num_edges=128, seed=5)
     empty = np.empty(0, dtype=np.int64)
@@ -403,7 +363,7 @@ def test_blocks_of_a_whole_array_sweep(block):
     _assert_streams_equal(stream, want)
 
 
-@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank", "cc"])
+@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank"])
 def test_unread_stream_translates_like_its_materialized_twin(name, block):
     """A stream translated straight from its blocks, its columns never
     read, gives the masked translation of the same stream made whole,
@@ -787,7 +747,7 @@ def test_fused_empty_and_single_access_streams(length, chunk):
     assert trace.access_totals().sum() == length
 
 
-@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank", "cc"])
+@pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank"])
 def test_fused_equals_masked_on_every_kernel(name, chunk, monkeypatch):
     """Every stream of every kernel (SSSP's values array included), run
     on a machine under THP, checked whole at chunk sizes 64 and the

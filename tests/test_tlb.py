@@ -38,20 +38,6 @@ class TestBasics:
         assert tlb.occupancy == 0
         assert tlb.access(1 << 1) is False
 
-    def test_invalidate(self):
-        tlb = make()
-        tlb.access(1 << 1)
-        assert tlb.invalidate(1 << 1) is True
-        assert tlb.invalidate(1 << 1) is False
-        assert tlb.access(1 << 1) is False
-
-    def test_reset_counters_keeps_contents(self):
-        tlb = make()
-        tlb.access(1 << 1)
-        tlb.reset_counters()
-        assert tlb.hits == 0 and tlb.misses == 0
-        assert tlb.access(1 << 1) is True
-
 
 class TestLruReplacement:
     def test_lru_eviction_order(self):

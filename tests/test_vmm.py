@@ -172,15 +172,6 @@ class TestPromotionDemotion:
         assert vma.resident_pages == vma.npages
         assert node.ledger.counts["demotions"] == 1
 
-    def test_demote_underutilized(self, node, tiny_cfg):
-        vmm = make_vmm(node, tiny_cfg, ThpPolicy.always())
-        vma = vmm.mmap("a", 4 * tiny_cfg.pages.huge_page_size)
-        vmm.touch(vma)
-        utilization = np.array([1.0, 0.1, 0.5, 0.0])
-        demoted = vmm.demote_underutilized(vma, utilization, threshold=0.4)
-        assert demoted == 2
-        assert vma.huge_chunk_count == 2
-
 
 class TestSwap:
     def test_swap_out_and_in(self, node, tiny_cfg):

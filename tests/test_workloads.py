@@ -148,7 +148,7 @@ class TestUniqueVertices:
 
 class TestRegistry:
     def test_names(self):
-        assert set(workload_names()) == {"bfs", "sssp", "pagerank", "cc"}
+        assert set(workload_names()) == {"bfs", "sssp", "pagerank"}
 
     def test_create(self, small_weighted_graph):
         for name in workload_names():

@@ -40,7 +40,6 @@ def _run_once(graph, dataset_name: str, attach_null: bool) -> float:
     if attach_null:
         null = NullSanitizer()
         machine.sanitizer = null
-        machine.thp.sanitizer = null
         machine.physical.sanitizer = null
         for node in machine.physical.nodes:
             node.sanitizer = null

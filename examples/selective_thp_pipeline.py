@@ -48,7 +48,7 @@ def main() -> None:
 
     scenario = fragmented(0.5)
     advisor_policy = Policy(
-        name="advisor", thp_factory=ThpPolicy.madvise, plan=report.plan
+        name="advisor", thp=ThpPolicy.madvise(), plan=report.plan
     )
     base = runner.run_cell("bfs", dataset_name, POLICIES["base4k"], scenario)
     greedy = runner.run_cell("bfs", dataset_name, POLICIES["thp"], scenario)

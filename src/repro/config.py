@@ -27,7 +27,7 @@ Three named profiles are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError
@@ -243,10 +243,6 @@ class MachineConfig:
         (exactly 0.5GB on ``paper-x86``, 0.5MB on ``scaled``).
         """
         return self.node_memory_bytes // 64
-
-    def with_overrides(self, **kwargs: object) -> "MachineConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)  # type: ignore[arg-type]
 
 
 def paper_x86() -> MachineConfig:

@@ -712,7 +712,7 @@ class ExperimentRunner:
         workload = self._make_workload(workload_name, graph)
         machine = Machine(
             self.config,
-            policy.make_thp(),
+            policy.thp,
             injector=injector,
             # sanitize=None defers to REPRO_SANITIZE / set_sanitize();
             # trace=True arms a fresh per-cell tracer (repro.obs).

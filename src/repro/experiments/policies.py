@@ -24,7 +24,7 @@ the one policy registry (:mod:`repro.policy.registry`), which is how
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.plan import PlacementPlan
 from ..core.selective import selective_property_plan
@@ -53,20 +53,15 @@ class Policy:
     """
 
     name: str
-    thp_factory: Callable[[], ThpPolicy]
+    thp: ThpPolicy
     plan: PlacementPlan
     spec: Optional[str] = field(default=None, compare=False)
-
-    def make_thp(self) -> ThpPolicy:
-        """Fresh THP policy object (policies are stateless; machines are
-        not)."""
-        return self.thp_factory()
 
 
 def _madvise_one(array_id: int, array_name: str) -> Policy:
     return Policy(
         name=f"madv-{array_name}",
-        thp_factory=ThpPolicy.madvise,
+        thp=ThpPolicy.madvise(),
         plan=PlacementPlan(
             advise_fractions={array_id: 1.0},
             label=f"madv-{array_name}",
@@ -78,19 +73,19 @@ def _madvise_one(array_id: int, array_name: str) -> Policy:
 POLICIES: dict[str, Policy] = {
     "base4k": Policy(
         name="base4k",
-        thp_factory=ThpPolicy.never,
+        thp=ThpPolicy.never(),
         plan=PlacementPlan(label="base4k"),
         spec="base4k",
     ),
     "thp": Policy(
         name="thp",
-        thp_factory=ThpPolicy.always,
+        thp=ThpPolicy.always(),
         plan=PlacementPlan(label="thp"),
         spec="thp",
     ),
     "thp-opt": Policy(
         name="thp-opt",
-        thp_factory=ThpPolicy.always,
+        thp=ThpPolicy.always(),
         plan=PlacementPlan(
             order=AllocationOrder.PROPERTY_FIRST, label="thp-opt"
         ),
@@ -102,13 +97,13 @@ POLICIES: dict[str, Policy] = {
     "madv-property": _madvise_one(ARRAY_PROPERTY, "property"),
     "dbg": Policy(
         name="dbg",
-        thp_factory=ThpPolicy.never,
+        thp=ThpPolicy.never(),
         plan=PlacementPlan(reorder="dbg", label="dbg"),
         spec="dbg",
     ),
     "dbg+thp": Policy(
         name="dbg+thp",
-        thp_factory=ThpPolicy.always,
+        thp=ThpPolicy.always(),
         plan=PlacementPlan(reorder="dbg", label="dbg+thp"),
         spec="dbg+thp",
     ),
@@ -124,7 +119,7 @@ def selective_policy(
     plan = selective_property_plan(fraction, reorder=reorder)
     return Policy(
         name=plan.label,
-        thp_factory=ThpPolicy.madvise,
+        thp=ThpPolicy.madvise(),
         plan=plan,
         spec=f"selective:{float(fraction)!r}:{reorder}",
     )
@@ -136,7 +131,7 @@ def hugetlb_policy(fraction: float = 1.0, reorder: str = "dbg") -> Policy:
     THP).  THP stays off: every other array uses base pages."""
     return Policy(
         name=f"hugetlb(s={fraction:.0%},{reorder})",
-        thp_factory=ThpPolicy.never,
+        thp=ThpPolicy.never(),
         plan=PlacementPlan(
             order=AllocationOrder.PROPERTY_FIRST,
             hugetlb_fractions={ARRAY_PROPERTY: fraction},

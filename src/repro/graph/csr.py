@@ -26,12 +26,16 @@ def _integer_ids(values: np.ndarray, what: str) -> np.ndarray:
     """``values`` as an array, rejecting non-integer dtypes.
 
     Casting float ids to an integer type would truncate them silently
-    (``0.7`` becomes vertex 0), so they are an error instead.
+    (``0.7`` becomes vertex 0), so they are an error instead.  An empty
+    sequence (``[]`` is float to numpy) holds no ids to truncate.
 
     Raises:
-        GraphError: if the dtype is not an integer type.
+        GraphError: if the dtype of a non-empty sequence is not an
+            integer type.
     """
     ids = np.asarray(values)
+    if ids.size == 0:
+        return ids.astype(np.int64)
     if not np.issubdtype(ids.dtype, np.integer):
         raise GraphError(f"{what} must be integers, got dtype {ids.dtype}")
     return ids

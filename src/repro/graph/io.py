@@ -1,10 +1,6 @@
 """Graph (de)serialization and on-disk size accounting.
 
-Two formats:
-
-- a compact binary format (numpy ``.npz``) used by the examples to avoid
-  regenerating graphs,
-- a plain edge-list text format for interchange and tests.
+A plain edge-list text format for interchange and tests.
 
 :func:`on_disk_bytes` reports how large a graph's file representation is
 — the number that drives the page-cache interference model of §4.3: when
@@ -35,25 +31,6 @@ def on_disk_bytes(graph: CsrGraph) -> int:
     if graph.weights is not None:
         elements += graph.weights.size
     return elements * EDGE_RECORD_BYTES
-
-
-def save_npz(graph: CsrGraph, path: str) -> None:
-    """Write the graph to ``path`` in compressed numpy format."""
-    arrays = {"indptr": graph.indptr, "indices": graph.indices}
-    if graph.weights is not None:
-        arrays["weights"] = graph.weights
-    np.savez_compressed(path, **arrays)
-
-
-def load_npz(path: str) -> CsrGraph:
-    """Load a graph written by :func:`save_npz`."""
-    if not os.path.exists(path):
-        raise GraphError(f"no such graph file: {path}")
-    with np.load(path) as data:
-        weights: Optional[np.ndarray] = (
-            data["weights"] if "weights" in data.files else None
-        )
-        return CsrGraph(data["indptr"], data["indices"], weights)
 
 
 def save_edge_list(graph: CsrGraph, path: str) -> None:

@@ -72,15 +72,10 @@ class Machine:
             if plan is not None and plan.enabled:
                 injector = plan.make_injector()
         self.fault_injector = injector
-        if injector is not None:
-            # The THP engine consults the injector through its gates
-            # (promotion / demotion / khugepaged stalls).
-            self.thp.injector = injector
         # MemSan: sanitize=None defers to REPRO_SANITIZE / set_sanitize();
         # an explicit False wins over the environment (the overhead
         # benchmark's baseline needs a guaranteed-off machine).
         self.sanitizer = make_sanitizer(sanitize)
-        self.thp.sanitizer = self.sanitizer
         self.physical = PhysicalMemory(
             self.config, injector=injector, sanitizer=self.sanitizer
         )
@@ -99,7 +94,6 @@ class Machine:
             # every emission — finish_setup()'s ledger swap is picked up
             # transparently.
             trace.bind_clock(lambda: self.physical.ledger.total_cycles)
-            self.thp.tracer = trace
             for node in self.physical.nodes:
                 node.tracer = trace
             self.page_cache.tracer = trace

@@ -77,6 +77,10 @@ class SimProcess:
         """
         pages = self.config.pages
         for spec in self.layout.allocation_sequence():
+            if spec.length_bytes == 0:
+                # An edgeless graph's edge arrays: nothing to map, and
+                # no access can name them.
+                continue
             vma = self.vmm.mmap(spec.name, spec.length_bytes)
             # translate() reads a VPN's huge page as vpn >> (huge_shift -
             # base_shift), which needs huge-aligned mappings.

@@ -14,36 +14,29 @@ Models the Linux THP machinery the paper characterizes (§2.3):
 - **Demotion**: splitting a huge page back into base pages, as the swap
   path does before evicting one of its pages.
 
-The policy itself is stateless apart from its configuration; all memory
-state lives in the VMM and the physical frame map.  The one piece of
-machinery the policy *does* carry is the fault-injection hook: the
-machine attaches its :class:`~repro.faults.injector.FaultInjector`, and
-the promotion / demotion / khugepaged paths consult it through the
-``check_*`` gates below before doing any work — so injected THP-side
-failures (a stalling daemon, a collapse that aborts, a split that
-cannot complete) fire at well-defined points of the engine.
+:class:`ThpPolicy` is a frozen value: the kernel's THP settings plus an
+optional :class:`~repro.policy.hooks.PagePolicy` that overrides them at
+every decision point.  Without one, the policy is its own hook — its
+``on_fault`` / ``on_khugepaged_scan`` apply the knobs — so the built-in
+modes run on the same code path as any zoo policy, pinned byte-identical
+to the historical hardwired logic by ``tests/test_policy_golden.py``.
+All memory state lives in the VMM and the physical frame map, and the
+machine's fault injector, MemSan sanitizer and tracer live on its NUMA
+nodes, where the VMM's promotion / demotion / khugepaged gates reach
+them; one policy value can therefore back any number of machines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..faults.injector import FaultInjector
-from ..faults.sites import FaultSite
+from ..policy.hooks import PageDecision
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (avoids cycles)
-    from ..analysis.sanitizer import MemSanitizer
-    from ..obs.tracer import Tracer
-    from ..policy.hooks import (
-        FaultContext,
-        PageDecision,
-        PagePolicy,
-        PromotionCandidate,
-    )
+    from ..policy.hooks import FaultContext, PagePolicy, PromotionCandidate
     from ..policy.view import PolicyView
-    from .vmm import Vma
 
 
 class ThpMode(Enum):
@@ -54,9 +47,9 @@ class ThpMode(Enum):
     ALWAYS = "always"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThpPolicy:
-    """Configuration of the THP machinery.
+    """Configuration of the THP machinery, and its built-in hook.
 
     Attributes:
         mode: system-wide enablement (see :class:`ThpMode`).
@@ -73,24 +66,11 @@ class ThpPolicy:
         khugepaged_enabled: background promotion passes run between
             workload phases.
         khugepaged_compact: khugepaged may compact/reclaim to find regions.
-        injector: fault injector attached by the machine; ``None`` (the
-            default) keeps every THP path fault-free.  Excluded from
-            equality so configured policies still compare by settings.
-        sanitizer: MemSan instance attached by the machine; ``None`` (the
-            default) keeps every THP gate check-free.  Excluded from
-            equality for the same reason as ``injector``.
-        tracer: observability tracer attached by the machine; ``None``
-            (the default) keeps every THP path emission-free — the
-            zero-cost-when-off guard discipline of
-            :mod:`repro.obs`.  Excluded from equality like the other
-            attachments.
-        hooks: an attached :class:`~repro.policy.hooks.PagePolicy`
-            overriding the boolean knobs at every decision point
-            (docs/policies.md).  ``None`` (the default) dispatches to
-            the built-in hook derived from the knobs above — the same
-            code path, pinned byte-identical to the historical
-            hardwired logic.  Excluded from equality like the other
-            attachments.
+        hooks: a :class:`~repro.policy.hooks.PagePolicy` overriding the
+            boolean knobs at every decision point (docs/policies.md).
+            ``None`` (the default) makes this policy its own hook.
+            Excluded from equality, so configured policies compare by
+            settings.
     """
 
     mode: ThpMode = ThpMode.NEVER
@@ -99,20 +79,8 @@ class ThpPolicy:
     fault_reclaim: bool = True
     khugepaged_enabled: bool = True
     khugepaged_compact: bool = True
-    injector: Optional[FaultInjector] = field(
-        default=None, repr=False, compare=False
-    )
-    sanitizer: Optional["MemSanitizer"] = field(
-        default=None, repr=False, compare=False
-    )
-    tracer: Optional["Tracer"] = field(
-        default=None, repr=False, compare=False
-    )
     hooks: Optional["PagePolicy"] = field(
         default=None, repr=False, compare=False
-    )
-    _builtin: Optional["PagePolicy"] = field(
-        default=None, repr=False, compare=False, init=False
     )
 
     @staticmethod
@@ -139,79 +107,35 @@ class ThpPolicy:
         return False
 
     # ------------------------------------------------------------------
-    # Policy-hook dispatch (docs/policies.md)
+    # The built-in hook (docs/policies.md)
     # ------------------------------------------------------------------
 
     @property
-    def effective_hooks(self) -> "PagePolicy":
-        """The hook receiving every decision: the attached ``hooks``
-        policy, or the lazily built adapter over this policy's knobs."""
-        if self.hooks is not None:
-            return self.hooks
-        if self._builtin is None:
-            from ..policy.builtin import BuiltinThpHook
+    def name(self) -> str:
+        return f"builtin:{self.mode.value}"
 
-            self._builtin = BuiltinThpHook(self)
-        return self._builtin
-
-    def fault_decision(
+    def on_fault(
         self, ctx: "FaultContext", view: "PolicyView"
-    ) -> "PageDecision":
-        """Ask the hook how to back a first-touched chunk."""
-        return self.effective_hooks.on_fault(ctx, view)
-
-    def khugepaged_selection(
-        self,
-        candidates: tuple["PromotionCandidate", ...],
-        view: "PolicyView",
-    ) -> tuple["PromotionCandidate", ...]:
-        """Ask the hook which eligible chunks khugepaged collapses."""
-        return tuple(
-            self.effective_hooks.on_khugepaged_scan(candidates, view)
+    ) -> PageDecision:
+        huge = (
+            self.fault_alloc
+            and ctx.chunk_full
+            and self.wants_huge(ctx.advised)
+            and not ctx.partially_mapped
+        )
+        return PageDecision(
+            huge=huge,
+            allow_compaction=self.fault_compact,
+            allow_reclaim=self.fault_reclaim,
         )
 
-    # ------------------------------------------------------------------
-    # Fault-injection / sanitizer gates (no-ops without attachments)
-    # ------------------------------------------------------------------
-
-    def check_promotion(
-        self, vma: Optional["Vma"] = None, chunk: Optional[int] = None
-    ) -> None:
-        """Gate one khugepaged collapse attempt.
-
-        Raises:
-            InjectedFaultError: when the ``promotion`` site fires.
-            MemSanError: when MemSan is attached and the chunk is not a
-                legal collapse candidate.
-        """
-        if self.sanitizer is not None and vma is not None and chunk is not None:
-            self.sanitizer.verify_promotion(vma, chunk)
-        if self.injector is not None:
-            self.injector.check(FaultSite.PROMOTION)
-
-    def check_demotion(
-        self, vma: Optional["Vma"] = None, chunk: Optional[int] = None
-    ) -> None:
-        """Gate one huge-page split.
-
-        Raises:
-            InjectedFaultError: when the ``demotion`` site fires.
-            MemSanError: when MemSan is attached and the chunk is not
-                huge-mapped.
-        """
-        if self.sanitizer is not None and vma is not None and chunk is not None:
-            self.sanitizer.verify_demotion(vma, chunk)
-        if self.injector is not None:
-            self.injector.check(FaultSite.DEMOTION)
-
-    def check_khugepaged(self) -> None:
-        """Gate one background daemon scan pass (a stalled khugepaged).
-
-        Raises:
-            InjectedFaultError: when the ``khugepaged`` site fires.
-        """
-        if self.injector is not None:
-            self.injector.check(FaultSite.KHUGEPAGED)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit("thp.khugepaged.scan")
+    def on_khugepaged_scan(
+        self,
+        candidates: Sequence["PromotionCandidate"],
+        view: "PolicyView",
+    ) -> Sequence["PromotionCandidate"]:
+        return tuple(
+            candidate
+            for candidate in candidates
+            if self.wants_huge(candidate.advised)
+        )

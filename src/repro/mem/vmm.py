@@ -277,7 +277,7 @@ class VirtualMemoryManager:
             return
         policy = self.policy
         ledger = self.node.ledger
-        decision = policy.fault_decision(
+        decision = (policy.hooks or policy).on_fault(
             FaultContext(
                 vma_name=vma.name,
                 chunk=chunk,
@@ -501,18 +501,26 @@ class VirtualMemoryManager:
         policy = self.policy
         if not policy.khugepaged_enabled:
             return 0
-        policy.check_khugepaged()
+        # Gate: a stalled daemon fails the whole pass.
+        injector = self.node.injector
+        if injector is not None:
+            injector.check(FaultSite.KHUGEPAGED)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit("thp.khugepaged.scan")
         candidates = self.promotion_candidates()
-        selected = policy.khugepaged_selection(candidates, self.policy_view)
-        if policy.hooks is not None:
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "policy.khugepaged",
-                    policy=policy.hooks.name,
-                    candidates=len(candidates),
-                    selected=len(selected),
-                )
+        selected = tuple(
+            (policy.hooks or policy).on_khugepaged_scan(
+                candidates, self.policy_view
+            )
+        )
+        if policy.hooks is not None and tracer is not None:
+            tracer.emit(
+                "policy.khugepaged",
+                policy=policy.hooks.name,
+                candidates=len(candidates),
+                selected=len(selected),
+            )
         promoted = 0
         last_raw = -1
         for candidate in selected:
@@ -534,7 +542,6 @@ class VirtualMemoryManager:
             return promoted
         if self.sanitizer is not None:
             self.sanitizer.verify_vmm(self)
-        tracer = self.tracer
         if tracer is not None:
             tracer.emit("thp.khugepaged", promoted=promoted)
         return promoted
@@ -564,8 +571,18 @@ class VirtualMemoryManager:
         return promoted
 
     def promote_chunk(self, vma: Vma, chunk: int) -> bool:
-        """Promote one base-mapped chunk to a huge page (copy collapse)."""
-        self.policy.check_promotion(vma, chunk)
+        """Promote one base-mapped chunk to a huge page (copy collapse).
+
+        Raises:
+            MemSanError: when MemSan is attached and the chunk is not a
+                legal collapse candidate.
+            InjectedFaultError: when the ``promotion`` site fires.
+        """
+        if self.sanitizer is not None:
+            self.sanitizer.verify_promotion(vma, chunk)
+        injector = self.node.injector
+        if injector is not None:
+            injector.check(FaultSite.PROMOTION)
         region = self.node.alloc_huge_region(
             self.owner_id,
             allow_compaction=self.policy.khugepaged_compact,
@@ -647,7 +664,11 @@ class VirtualMemoryManager:
                 f"{vma.name} chunk {chunk} is hugetlbfs-backed; "
                 "explicit reservations cannot be split"
             )
-        self.policy.check_demotion(vma, chunk)
+        if self.sanitizer is not None:
+            self.sanitizer.verify_demotion(vma, chunk)
+        injector = self.node.injector
+        if injector is not None:
+            injector.check(FaultSite.DEMOTION)
         pages = vma.chunk_pages(chunk)
         vma.huge_region[chunk] = -1
         vma.is_huge[pages] = False

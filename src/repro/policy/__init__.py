@@ -7,9 +7,6 @@ policy-research platform:
   interface and its frozen context/decision types;
 - :mod:`repro.policy.view` — the read-only :class:`PolicyView` hooks
   observe the machine through;
-- :mod:`repro.policy.builtin` — the built-in ``never`` / ``always`` /
-  ``madvise`` modes expressed as a hook (pinned byte-identical to the
-  historical hardwired paths);
 - :mod:`repro.policy.registry` — the name-keyed zoo registry behind
   ``--policy NAME[:k=v,...]``;
 - :mod:`repro.policy.zoo` — the shipped policy zoo;
@@ -24,7 +21,6 @@ get_policy`` — or through :mod:`repro.api`, keeping this package
 importable from inside :mod:`repro.mem` without a cycle.
 """
 
-from .builtin import BuiltinThpHook
 from .hooks import (
     BASE_PAGES,
     BasePagePolicy,
@@ -38,7 +34,6 @@ from .view import PolicyView
 __all__ = [
     "BASE_PAGES",
     "BasePagePolicy",
-    "BuiltinThpHook",
     "FaultContext",
     "PageDecision",
     "PagePolicy",

@@ -23,10 +23,12 @@ simulator's bit-for-bit reproducibility invariants (identical journal
 bytes serial vs parallel, resumable sweeps), which is why the contract
 is machine-checked.
 
-The built-in ``never`` / ``always`` / ``madvise`` modes are themselves
-expressed as a hook (:class:`~repro.policy.builtin.BuiltinThpHook`), so
-the hook path is the *only* path — pinned byte-identical to the
-pre-hook tree by ``tests/test_policy_golden.py``.
+The built-in ``never`` / ``always`` / ``madvise`` modes are
+:class:`~repro.mem.thp.ThpPolicy` itself: a policy value without
+``hooks`` is its own hook, so the hook path is the *only* path — pinned
+byte-identical to the pre-hook tree by ``tests/test_policy_golden.py``.
+Hooks are shared by every cell a policy runs: they keep no per-run
+state.
 """
 
 from __future__ import annotations

@@ -18,12 +18,14 @@ parallel.  Policy parameters fold into cell
 fingerprints via the registry's canonical naming, so two
 parameterizations of one entry are distinct journal cells.
 
-Ranking is deterministic: overall geomean descending, ties broken by
-policy spec.  A speedup with a failed cell behind it is that
+A speedup with a failed cell behind it is that
 :class:`~repro.experiments.harness.CellFailure`
-(:func:`~repro.experiments.figures.speedup`);
-:func:`~repro.experiments.reporting.geomean` skips it, and a policy
-whose every cell failed scores 0.0 and sinks to the bottom.
+(:func:`~repro.experiments.figures.speedup`), and so is any geomean
+over it: a scenario column or ``overall`` value with a failed cell
+behind it reads ``FAILED(site)``, and the board counts its failed
+cells.  Ranking is deterministic: policies with a numeric overall
+first, by overall geomean descending, then the failed ones; ties and
+failures are ordered by policy spec, so no failure is ever compared.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ def run_tournament(
     """
     from ..experiments.figures import FigureResult, speedup
     from ..experiments.parse import parse_scenario
-    from ..experiments.reporting import geomean
 
     if not policies:
         raise ReproError("tournament needs at least one policy spec")
@@ -158,10 +159,17 @@ def run_tournament(
                 for workload in workloads
                 for dataset in dataset_names
             ]
-            per_scenario[name] = geomean(speedups)
+            per_scenario[name] = _geomean_or_failure(speedups)
             all_speedups.extend(speedups)
-        standings.append((geomean(all_speedups), spec, per_scenario))
-    standings.sort(key=lambda item: (-item[0], item[1]))
+        standings.append(
+            (_geomean_or_failure(all_speedups), spec, per_scenario)
+        )
+    # Failed overalls sink, in spec order: a failure is never compared.
+    standings.sort(
+        key=lambda item: (0, -item[0], item[1])
+        if getattr(item[0], "ok", True)
+        else (1, 0.0, item[1])
+    )
 
     result = FigureResult(
         "tournament",
@@ -182,3 +190,13 @@ def run_tournament(
         row["overall"] = overall
         result.rows.append(row)
     return result
+
+
+def _geomean_or_failure(speedups: Sequence) -> object:
+    """The geomean of ``speedups``, or the first failed one among them."""
+    from ..experiments.reporting import geomean
+
+    for value in speedups:
+        if not getattr(value, "ok", True):
+            return value
+    return geomean(speedups)

@@ -162,9 +162,7 @@ def _khugepaged_builder():
 
     return Policy(
         name="khugepaged",
-        thp_factory=lambda: ThpPolicy(
-            mode=ThpMode.ALWAYS, fault_alloc=False
-        ),
+        thp=ThpPolicy(mode=ThpMode.ALWAYS, fault_alloc=False),
         plan=PlacementPlan(label="khugepaged"),
     )
 
@@ -202,9 +200,7 @@ def _advisor_builder(
     ).advise()
     return Policy(
         name=report.plan.label,
-        thp_factory=lambda: ThpPolicy(
-            mode=ThpMode.MADVISE, hooks=AdvisorHook()
-        ),
+        thp=ThpPolicy(mode=ThpMode.MADVISE, hooks=AdvisorHook()),
         plan=report.plan,
     )
 
@@ -219,7 +215,7 @@ def _epoch_policy(name: str, hook):
 
     return Policy(
         name=name,
-        thp_factory=lambda: ThpPolicy(
+        thp=ThpPolicy(
             mode=ThpMode.ALWAYS, fault_alloc=False,
             khugepaged_enabled=False, hooks=hook,
         ),
@@ -288,7 +284,7 @@ def _thp_direct_builder():
     from ..experiments.policies import POLICIES, Policy
     from ..mem.thp import ThpPolicy
 
-    return Policy("thp-direct", ThpPolicy.always, POLICIES["thp-opt"].plan)
+    return Policy("thp-direct", ThpPolicy.always(), POLICIES["thp-opt"].plan)
 
 
 def _thp_khugepaged_builder():
@@ -297,7 +293,7 @@ def _thp_khugepaged_builder():
 
     return Policy(
         "thp-khugepaged",
-        lambda: ThpPolicy(mode=ThpMode.ALWAYS, fault_alloc=False),
+        ThpPolicy(mode=ThpMode.ALWAYS, fault_alloc=False),
         POLICIES["thp-opt"].plan,
     )
 
@@ -308,7 +304,7 @@ def _thp_defer_builder():
 
     return Policy(
         "thp-defer",
-        lambda: ThpPolicy(
+        ThpPolicy(
             mode=ThpMode.ALWAYS,
             fault_compact=False,
             fault_reclaim=False,
@@ -324,7 +320,7 @@ def _thp_opt_defer_builder():
 
     return Policy(
         "thp-opt-defer",
-        lambda: ThpPolicy(
+        ThpPolicy(
             mode=ThpMode.ALWAYS,
             fault_reclaim=False,
             khugepaged_compact=False,

@@ -70,14 +70,6 @@ class TranslationStats:
         total = self.total_accesses
         return self.total_walks / total if total else 0.0
 
-    @property
-    def stlb_hit_rate_of_l1_misses(self) -> float:
-        """Fraction of DTLB misses that the STLB absorbed."""
-        misses = self.total_l1_misses
-        if not misses:
-            return 0.0
-        return 1.0 - self.total_walks / misses
-
     def translation_cycles(self, cost: CostModel) -> int:
         """Cycles spent on address translation under ``cost``."""
         l2_hits = self.total_l1_misses - self.total_walks

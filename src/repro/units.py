@@ -33,22 +33,6 @@ def format_bytes(num_bytes: int | float) -> str:
     raise AssertionError("unreachable")
 
 
-def format_count(count: int | float) -> str:
-    """Render a large count with K/M/B suffixes.
-
-    >>> format_count(1_050_000_000)
-    '1.05B'
-    >>> format_count(34_000_000)
-    '34.0M'
-    """
-    value = float(count)
-    for threshold, suffix in ((1e9, "B"), (1e6, "M"), (1e3, "K")):
-        if abs(value) >= threshold:
-            digits = f"{value / threshold:.2f}".rstrip("0").rstrip(".")
-            return digits + suffix
-    return f"{value:g}"
-
-
 def bytes_to_frames(num_bytes: int, frame_bytes: int) -> int:
     """Frames needed to hold ``num_bytes`` (ceiling division).
 

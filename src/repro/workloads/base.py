@@ -33,6 +33,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from ..errors import WorkloadError
 from ..graph.csr import CsrGraph, concat_ranges
 from ..tlb.trace import AccessStream, Columns
 
@@ -77,6 +78,11 @@ class Workload(ABC):
     name: str = "workload"
 
     def __init__(self, graph: CsrGraph) -> None:
+        if graph.num_vertices == 0:
+            raise WorkloadError(
+                f"{type(self).__name__} needs a graph with at least one "
+                "vertex"
+            )
         self.graph = graph
 
     @abstractmethod

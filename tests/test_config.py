@@ -101,11 +101,6 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             get_profile("nope")
 
-    def test_with_overrides(self):
-        cfg = tiny().with_overrides(swap_enabled=False)
-        assert cfg.swap_enabled is False
-        assert cfg.name == "tiny"
-
     def test_rejects_partial_region_node(self):
         with pytest.raises(ConfigError):
             MachineConfig(

@@ -14,10 +14,8 @@ from repro.graph.datasets import (
 from repro.graph.generators import uniform_graph
 from repro.graph.io import (
     load_edge_list,
-    load_npz,
     on_disk_bytes,
     save_edge_list,
-    save_npz,
 )
 
 
@@ -75,18 +73,6 @@ class TestScaledTable2:
 
 
 class TestIo:
-    def test_npz_roundtrip(self, tmp_path, small_weighted_graph):
-        path = str(tmp_path / "g.npz")
-        save_npz(small_weighted_graph, path)
-        loaded = load_npz(path)
-        assert np.array_equal(loaded.indptr, small_weighted_graph.indptr)
-        assert np.array_equal(loaded.indices, small_weighted_graph.indices)
-        assert np.array_equal(loaded.weights, small_weighted_graph.weights)
-
-    def test_npz_missing(self):
-        with pytest.raises(GraphError):
-            load_npz("/nonexistent/graph.npz")
-
     def test_edge_list_roundtrip(self, tmp_path):
         g = uniform_graph(32, 100, seed=2, weighted=True)
         path = str(tmp_path / "g.el")

@@ -318,7 +318,7 @@ class TestEncodeCell:
         a renamed scenario is plain data and rides the wire."""
         runner = _runner()
         thp = parse_policy("thp")
-        hand_built = Policy("hand-built", thp.thp_factory, thp.plan)
+        hand_built = Policy("hand-built", thp.thp, thp.plan)
         assert hand_built.spec is None
         scenario = dataclasses.replace(
             parse_scenario("fresh"), name="mystery-scenario",

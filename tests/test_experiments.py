@@ -75,18 +75,19 @@ class TestPolicies:
             assert name in POLICIES
 
     def test_modes(self):
-        assert get_policy("base4k").make_thp().mode is ThpMode.NEVER
-        assert get_policy("thp").make_thp().mode is ThpMode.ALWAYS
-        assert get_policy("madv-property").make_thp().mode is ThpMode.MADVISE
+        assert get_policy("base4k").thp.mode is ThpMode.NEVER
+        assert get_policy("thp").thp.mode is ThpMode.ALWAYS
+        assert get_policy("madv-property").thp.mode is ThpMode.MADVISE
 
     def test_policy_factories_return_fresh_objects(self):
-        a = get_policy("thp").make_thp()
-        b = get_policy("thp").make_thp()
-        assert a is not b
+        a = get_policy("ingens")
+        b = get_policy("ingens")
+        assert a.thp is not b.thp
+        assert a.thp.hooks is not b.thp.hooks
 
     def test_selective_policy(self):
         policy = selective_policy(0.2, reorder="original")
-        assert policy.make_thp().mode is ThpMode.MADVISE
+        assert policy.thp.mode is ThpMode.MADVISE
         assert policy.plan.reorder == "original"
 
 

@@ -6,6 +6,8 @@ Policy construction goes through the zoo registry
 policy's hook.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.config import tiny
@@ -39,22 +41,25 @@ class TestPolicyFactories:
         ):
             # The manager is the THP policy's hook, on top of
             # promotion-only THP.
-            thp = policy.make_thp()
+            thp = policy.thp
             assert isinstance(thp.hooks, HugePageManager)
-            assert policy.make_thp() is not thp  # fresh per run
+            # Fresh per run: the value is frozen, so no run can leave
+            # state in it.
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                thp.hooks = None
             assert thp.mode is ThpMode.ALWAYS
             assert thp.fault_alloc is False
 
     def test_plain_policies_have_no_manager(self):
         assert not isinstance(
-            POLICIES["thp"].make_thp().hooks, HugePageManager
+            POLICIES["thp"].thp.hooks, HugePageManager
         )
 
     def test_hugetlb_policy_plan(self):
         policy = get_policy("hugetlb:fraction=0.5,reorder=original")
         assert policy.plan.hugetlb_fractions
         assert not policy.plan.advise_fractions
-        assert policy.make_thp().mode is ThpMode.NEVER
+        assert policy.thp.mode is ThpMode.NEVER
 
     def test_hugetlb_helper_still_plain(self):
         # Constructs the same policy the registry's `hugetlb` entry

@@ -12,12 +12,14 @@ from repro.faults import (
     FaultSpec,
     SITES_BY_NAME,
 )
+from repro.graph.generators import uniform_graph
 from repro.machine.machine import Machine
 from repro.mem.page_cache import PageCache
 from repro.mem.physical import NodeMemory, PhysicalMemory
 from repro.mem.stats import KernelLedger
 from repro.mem.swap import SwapDevice
-from repro.mem.thp import ThpPolicy
+from repro.mem.thp import ThpMode, ThpPolicy
+from repro.mem.vmm import VirtualMemoryManager
 from repro.workloads.registry import create_workload
 
 
@@ -243,13 +245,24 @@ class TestWiredSites:
         # Direct I/O bypasses the cache and therefore the site.
         assert cache.read_file("input", 4096, 0, direct_io=True) == 0
 
-    def test_promotion_gates_on_policy(self):
-        policy = ThpPolicy.always()
-        policy.injector = plan_for("promotion:1.0").make_injector()
-        with pytest.raises(InjectedFaultError):
-            policy.check_promotion()
-        policy.check_demotion()  # other gates unaffected
-        policy.check_khugepaged()
+    def test_promotion_gates_in_vmm(self):
+        cfg = tiny()
+        node = NodeMemory(
+            0,
+            cfg,
+            KernelLedger(cost=cfg.cost),
+            injector=plan_for("promotion:1.0").make_injector(),
+        )
+        vmm = VirtualMemoryManager(node, ThpPolicy.always(), cfg)
+        vma = vmm.mmap("a", 2 * cfg.pages.huge_page_size)
+        vmm.touch(vma)  # fault-time huge pages are not promotions
+        assert (vma.huge_region >= 0).all()
+        assert vmm.khugepaged_pass() == 0  # other gates unaffected
+        vmm.demote_chunk(vma, 0)
+        with pytest.raises(InjectedFaultError) as exc:
+            vmm.promote_chunk(vma, 0)
+        assert exc.value.site is FaultSite.PROMOTION
+        assert vma.huge_region[0] == -1
 
 
 class TestMachineIntegration:
@@ -272,6 +285,39 @@ class TestMachineIntegration:
         ).run(create_workload("bfs", small_graph))
         assert armed.summary() == baseline.summary()
 
+    def test_shared_thp_policy_keeps_machines_apart(self):
+        """One policy value backs a faulted, traced, sanitized machine
+        and a plain one; no injector, tracer or sanitizer crosses."""
+        # khugepaged, not the fault path, makes the huge pages, so every
+        # run passes the khugepaged and promotion gates.
+        thp = ThpPolicy(mode=ThpMode.ALWAYS, fault_alloc=False)
+        graph = uniform_graph(num_vertices=16384, num_edges=65536, seed=5)
+
+        def run(machine):
+            return machine.run(create_workload("bfs", graph))
+
+        alone = Machine(tiny(), thp, sanitize=True)
+        run(alone)
+        assert alone.sanitizer.checks > 0
+        armed = Machine(
+            tiny(),
+            thp,
+            faults=plan_for("khugepaged:1.0"),
+            sanitize=True,
+            trace=True,
+        )
+        plain = Machine(tiny(), thp, sanitize=False)
+        assert run(plain).huge_bytes > 0  # armed's injector stays home
+        assert armed.tracer.events == []  # plain emits into no tracer
+        with pytest.raises(InjectedFaultError) as exc:
+            run(armed)
+        assert exc.value.site is FaultSite.KHUGEPAGED
+        assert armed.tracer.events  # armed traces into its own
+        sanitized = Machine(tiny(), thp, sanitize=True)
+        Machine(tiny(), thp, sanitize=False)
+        run(sanitized)  # a later plain machine strips none of its checks
+        assert sanitized.sanitizer.checks == alone.sanitizer.checks
+
     def test_config_fault_plan_is_picked_up(self):
         from dataclasses import replace
 
@@ -284,5 +330,4 @@ class TestMachineIntegration:
         machine = Machine(tiny(), injector=injector)
         assert machine.swap.injector is injector
         assert machine.page_cache.injector is injector
-        assert machine.thp.injector is injector
         assert all(n.injector is injector for n in machine.physical.nodes)

@@ -115,7 +115,6 @@ class TestSimulate:
         stats.walks[0] = 10
         assert stats.l1_miss_rate == pytest.approx(0.4)
         assert stats.walk_rate == pytest.approx(0.1)
-        assert stats.stlb_hit_rate_of_l1_misses == pytest.approx(0.75)
 
     def test_translation_cycles(self):
         stats = TranslationStats()
@@ -160,7 +159,6 @@ class TestSimulate:
         stats = TranslationStats()
         assert stats.l1_miss_rate == 0.0
         assert stats.walk_rate == 0.0
-        assert stats.stlb_hit_rate_of_l1_misses == 0.0
 
     def test_flush(self):
         h = make_hierarchy()

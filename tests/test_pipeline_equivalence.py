@@ -773,15 +773,15 @@ def _fragmented(machine):
 
 PARTIAL_MAPS = {  # name -> (THP policy, scenario setup returning the plan)
     "madvise-fractions": (
-        ThpPolicy.madvise,
+        ThpPolicy.madvise(),
         lambda machine: PlacementPlan(
             advise_fractions={ARRAY_PROPERTY: 0.4, ARRAY_EDGE: 0.7}
         ),
     ),
-    "hugetlb-leading-chunks": (ThpPolicy.never, _hugetlb_leading_chunks),
-    "thp-fragmented": (ThpPolicy.always, _fragmented),
+    "hugetlb-leading-chunks": (ThpPolicy.never(), _hugetlb_leading_chunks),
+    "thp-fragmented": (ThpPolicy.always(), _fragmented),
     "epoch-promotions": (
-        lambda: get_policy("hawkeye").make_thp(),
+        get_policy("hawkeye").thp,
         lambda machine: None,
     ),
 }
@@ -795,9 +795,9 @@ def test_fused_equals_masked_on_partially_huge_maps(scenario, config, monkeypatc
     """Maps where only some chunks are huge, on each profile's page
     shift: madvise fractions, a hugetlb pool smaller than the array,
     THP under fragmentation and epoch promotions between streams."""
-    make_thp, setup = PARTIAL_MAPS[scenario]
+    thp, setup = PARTIAL_MAPS[scenario]
     graph = uniform_graph(num_vertices=16384, num_edges=65536, seed=5, weighted=True)
-    machine = Machine(config(), make_thp())
+    machine = Machine(config(), thp)
     plan = setup(machine)
     checked = _checked_translate(monkeypatch)
     metrics = machine.run(create_workload("sssp", graph), plan=plan)

@@ -9,6 +9,8 @@ and the zoo's deterministic managers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,6 @@ from repro.mem.vmm import VirtualMemoryManager
 from repro.policy import (
     BASE_PAGES,
     BasePagePolicy,
-    BuiltinThpHook,
     PageDecision,
     PagePolicy,
     PolicyView,
@@ -159,7 +160,6 @@ class TestCustomHooks:
 
         for mode in (ThpMode.NEVER, ThpMode.ALWAYS, ThpMode.MADVISE):
             thp = ThpPolicy(mode=mode)
-            hook = BuiltinThpHook(thp)
             for advised, full, partial in grid:
                 ctx = FaultContext(
                     vma_name="a",
@@ -174,18 +174,18 @@ class TestCustomHooks:
                     and thp.wants_huge(advised)
                     and not partial
                 )
-                decision = hook.on_fault(ctx, None)
+                decision = thp.on_fault(ctx, None)
                 assert decision.huge == expected, (mode, ctx)
                 candidate = PromotionCandidate(
                     vma_index=0, vma_name="a", chunk=0, advised=advised
                 )
-                kept = hook.on_khugepaged_scan((candidate,), None)
+                kept = thp.on_khugepaged_scan((candidate,), None)
                 assert bool(kept) == thp.wants_huge(advised)
 
     def test_zoo_hooks_satisfy_the_protocol(self):
         assert isinstance(AdvisorHook(), PagePolicy)
         assert isinstance(OnlineAdvisor(), PagePolicy)
-        assert isinstance(BuiltinThpHook(ThpPolicy.always()), PagePolicy)
+        assert isinstance(ThpPolicy.always(), PagePolicy)
         assert isinstance(BasePagePolicy(), PagePolicy)
 
     def test_autotuner_hook_keeps_kernel_passive(self):
@@ -285,8 +285,7 @@ class TestRegistry:
             "advisor", dataset="test-small", config=tiny()
         )
         assert isinstance(policy, Policy)
-        thp = policy.make_thp()
-        assert isinstance(thp.hooks, AdvisorHook)
+        assert isinstance(policy.thp.hooks, AdvisorHook)
 
     def test_register_is_idempotent_for_same_builder(self):
         entry = registered_policies()["ingens"]
@@ -389,7 +388,8 @@ class TestEpochView:
         vmm.touch(vma)
         assert vmm.epoch_pass() == 0
         assert len(attempts) == 1  # the rest waits for the next epoch
-        thp.hooks = None  # built-in ALWAYS: khugepaged takes every chunk
+        # Built-in ALWAYS: khugepaged takes every chunk.
+        vmm.policy = dataclasses.replace(thp, hooks=None)
         assert vmm.khugepaged_pass() == 0
         assert len(attempts) == 1 + 3
 

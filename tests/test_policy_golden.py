@@ -102,7 +102,7 @@ def _epoch_cells() -> dict[str, dict[str, int]]:
         policy = get_policy(spec)
         for kernel, workload_cls in EPOCH_KERNELS.items():
             for scenario, level in EPOCH_FRAG.items():
-                machine = Machine(tiny(), policy.make_thp())
+                machine = Machine(tiny(), policy.thp)
                 if level is not None:
                     machine.fragment(level)
                     machine.finish_setup()

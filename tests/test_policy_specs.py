@@ -119,7 +119,7 @@ def test_spec_is_not_identity():
     assert unnamed == policy
     assert _pin(runner, unnamed) == _pin(runner, policy)
     assert hugetlb_policy(0.5).spec is None
-    assert Policy("hand-built", policy.thp_factory, policy.plan).spec is None
+    assert Policy("hand-built", policy.thp, policy.plan).spec is None
 
 
 def test_bad_selective_spelling_is_a_repro_error():

@@ -100,7 +100,6 @@ class TestEnablement:
     def test_machine_sanitize_true_wires_everything(self, tiny_cfg):
         machine = Machine(tiny_cfg, sanitize=True)
         assert isinstance(machine.sanitizer, MemSanitizer)
-        assert machine.thp.sanitizer is machine.sanitizer
         assert all(
             n.sanitizer is machine.sanitizer for n in machine.physical.nodes
         )

@@ -116,6 +116,39 @@ class TestCli:
         "--scenarios", ",".join(SCENARIOS_2),
     ]
 
+    def test_failed_cells_show_on_the_board(self, capsys):
+        """A column or overall with a failed cell behind it reads
+        FAILED(site), the board counts its failures, and failed
+        overalls rank after numeric ones, in spec order."""
+        assert main([
+            "tournament", "--datasets", "test-small",
+            "--faults", "compaction:1.0", "--json",
+        ]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        failed = [
+            row["policy"] for row in rows
+            if str(row["overall"]).startswith("FAILED(")
+        ]
+        numeric = [
+            row["overall"] for row in rows
+            if not str(row["overall"]).startswith("FAILED(")
+        ]
+        assert failed
+        assert [row["policy"] for row in rows][len(numeric):] == sorted(
+            failed
+        )
+        assert numeric == sorted(numeric, reverse=True)
+        assert 0.0 not in [
+            value for row in rows for value in row.values()
+        ]
+        assert main([
+            "tournament", "--datasets", "test-small",
+            "--faults", "compaction:1.0",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "FAILED(compaction)" in out
+        assert "cell(s) FAILED" in out
+
     def test_tournament_subcommand(self, capsys):
         assert main(["tournament", *self.ARGS]) == 0
         out = capsys.readouterr().out

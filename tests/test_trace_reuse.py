@@ -208,7 +208,7 @@ def test_epoch_promotions_between_iterations_retranslate(
 
     def run():
         workload = PageRank(graph, epsilon=0.0, max_iterations=3)
-        return Machine(tiny(), policy.make_thp()).run(workload, plan=policy.plan)
+        return Machine(tiny(), policy.thp).run(workload, plan=policy.plan)
 
     reusing = run()
     assert reusing.manager_promotions > 0

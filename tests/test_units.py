@@ -7,7 +7,6 @@ from repro.units import (
     align_down,
     align_up,
     format_bytes,
-    format_count,
     is_power_of_two,
 )
 
@@ -23,12 +22,6 @@ def test_format_bytes():
     assert format_bytes(4096) == "4.0KiB"
     assert format_bytes(3 * MiB + 512 * KiB) == "3.5MiB"
     assert format_bytes(2 * GiB) == "2.0GiB"
-
-
-def test_format_count():
-    assert format_count(1_050_000_000) == "1.05B"
-    assert format_count(34_000_000) == "34M"
-    assert format_count(12) == "12"
 
 
 def test_is_power_of_two():
